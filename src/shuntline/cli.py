@@ -206,6 +206,8 @@ def cmd_simulate(args) -> int:
     if failed:
         return 1
     window = _floats(args.window, 2, "--window")
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be at least 1")
     chain = build_chain(spec, window, args.h)
     mode = args.mode
     sim = {"window": list(window), "h": args.h, "n_nodes": chain.n_nodes,
@@ -368,7 +370,8 @@ def build_parser() -> _Parser:
                    help="number of replications")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads (results identical for any value)")
+                   help="accepted for compatibility; changes neither the "
+                        "numbers nor the threads used (must be >= 1)")
     p.add_argument("--mode", choices=[MODE_FULL, MODE_KILLED, MODE_PART],
                    help="absorption handling (default depends on the task)")
     p.add_argument("--exponential-holding", action="store_true",

@@ -10,15 +10,17 @@ become deterministic entry moves into their open side; traps absorb;
 window edges kill.
 
 Randomness is a stateless counter hash of (seed, replication, step), so
-results are byte-identical no matter how work is chunked or how many
-workers run (``n_jobs``).  Holding times are deterministic by default;
-``exponential_holding=True`` draws exponential times at walk nodes.
+a replication's path does not depend on which other replications run
+beside it.  The engine is one loop over the replications still running;
+``n_jobs`` is accepted for compatibility and changes nothing.  Holding
+times are deterministic by default; ``exponential_holding=True`` draws
+exponential times at walk nodes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +48,8 @@ MODE_KILLED = "killed_at_traps"
 MODE_PART = "part_on_window"
 _MODES = (MODE_FULL, MODE_KILLED, MODE_PART)
 
-_CHUNK = 1024
 _STEP_START = 1 << 62  # counter slot reserved for start-node sampling
+_BLOCK = 8192  # engine uniforms drawn per block (a block spans <= 256 steps)
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +68,24 @@ def _mix(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _uniform(seed, rep, step):
-    """U[0,1) from the (seed, rep, step) counter; rep may be an array."""
+def _rep_key(seed, rep):
+    """The (seed, rep) part of the counter; rep may be an array."""
     with np.errstate(over="ignore"):
-        z = (np.uint64(seed) * _PHI) \
-            ^ (np.asarray(rep, dtype=np.uint64) * _C_REP) \
-            ^ (np.uint64(step) * _C_STEP)
+        return (np.uint64(seed) * _PHI) \
+            ^ (np.asarray(rep, dtype=np.uint64) * _C_REP)
+
+
+def _keyed_uniform(key, step):
+    """U[0,1) from replication keys and steps; arrays broadcast."""
+    with np.errstate(over="ignore"):
+        z = key ^ (np.asarray(step, dtype=np.uint64) * _C_STEP)
         z = _mix(_mix(z + _PHI))
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def _uniform(seed, rep, step):
+    """U[0,1) from the (seed, rep, step) counter; rep may be an array."""
+    return _keyed_uniform(_rep_key(seed, rep), step)
 
 
 # ---------------------------------------------------------------------------
@@ -495,82 +507,21 @@ def build_chain(spec: DiffusionSpec, window, h: float,
 # the engine
 
 
-def _finalize(status, t, active, sel, code, t_val=None):
-    status[sel] = code
-    if t_val is not None:
-        t[sel] = t_val
-    active[sel] = False
-
-
-def _run_chunk(chain, starts, rep_lo, rep_hi, t_max, seed, mode,
-               exponential, target_node):
-    n = rep_hi - rep_lo
-    rep_ids = np.arange(rep_lo, rep_hi, dtype=np.uint64)
-    cur = starts.astype(np.int64).copy()
-    t = np.zeros(n)
-    status = np.zeros(n, dtype=np.int8)
-    hit = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    kind = chain.kind
+def _step_cap(chain, t_max, exponential):
+    """Steps after which a replication stops as if the horizon had come.
+    Deterministic holding times add at least min_tau per step, so their
+    cap is never reached; exponential ones can be arbitrarily short."""
+    if exponential:
+        return 10_000_000
     min_tau = chain.min_tau
-    cap = 10_000_000 if exponential else int(t_max / min_tau) + 2 \
-        if math.isfinite(min_tau) else 1
-    k_iter = 0
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        ci = cur[idx]
-        kd = kind[ci]
-        if target_node >= 0:
-            on = ci == target_node
-            if on.any():
-                sel = idx[on]
-                hit[sel] = True
-                _finalize(status, t, active, sel, ALIVE)
-                idx, ci, kd = idx[~on], ci[~on], kd[~on]
-        for code, st, freeze in ((TRAP_NODE, ABSORBED_TRAP, mode == MODE_FULL),
-                                 (KILL_WINDOW, KILLED_WINDOW, False),
-                                 (KILL_INF, DEAD_INF, False)):
-            m = kd == code
-            if m.any():
-                sel = idx[m]
-                _finalize(status, t, active, sel, st, t_max if freeze else None)
-                idx, ci, kd = idx[~m], ci[~m], kd[~m]
-        if idx.size == 0:
-            continue
-        tau = chain.tau[ci]
-        if exponential:
-            walk_m = kd == WALK
-            if walk_m.any():
-                uh = _uniform(seed, rep_ids[idx[walk_m]], 2 * k_iter + 1)
-                tau = tau.copy()
-                tau[walk_m] = tau[walk_m] * (-np.log1p(-uh))
-        t_new = t[idx] + tau
-        done = t_new >= t_max
-        if done.any():
-            _finalize(status, t, active, idx[done], ALIVE, t_max)
-        go = ~done
-        gi = idx[go]
-        if gi.size:
-            cg = ci[go]
-            t[gi] = t_new[go]
-            kd_g = kind[cg]
-            nxt = np.empty(gi.size, dtype=np.int64)
-            wm = kd_g == WALK
-            if wm.any():
-                u = _uniform(seed, rep_ids[gi[wm]], 2 * k_iter)
-                right = u < chain.p_right[cg[wm]]
-                nxt[wm] = np.where(right, chain.nbr_right[cg[wm]],
-                                   chain.nbr_left[cg[wm]])
-            dm = ~wm
-            nxt[dm] = chain.det_target[cg[dm]]
-            cur[gi] = nxt
-        k_iter += 1
-        if k_iter > cap:
-            _finalize(status, t, active, np.nonzero(active)[0], ALIVE, t_max)
-            break
-    return cur, t, status, hit
+    return int(t_max / min_tau) + 2 if math.isfinite(min_tau) else 1
+
+
+def _warn_capped(count, cap):
+    warnings.warn(
+        f"{count} replication(s) stopped at the step cap ({cap}) before "
+        f"t_max; they are reported alive at t_max", RuntimeWarning,
+        stacklevel=3)
 
 
 def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
@@ -578,12 +529,25 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
         exponential_holding: bool = False, target=None, starts=None) -> dict:
     """Run replications; returns arrays final_node, final_time, status, hit.
 
-    Results are identical for any n_jobs because replication r always
-    consumes the counter stream (seed, r, .) and chunk boundaries are
-    fixed.
+    Replication r always consumes the counter stream (seed, r, .), so
+    its outcome does not depend on the other replications; ``n_jobs``
+    is accepted for compatibility and changes neither the numbers nor
+    the threads used.
+
+    A replication ends when it reaches the target (status alive, hit
+    set, the hitting time kept), a terminal node, or the horizon t_max
+    (status alive at t_max).  Window edges and infinite endpoints keep
+    the time they were reached.  A trap keeps its absorption time in
+    ``killed_at_traps`` mode; in ``full`` and ``part_on_window`` modes the
+    path stays at the trap, so its time is t_max.  ``part_on_window`` is
+    the process killed only on leaving the window.  Replications stopped
+    by the step cap (reachable only with exponential holding) end alive
+    at t_max, with a RuntimeWarning giving their count.
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
+    if n_jobs < 1:
+        raise DomainError("n_jobs must be at least 1")
     if starts is None:
         if x0 is None:
             raise DomainError("provide x0 or starts")
@@ -592,22 +556,81 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
         starts = np.asarray(starts, dtype=np.int64)
         n_rep = len(starts)
     target_node = chain.node_at(float(target)) if target is not None else -1
-    bounds = [(lo, min(lo + _CHUNK, n_rep)) for lo in range(0, n_rep, _CHUNK)]
 
-    def work(b):
-        lo, hi = b
-        return _run_chunk(chain, starts[lo:hi], lo, hi, t_max, seed, mode,
-                          exponential_holding, target_node)
+    # per-node tables, so the loop body does not branch on node kinds:
+    # the status a replication ends with at a node (RUNNING to move on),
+    # whether it keeps its clock there, its holding time (inf where it
+    # ends, so the horizon test catches it) and where each coin side leads
+    kind = chain.kind
+    end_code = np.zeros(chain.n_nodes, dtype=np.int8)
+    end_code[kind == TRAP_NODE] = ABSORBED_TRAP
+    end_code[kind == KILL_WINDOW] = KILLED_WINDOW
+    end_code[kind == KILL_INF] = DEAD_INF
+    keeps_time = end_code != RUNNING
+    if mode != MODE_KILLED:
+        keeps_time &= kind != TRAP_NODE
+    if target_node >= 0:
+        end_code[target_node] = ALIVE
+        keeps_time[target_node] = True
+    moves = end_code == RUNNING
+    tau_of = np.where(moves, chain.tau, np.inf)
+    random_tau = moves & (kind == WALK) & exponential_holding
+    det = kind == DET
+    go_left = np.where(det, chain.det_target, chain.nbr_left)
+    go_right = np.where(det, chain.det_target, chain.nbr_right)
+    p_right = np.where(det, 2.0, chain.p_right)  # DET nodes ignore the coin
+    cap = _step_cap(chain, t_max, exponential_holding)
 
-    if n_jobs > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(work, bounds))
-    else:
-        parts = [work(b) for b in bounds]
-    final_node = np.concatenate([p[0] for p in parts])
-    final_time = np.concatenate([p[1] for p in parts])
-    status = np.concatenate([p[2] for p in parts])
-    hit = np.concatenate([p[3] for p in parts])
+    final_node = np.empty(n_rep, dtype=np.int64)
+    final_time = np.empty(n_rep)
+    status = np.empty(n_rep, dtype=np.int8)
+    hit = np.zeros(n_rep, dtype=bool)
+    # the active set: output index, counter key, node, clock and row of
+    # uniforms of every replication still running; each has taken exactly
+    # k steps.  Step k reads counter 2k for its coin and 2k+1 for its
+    # exponential holding time.  Uniforms come in blocks of the next few
+    # steps of the whole active set, so a small active set pays the hash's
+    # per-call cost once per block rather than once per step.
+    idx = np.arange(n_rep)
+    key = _rep_key(seed, idx)
+    cur = starts.copy()
+    t = np.zeros(n_rep)
+    per_step = 2 if exponential_holding else 1
+    k = j = n_block = 0
+    while idx.size:
+        if j == n_block:
+            n_block = min(max(_BLOCK // idx.size, 1), 256)
+            counters = np.arange(2 * k, 2 * (k + n_block), 2 // per_step)
+            block = _keyed_uniform(key[:, None], counters)
+            row = np.arange(idx.size)
+            j = 0
+        tau = tau_of[cur]
+        if exponential_holding:
+            uh = block[row, 2 * j + 1]
+            tau = tau * np.where(random_tau[cur], -np.log1p(-uh), 1.0)
+        t_new = t + tau
+        ends = t_new >= t_max
+        if ends.any():
+            sel, ce = idx[ends], cur[ends]
+            code = end_code[ce]
+            final_node[sel] = ce
+            final_time[sel] = np.where(keeps_time[ce], t[ends], t_max)
+            status[sel] = np.where(code == RUNNING, ALIVE, code)
+            hit[sel] = ce == target_node
+            stay = ~ends
+            idx, key, cur, row = idx[stay], key[stay], cur[stay], row[stay]
+            t_new = t_new[stay]
+        t = t_new
+        u = block[row, per_step * j]
+        cur = np.where(u < p_right[cur], go_right[cur], go_left[cur])
+        k += 1
+        j += 1
+        if k > cap and idx.size:
+            final_node[idx] = cur
+            final_time[idx] = t_max
+            status[idx] = ALIVE
+            _warn_capped(idx.size, cap)
+            break
     return {"final_node": final_node, "final_time": final_time,
             "status": status, "hit": hit}
 
@@ -626,7 +649,9 @@ class PathResult:
 def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
                   rep: int = 0, mode: str = MODE_FULL,
                   exponential_holding: bool = False) -> PathResult:
-    """One replication with its trajectory, matching the vector engine."""
+    """One replication with its trajectory, matching the vector engine.
+
+    A plain scalar loop, kept apart from ``run`` as its reference."""
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
     cur = chain.node_at(float(x0))
@@ -635,12 +660,12 @@ def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
     xs = [float(chain.x[cur])]
     status = ALIVE
     k = 0
-    cap = 10_000_000
+    cap = _step_cap(chain, t_max, exponential_holding)
     while True:
         kd = int(chain.kind[cur])
         if kd == TRAP_NODE:
             status = ABSORBED_TRAP
-            if mode == MODE_FULL:
+            if mode != MODE_KILLED:
                 times.append(t_max)
                 xs.append(float(chain.x[cur]))
             break
@@ -670,6 +695,9 @@ def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
         xs.append(float(chain.x[cur]))
         k += 1
         if k > cap:
+            times.append(t_max)
+            xs.append(float(chain.x[cur]))
+            _warn_capped(1, cap)
             break
     return PathResult(np.asarray(times), np.asarray(xs), STATUS_NAMES[status])
 
@@ -719,17 +747,23 @@ def analytic_hitting(spec: DiffusionSpec, x0: float, a: float, c: float) -> floa
 
 
 def _lebesgue_node_weights(chain: ChainModel) -> np.ndarray:
+    """Half the x distance between the neighbours of each walk node."""
     w = np.zeros(chain.n_nodes)
-    for i in range(chain.n_nodes):
-        if chain.kind[i] != WALK:
-            continue
-        l, r = chain.nbr_left[i], chain.nbr_right[i]
-        if l < 0 or r < 0:
-            continue
-        xl, xr = chain.x[l], chain.x[r]
-        if math.isfinite(xl) and math.isfinite(xr):
-            w[i] = 0.5 * (xr - xl)
+    i = np.nonzero((chain.kind == WALK) & (chain.nbr_left >= 0)
+                   & (chain.nbr_right >= 0))[0]
+    xl = chain.x[chain.nbr_left[i]]
+    xr = chain.x[chain.nbr_right[i]]
+    fin = np.isfinite(xl) & np.isfinite(xr)
+    w[i[fin]] = 0.5 * (xr[fin] - xl[fin])
     return w
+
+
+def _at_nodes(fn, x, nodes):
+    """fn(x[node]) for each entry of nodes, calling fn once per distinct
+    node."""
+    distinct, inverse = np.unique(nodes, return_inverse=True)
+    vals = np.asarray([fn(float(v)) for v in x[distinct]], dtype=np.float64)
+    return vals[inverse]
 
 
 def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
@@ -761,20 +795,18 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     starts = np.minimum(starts, chain.n_nodes - 1).astype(np.int64)
     res = run(chain, starts=starts, t_max=t_max, seed=seed, n_jobs=n_jobs,
               mode=mode)
-    x0 = chain.x[starts]
-    xT = chain.x[res["final_node"]]
     if mode == MODE_KILLED:
         live = res["status"] == ALIVE
     else:
         live = (res["status"] == ALIVE) | (res["status"] == ABSORBED_TRAP)
-    f0 = np.asarray([f(float(v)) for v in x0], dtype=np.float64)
-    g0 = np.asarray([g(float(v)) for v in x0], dtype=np.float64)
+    f0 = _at_nodes(f, chain.x, starts)
+    g0 = _at_nodes(g, chain.x, starts)
+    # killed paths count as zero; f and g never see their nodes
+    ends = res["final_node"][live]
     fT = np.zeros(n_rep)
     gT = np.zeros(n_rep)
-    for j in np.nonzero(live)[0]:
-        v = float(xT[j])
-        fT[j] = f(v)
-        gT[j] = g(v)
+    fT[live] = _at_nodes(f, chain.x, ends)
+    gT[live] = _at_nodes(g, chain.x, ends)
     d = total * (f0 * gT - fT * g0)
     mean = float(np.mean(d))
     sd = float(np.std(d, ddof=1)) if n_rep > 1 else 0.0

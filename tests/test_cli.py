@@ -126,6 +126,13 @@ def test_simulate_hitting_and_determinism(tmp_path):
     assert r1 == r2
 
 
+def test_simulate_refuses_jobs_below_one(capsys):
+    args = ["simulate", "--example", "bm", "--window", "0,1", "--h", "0.05",
+            "--t-max", "1", "--x0", "0.3", "--n-rep", "10"]
+    assert main(args + ["--jobs", "0"]) == 3
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_simulate_defect_interval_form(tmp_path):
     code, doc = run_cli(
         tmp_path, "simulate", "--example", "bm", "--window", "0,1",

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from shuntline import ChainBuildError, get_example, parse_spec
+from shuntline import ChainBuildError, DomainError, get_example, parse_spec
+from shuntline import simulate
 from shuntline.simulate import (STATUS_NAMES, analytic_hitting,
                                 build_chain, estimate_hitting,
                                 estimate_symmetry_defect, run, simulate_path)
@@ -157,15 +158,66 @@ def test_parallel_runs_are_byte_identical():
 
 
 def test_scalar_path_engine_matches_vector_engine():
+    # walk nodes, the deterministic shunt point of exa1, and both clocks
+    for example, window, x0, t_max in (("bm", (0.0, 1.0), 0.3, 0.4),
+                                       ("exa1", (-2.5, 2.5), -0.2, 1.0)):
+        ch = build_chain(get_example(example), window, 0.05)
+        for expo in (False, True):
+            out = run(ch, x0=x0, t_max=t_max, n_rep=16, seed=31,
+                      exponential_holding=expo)
+            for rep in range(16):
+                path = simulate_path(ch, x0, t_max, seed=31, rep=rep,
+                                     exponential_holding=expo)
+                assert ch.x[out["final_node"][rep]] == pytest.approx(
+                    path.positions[-1], abs=1e-12)
+                assert out["final_time"][rep] == pytest.approx(
+                    path.times[-1], abs=1e-12)
+                assert STATUS_NAMES[out["status"][rep]] == path.status
+
+
+def test_jobs_below_one_are_refused():
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
-    out = run(ch, x0=0.3, t_max=0.4, n_rep=16, seed=31)
-    for rep in range(16):
-        path = simulate_path(ch, 0.3, 0.4, seed=31, rep=rep)
-        assert ch.x[out["final_node"][rep]] == pytest.approx(
-            path.positions[-1], abs=1e-12)
-        assert out["final_time"][rep] == pytest.approx(path.times[-1],
-                                                       abs=1e-12)
-        assert STATUS_NAMES[out["status"][rep]] == path.status
+    for n_jobs in (0, -1):
+        with pytest.raises(DomainError):
+            run(ch, x0=0.3, t_max=0.4, n_rep=8, n_jobs=n_jobs)
+        with pytest.raises(DomainError):
+            estimate_hitting(ch, 0.3, 1.0, 1.0, 8, n_jobs=n_jobs)
+
+
+def test_part_process_holds_at_traps_inside_the_window():
+    """The part process is killed only on leaving the window, so a trap
+    inside it holds the path to the horizon, as in the full process."""
+    ch = build_chain(get_example('exa2'), (-1.0, 2.0), 0.05)
+    full = run(ch, x0=0.5, t_max=1.0, n_rep=400, seed=9, mode="full")
+    part = run(ch, x0=0.5, t_max=1.0, n_rep=400, seed=9,
+               mode="part_on_window")
+    for key in ("final_node", "final_time", "status", "hit"):
+        assert np.array_equal(full[key], part[key]), key
+    r = int(np.nonzero(part["status"] == 3)[0][0])
+    path = simulate_path(ch, 0.5, 1.0, seed=9, rep=r, mode="part_on_window")
+    assert path.status == "absorbed_at_trap"
+    assert path.times[-1] == 1.0
+
+
+def test_step_cap_warns_and_reports_alive_at_the_horizon(monkeypatch):
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    monkeypatch.setattr(simulate, "_step_cap", lambda *args: 3)
+    with pytest.warns(RuntimeWarning, match="50 replication"):
+        out = run(ch, x0=0.5, t_max=1.0, n_rep=50, seed=2,
+                  exponential_holding=True)
+    assert status_counter(out)["alive"] == 50
+    assert np.all(out["final_time"] == 1.0)
+    with pytest.warns(RuntimeWarning, match="1 replication"):
+        path = simulate_path(ch, 0.5, 1.0, seed=2, exponential_holding=True)
+    assert path.status == "alive"
+    assert path.times[-1] == 1.0
+
+
+def test_deterministic_step_cap_exceeds_the_horizon():
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.001)
+    assert ch.min_tau == pytest.approx(1e-6)
+    cap = simulate._step_cap(ch, 50.0, False)
+    assert cap * ch.min_tau > 50.0
 
 
 def test_hitting_estimator_reports_wilson_interval():
@@ -194,6 +246,40 @@ def test_defect_estimator_weighting_options():
     d2 = estimate_symmetry_defect(ch, f, g, 0.3, 400, seed=19,
                                   weights=custom)
     assert d2["ci_low"] <= 0.0 <= d2["ci_high"]
+
+
+def test_lebesgue_weights_are_half_the_neighbour_span():
+    for ch in (build_chain(get_example('exa1'), (-2.5, 2.5), 0.05),
+               build_chain(get_example('drift'), (-1.0, 1.0), 0.05)):
+        w = simulate._lebesgue_node_weights(ch)
+        for i in range(ch.n_nodes):
+            l, r = ch.nbr_left[i], ch.nbr_right[i]
+            walk = ch.kind[i] == 0 and l >= 0 and r >= 0
+            if walk and np.isfinite(ch.x[l]) and np.isfinite(ch.x[r]):
+                assert w[i] == 0.5 * (ch.x[r] - ch.x[l])
+            else:
+                assert w[i] == 0.0
+
+
+def test_defect_test_functions_see_each_used_node_once():
+    spec = spec_from([
+        {"kind": "trap_segment", "a": "-inf", "b": "0"},
+        {"kind": "singular_point", "x": "0", "class": "trap"},
+        {"kind": "regular_interval", "a": "0", "b": "inf",
+         "scale": "-1/x", "speed": {"density": "1/x^4"}}])
+    ch = build_chain(spec, (0.5, math.inf), 0.02)
+    seen = []
+
+    def f(x):
+        assert math.isfinite(x)  # killed paths never reach f or g
+        seen.append(x)
+        return 1.0 if x < 1.0 else 0.0
+
+    d = estimate_symmetry_defect(ch, f, f, 20.0, 2000, seed=4,
+                                 mode="killed_at_traps")
+    assert d["mean"] == 0.0
+    assert len(seen) <= 4 * ch.n_nodes
+    assert len(seen) < 2000
 
 
 def test_warnings_list_is_quiet_on_smooth_data():
