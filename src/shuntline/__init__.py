@@ -27,7 +27,8 @@ from .dirichlet import (AdaptedReport, FormDescriptor, MembershipReport,
                         membership, ramp_profile, require_member)
 from .errors import (ChainBuildError, DomainError, EvalError, ExprError,
                      GraphBuildError, MembershipError, NotSymmetrizableError,
-                     ShuntlineError, SpecParseError, UndeterminedVerdict)
+                     QuadratureError, ShuntlineError, SpecParseError,
+                     UndeterminedVerdict)
 from .examples import example_document, get_example, list_examples
 from .graph import (CommunicationClasses, CommunicationGraph, build_graph,
                     communication_classes, reaches, ring_interior)
@@ -80,4 +81,5 @@ __all__ = [
     "ShuntlineError", "ExprError", "EvalError", "SpecParseError",
     "DomainError", "UndeterminedVerdict", "GraphBuildError",
     "NotSymmetrizableError", "MembershipError", "ChainBuildError",
+    "QuadratureError",
 ]

@@ -168,7 +168,7 @@ def _boundary_integral(piece, side, s_lim, anchor, rel_tol):
     sign = 1.0 if side == "a" else -1.0
 
     def f(y):
-        return sign * (evaluate(scale, float(y)) - s_lim) * evaluate(dens, float(y))
+        return sign * (evaluate(scale, y) - s_lim) * evaluate(dens, y)
 
     res = improper_integral(f, anchor, e, rel_tol=rel_tol)
     if res.verdict != FINITE:
@@ -249,10 +249,18 @@ def endpoint_role(spec: DiffusionSpec, piece_index: int, side: str,
                             app, role, value, cls)
 
 
-@lru_cache(maxsize=128)
 def boundary_profile(spec: DiffusionSpec, rel_tol: float = 1e-6):
     """EndpointAnalysis for both ends of every regular piece, keyed
-    (piece_index, side)."""
+    (piece_index, side).
+
+    Cached on (spec, float(rel_tol)), so a call that leaves rel_tol at
+    its default and one that passes the same value share one entry.
+    """
+    return _profile(spec, float(rel_tol))
+
+
+@lru_cache(maxsize=128)
+def _profile(spec: DiffusionSpec, rel_tol: float):
     out = {}
     for i in spec.regular_indices():
         for side in ("a", "b"):

@@ -21,7 +21,6 @@ verifies the symmetrizing measure is finite on compact windows and
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,18 @@ def _ext(v: float):
     return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
 
 
+def _like_input(out):
+    """A float for a 0-d result, the array otherwise."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 @dataclass(frozen=True)
 class Profile:
-    """Piecewise cubic in the scale coordinate, constant outside."""
+    """Piecewise cubic in the scale coordinate, constant outside.
+
+    ``value`` and ``derivative`` take a float or an ndarray of scale
+    coordinates and return a float or an ndarray of the same shape.
+    """
 
     breakpoints: tuple   # strictly increasing, length K+1
     coefficients: tuple  # K rows (c0, c1, c2, c3), absolute in u
@@ -63,26 +71,26 @@ class Profile:
             raise DomainError("profile breakpoints must be strictly increasing")
         if any(len(c) != 4 for c in self.coefficients):
             raise DomainError("each segment needs four cubic coefficients")
+        # array copies for vectorized evaluation; not dataclass fields
+        object.__setattr__(self, "_br", np.asarray(br, dtype=float))
+        object.__setattr__(self, "_rows",
+                           np.asarray(self.coefficients, dtype=float))
 
-    def _segment(self, u: float) -> int:
-        j = bisect_right(self.breakpoints, u) - 1
-        return min(max(j, 0), len(self.coefficients) - 1)
+    def _coefficients_at(self, u):
+        """(c0, c1, c2, c3) of the segment holding each u."""
+        j = np.searchsorted(self._br, u, side="right") - 1
+        return np.moveaxis(self._rows[np.clip(j, 0, len(self._rows) - 1)], -1, 0)
 
-    def value(self, u: float) -> float:
-        br = self.breakpoints
-        if u <= br[0]:
-            u = br[0]
-        elif u >= br[-1]:
-            u = br[-1]
-        c0, c1, c2, c3 = self.coefficients[self._segment(u)]
-        return ((c3 * u + c2) * u + c1) * u + c0
+    def value(self, u):
+        u = np.clip(u, self._br[0], self._br[-1])
+        c0, c1, c2, c3 = self._coefficients_at(u)
+        return _like_input(((c3 * u + c2) * u + c1) * u + c0)
 
-    def derivative(self, u: float) -> float:
-        br = self.breakpoints
-        if u < br[0] or u > br[-1]:
-            return 0.0
-        c0, c1, c2, c3 = self.coefficients[self._segment(u)]
-        return (3.0 * c3 * u + 2.0 * c2) * u + c1
+    def derivative(self, u):
+        outside = (u < self._br[0]) | (u > self._br[-1])
+        u = np.clip(u, self._br[0], self._br[-1])
+        c0, c1, c2, c3 = self._coefficients_at(u)
+        return _like_input(np.where(outside, 0.0, (3.0 * c3 * u + 2.0 * c2) * u + c1))
 
     def jumps(self) -> tuple:
         """Junction discontinuities (u, size)."""
@@ -251,9 +259,8 @@ def _square_mass_side(form, entry, prof, piece, side, anchor, rel_tol):
         return INFINITE, math.inf, "non-vanishing tail against infinite end mass"
 
     def fx(x):
-        u = float(evaluate(piece.scale, x))
-        v = prof.value(u)
-        return entry.weight * v * v * float(evaluate(entry.density, x))
+        v = prof.value(evaluate(piece.scale, x))
+        return entry.weight * v * v * evaluate(entry.density, x)
 
     res = improper_integral(fx, anchor, endpoint, rel_tol=rel_tol)
     if res.verdict == UNDETERMINED and hint == "finite":

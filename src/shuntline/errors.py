@@ -28,6 +28,11 @@ class UndeterminedVerdict(ShuntlineError):
     suggests an endpoint mass hint."""
 
 
+class QuadratureError(UndeterminedVerdict):
+    """An adaptive cell integral missed its tolerance at the subdivision
+    limit, so the numerics cannot resolve the quantity."""
+
+
 class GraphBuildError(ShuntlineError):
     """Reachability graph could not be assembled."""
 

@@ -227,7 +227,8 @@ class _Parser:
     def constant_value(self, e, what):
         if not is_constant(e):
             raise ExprError(f"{what} must be a constant expression in {self.text!r}")
-        return float(_eval_raw(e, 0.0))
+        with np.errstate(**_QUIET):
+            return float(_eval_raw(e, 0.0))
 
 
 def parse_expr(text: str) -> Expr:
@@ -256,43 +257,42 @@ def is_constant(e: Expr) -> bool:
 
 
 def _eval_raw(e, x):
-    """Evaluate without domain checks; invalid operations yield nan."""
-    if isinstance(e, Const):
-        return np.asarray(x) * 0.0 + e.value if isinstance(x, np.ndarray) else e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -_eval_raw(e.arg, x)
+    """Evaluate without domain checks; invalid operations yield nan.
+
+    Run under np.errstate; a constant stays a scalar and broadcasts.
+    """
     if isinstance(e, BinOp):
         a = _eval_raw(e.left, x)
         b = _eval_raw(e.right, x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            return np.divide(a, b)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        return np.divide(a, b)
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Neg):
+        return -_eval_raw(e.arg, x)
     if isinstance(e, Pow):
-        a = _eval_raw(e.base, x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.power(np.asarray(a, dtype=float), e.exponent)
+        return np.power(np.asarray(_eval_raw(e.base, x), dtype=float), e.exponent)
     if isinstance(e, Call):
         a = np.asarray(_eval_raw(e.arg, x), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if e.fn == "ln":
-                return np.log(a)
-            if e.fn == "exp":
-                return np.exp(a)
-            if e.fn == "sqrt":
-                return np.sqrt(a)
-            if e.fn == "abs":
-                return np.abs(a)
-            if e.fn == "sin":
-                return np.sin(a)
-            if e.fn == "cos":
-                return np.cos(a)
+        if e.fn == "ln":
+            return np.log(a)
+        if e.fn == "exp":
+            return np.exp(a)
+        if e.fn == "sqrt":
+            return np.sqrt(a)
+        if e.fn == "abs":
+            return np.abs(a)
+        if e.fn == "sin":
+            return np.sin(a)
+        if e.fn == "cos":
+            return np.cos(a)
         raise TypeError(f"unknown function {e.fn!r}")
     if isinstance(e, Piecewise):
         xs = np.asarray(x, dtype=float)
@@ -306,13 +306,18 @@ def _eval_raw(e, x):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
+
+
 def evaluate(e: Expr, x):
     """Evaluate at a float or numpy array.
 
     Raises EvalError when the result is nan anywhere (domain violation).
     Infinities pass through; callers interpret them.
     """
-    out = _eval_raw(e, np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x))
+    with np.errstate(**_QUIET):
+        out = _eval_raw(e, np.asarray(x, dtype=float) if isinstance(x, np.ndarray)
+                        else float(x))
     if isinstance(x, np.ndarray):
         out = np.asarray(out, dtype=float)
         if out.shape != x.shape:

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
-from .errors import DomainError, SpecParseError
+from .errors import DomainError, SpecParseError, UndeterminedVerdict
 from .expr import Expr, evaluate, parse_expr
+from .quadrature import INFINITE, UNDETERMINED, cell_quad, improper_integral
 
 __all__ = [
     "MeasureSpec", "Piece", "DiffusionSpec", "Violation", "ValidationReport",
@@ -430,8 +430,11 @@ def eval_scale(piece: Piece, x):
 def eval_speed_mass(piece: Piece, u: float, v: float, rel_tol=1e-8) -> float:
     """Speed mass of the open interval (u, v) inside a regular piece.
 
-    Counts the density integral plus atoms strictly inside (u, v).
-    Returns inf when the density integral diverges.
+    Counts the density integral plus atoms strictly inside (u, v).  A
+    finite (u, v) is one adaptive cell, which raises QuadratureError when
+    it misses rel_tol.  An infinite end is summed in shells from a finite
+    point: inf when they diverge, UndeterminedVerdict when no verdict
+    is reached.
     """
     if piece.kind != REGULAR:
         raise DomainError("speed mass is defined on regular pieces only")
@@ -440,12 +443,23 @@ def eval_speed_mass(piece: Piece, u: float, v: float, rel_tol=1e-8) -> float:
     dens = piece.speed.density
 
     def f(z):
-        return evaluate(dens, float(z))
+        return evaluate(dens, z)
 
-    try:
-        val, _ = integrate.quad(f, u, v, epsrel=rel_tol, limit=200)
-    except Exception:
-        return math.inf
+    if math.isfinite(u) and math.isfinite(v):
+        val = cell_quad(f, u, v, rel_tol)
+    else:
+        anchor = u if math.isfinite(u) else v if math.isfinite(v) else 0.0
+        val = 0.0
+        for end in (u, v):
+            if end == anchor:
+                continue
+            res = improper_integral(f, anchor, end, rel_tol=rel_tol)
+            if res.verdict == INFINITE:
+                return math.inf
+            if res.verdict == UNDETERMINED:
+                raise UndeterminedVerdict(
+                    f"speed mass of ({u}, {v}) undetermined toward {end}: {res.note}")
+            val += abs(res.value)
     if not math.isfinite(val):
         return math.inf
     val += sum(w for at, w in piece.speed.atoms if u < at < v)

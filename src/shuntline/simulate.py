@@ -246,8 +246,7 @@ def _regular_cells(piece, edges_x, edges_u, order):
     if fin_lo == 1:  # first cell stretches to -inf; only its A part is used
         u0 = edges_u[0]
         res = improper_integral(
-            lambda y: (float(evaluate(piece.scale, y)) - u0)
-            * float(evaluate(piece.speed.density, y)),
+            lambda y: (s_vec(y) - u0) * rho_vec(y),
             edges_x[1], -math.inf)
         if res.verdict != FINITE:
             raise ChainBuildError(
@@ -259,8 +258,7 @@ def _regular_cells(piece, edges_x, edges_u, order):
     if fin_hi == n - 1:  # last cell stretches to +inf; only its B part is used
         u1 = edges_u[-1]
         res = improper_integral(
-            lambda y: (u1 - float(evaluate(piece.scale, y)))
-            * float(evaluate(piece.speed.density, y)),
+            lambda y: (u1 - s_vec(y)) * rho_vec(y),
             edges_x[-2], math.inf)
         if res.verdict != FINITE:
             raise ChainBuildError(

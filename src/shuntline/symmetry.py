@@ -180,7 +180,7 @@ class Measure:
                 return INFINITE, math.inf
             if hi == e.hi and math.isfinite(e.hi) and e.hint_hi == "infinite":
                 return INFINITE, math.inf
-            fn = (lambda y, ee=e: ee.weight * float(evaluate(ee.density, y)))
+            fn = (lambda y, ee=e: ee.weight * evaluate(ee.density, y))
             mid = 0.5 * (lo + hi)
             for anchor, endpoint in ((mid, lo), (mid, hi)):
                 res = improper_integral(fn, anchor, endpoint, rel_tol=rel_tol)

@@ -138,3 +138,16 @@ def test_finite_speed_hint_short_circuits_numerics():
     spec, i = one_piece("0", "1", "x", "2", hints={"a": "finite"})
     verdict, _ = approachable(spec.pieces[i], "a")
     assert verdict == "yes"
+
+
+def test_default_and_explicit_tolerance_share_one_profile():
+    from shuntline import check_symmetrizable
+    from shuntline.boundary import _profile
+
+    # a spec no other test builds, so nothing is cached for it yet
+    spec, _ = one_piece("0", "3", "x", "2.718")
+    before = _profile.cache_info().misses
+    check_symmetrizable(spec)
+    assert _profile.cache_info().misses == before + 1
+    assert boundary_profile(spec) is boundary_profile(spec, 1e-6)
+    assert _profile.cache_info().misses == before + 1

@@ -1,11 +1,13 @@
 """Spec documents: parsing, structure audit, serialization, speed measure."""
 
 import json
+import math
 
 import pytest
 
-from shuntline import (DomainError, SpecParseError, get_example, parse_spec,
-                       serialize_spec, spec_digest, validate)
+from shuntline import (DomainError, QuadratureError, SpecParseError,
+                       get_example, parse_spec, serialize_spec, spec_digest,
+                       validate)
 from shuntline.model import eval_scale, eval_speed_mass
 
 from conftest import random_spec_doc, spec_from
@@ -134,3 +136,20 @@ def test_hints_round_trip():
     assert spec.pieces[0].speed.hint_b == "finite"
     doc2 = json.loads(serialize_spec(spec))
     assert spec_digest(parse_spec(doc2)) == spec_digest(spec)
+
+
+def test_speed_mass_reports_failures_and_infinite_ends():
+    spec = spec_from([{"kind": "regular_interval", "a": "-inf", "b": "inf",
+                       "scale": "x", "speed": {"density": "exp(-abs(x))"}}])
+    p = spec.pieces[0]
+    assert eval_speed_mass(p, 0.0, math.inf) == pytest.approx(1.0, rel=1e-6)
+    assert eval_speed_mass(p, -math.inf, math.inf) == pytest.approx(2.0, rel=1e-6)
+    flat = spec_from([{"kind": "regular_interval", "a": "-inf", "b": "inf",
+                       "scale": "x", "speed": {"density": "2"}}]).pieces[0]
+    assert eval_speed_mass(flat, 1.0, math.inf) == math.inf
+    # a million periods per subinterval: a tolerance failure, not inf mass
+    wild = spec_from([{"kind": "regular_interval", "a": "-inf", "b": "inf",
+                       "scale": "x",
+                       "speed": {"density": "2 + sin(1e9 * x)"}}]).pieces[0]
+    with pytest.raises(QuadratureError):
+        eval_speed_mass(wild, 1.0, 2.0)

@@ -1,12 +1,24 @@
 """Shell quadrature: verdicts and values on integrals with known answers."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from shuntline.quadrature import (FINITE, INFINITE, UNDETERMINED, cell_quad,
-                                  gauss_cells, improper_integral)
+from shuntline import QuadratureError
+from shuntline.dirichlet import Profile
+from shuntline.quadrature import (FINITE, GAUSS_WEIGHTS, INFINITE,
+                                  KRONROD_NODES, KRONROD_WEIGHTS, LIMIT,
+                                  UNDETERMINED, cell_quad, gauss_cells,
+                                  improper_integral)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_cell_quad_sine():
@@ -72,3 +84,110 @@ def test_sign_flip_after_decay_is_undetermined():
 def test_value_only_reported_meaningfully_when_finite():
     res = improper_integral(lambda xs: np.ones_like(xs), 1.0, math.inf)
     assert res.verdict == INFINITE
+
+
+def test_gauss_nodes_are_the_ten_point_legendre_rule():
+    on_gauss = GAUSS_WEIGHTS != 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(KRONROD_NODES[on_gauss], nodes, rtol=0, atol=1e-15)
+    assert np.allclose(GAUSS_WEIGHTS[on_gauss], weights, rtol=0, atol=1e-15)
+    assert KRONROD_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
+
+
+def test_kronrod_rule_is_exact_up_to_degree_31():
+    rng = np.random.default_rng(31)
+    for degree in range(32):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        rule = KRONROD_WEIGHTS @ KRONROD_NODES ** degree
+        assert rule == pytest.approx(exact, rel=1e-13, abs=1e-13), degree
+        # a full polynomial of that degree on an off-center cell
+        poly = np.polynomial.Polynomial(rng.uniform(0.5, 1.5, degree + 1))
+        want = poly.integ()(1.7) - poly.integ()(0.3)
+        assert cell_quad(poly, 0.3, 1.7) == pytest.approx(want, rel=1e-13), degree
+
+
+PANEL = {
+    "smooth": (lambda x: np.exp(np.sin(3.0 * x)), 0.0, 2.0),
+    "inv-sqrt-shell": (lambda x: x ** -0.5, 2.0 ** -21, 2.0 ** -20),
+    "log-shell": (lambda x: np.log(x), 2.0 ** -31, 2.0 ** -30),
+    "exp-tail-shell": (lambda x: np.exp(-x), 2.0 ** 4 - 1.0, 2.0 ** 5 - 1.0),
+    "exp-far-tail-shell": (lambda x: np.exp(-x), 2.0 ** 7 - 1.0, 2.0 ** 8 - 1.0),
+    "jump": (lambda x: np.where(x < 0.3, 1.0, 2.0 + x), 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PANEL))
+def test_cell_quad_agrees_with_quadpack(name):
+    fn, a, b = PANEL[name]
+    want, _ = quad(lambda x: float(fn(np.array([x]))[0]), a, b,
+                   epsabs=0.0, epsrel=1e-12, limit=LIMIT,
+                   points=[0.3] if name == "jump" else None)
+    assert cell_quad(fn, a, b, rel_tol=1e-12) == pytest.approx(want, rel=1e-10)
+
+
+def test_smooth_cell_calls_fn_once_with_an_array():
+    seen = []
+
+    def fn(xs):
+        seen.append(xs)
+        return np.cos(xs)
+
+    assert cell_quad(fn, 0.0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-14)
+    assert len(seen) == 1
+    assert isinstance(seen[0], np.ndarray) and seen[0].shape == (21,)
+
+
+def test_cell_missing_its_tolerance_raises():
+    # a million periods per subinterval: no bisection resolves them
+    def fn(xs):
+        return 2.0 + np.sin(1e9 * xs)
+
+    with pytest.raises(QuadratureError, match="200 subintervals"):
+        cell_quad(fn, 1.0, 2.0)
+    res = improper_integral(lambda xs: fn(xs) / xs ** 2, 1.0, math.inf)
+    assert res.verdict == UNDETERMINED
+    assert res.note.startswith("quadrature failure")
+    assert "subintervals" in res.note
+
+
+def test_profile_arrays_match_the_scalar_loop():
+    prof = Profile((-1.0, 0.0, 0.5, 2.0),
+                   ((0.1, 1.0, -0.5, 0.25), (0.2, -1.0, 3.0, 0.0),
+                    (1.0, 0.5, 0.0, -0.125)))
+    us = np.concatenate([np.linspace(-2.0, 3.0, 101), [-1.0, 0.0, 0.5, 2.0],
+                         [-math.inf, math.inf]])
+    for method in (prof.value, prof.derivative):
+        vals = method(us)
+        assert isinstance(vals, np.ndarray) and vals.shape == us.shape
+        loop = [method(float(u)) for u in us]
+        assert all(isinstance(v, float) for v in loop)
+        assert vals.tolist() == loop
+    grid = us.reshape(1, -1)
+    assert prof.value(grid).shape == grid.shape
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import shuntline, sys; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_verdicts_workload_emits_no_warning():
+    """One default pass of the benchmark's verdicts workload, the one
+    bench/test_bench.py::test_verdicts_smoke runs, with every warning
+    turned into an error: an operation that warns counts as failed."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import gen
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tally, _ = workloads.run("verdicts", 5, 0, False)
+    assert tally.attempted >= workloads.MIN_VERDICT_OPS
+    assert tally.failed == 0
+    assert tally.undetermined == len(tally.rates) * gen.POOL_BORDERLINE
