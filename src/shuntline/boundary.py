@@ -48,7 +48,7 @@ from .errors import EvalError, UndeterminedVerdict
 from .expr import evaluate
 from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, TRAP, DiffusionSpec,
                     Piece)
-from .quadrature import FINITE, INFINITE, UNDETERMINED, improper_integral
+from .quadrature import FINITE, INFINITE, improper_integral
 
 __all__ = [
     "YES", "NO", "UNDET", "EXIT", "INCLUDED_SHUNT", "ENTRANCE_UNREACHABLE",
@@ -129,24 +129,22 @@ def _default_anchors(piece: Piece):
     return 0.0, 1.0
 
 
-def approachable(piece: Piece, side: str, anchor: float = None,
-                 rel_tol: float = 1e-6):
+def approachable(piece: Piece, side: str, rel_tol: float = 1e-6):
     """Tri-state approachability of an endpoint from inside the piece.
 
     Returns (verdict, value) where value is the boundary integral when
     finite.  The verdict is audited at a second anchor.
     """
-    if piece.kind != REGULAR:
-        raise EvalError("approachability is defined for regular pieces")
-    s_lim = scale_limit(piece, side)
+    return _approach(piece, side, scale_limit(piece, side), rel_tol)
+
+
+def _approach(piece, side, s_lim, rel_tol):
+    """``approachable`` for an endpoint whose scale limit is s_lim."""
     if math.isinf(s_lim):
         return NO, math.inf
-    if piece.speed.hint(side) == "finite":
-        return YES, _boundary_integral(piece, side, s_lim,
-                                       _default_anchors(piece)[0], rel_tol).value
     c1, c2 = _default_anchors(piece)
-    if anchor is not None:
-        c1 = anchor
+    if piece.speed.hint(side) == "finite":
+        return YES, _boundary_integral(piece, side, s_lim, c1, rel_tol).value
     r1 = _boundary_integral(piece, side, s_lim, c1, rel_tol)
     r2 = _boundary_integral(piece, side, s_lim, c2, rel_tol)
     v1 = YES if r1.verdict == FINITE else NO if r1.verdict == INFINITE else UNDET
@@ -233,7 +231,7 @@ def endpoint_role(spec: DiffusionSpec, piece_index: int, side: str,
     if piece.kind != REGULAR:
         raise EvalError("endpoint roles are defined for regular pieces")
     s_lim = scale_limit(piece, side)
-    app, value = approachable(piece, side, rel_tol=rel_tol)
+    app, value = _approach(piece, side, s_lim, rel_tol)
     if app == UNDET:
         e = piece.endpoint(side)
         raise UndeterminedVerdict(

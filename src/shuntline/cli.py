@@ -33,7 +33,7 @@ from .sets import RealSet
 from .simulate import (ALIVE, MODE_FULL, MODE_KILLED, MODE_PART,
                        STATUS_NAMES, build_chain, estimate_hitting,
                        estimate_symmetry_defect, run, simulate_path)
-from .symmetry import canonical_measure, check_symmetrizable, measure_family
+from .symmetry import check_symmetrizable, family_member
 
 __all__ = ["main"]
 
@@ -136,7 +136,7 @@ def cmd_classify(args) -> int:
     if failed:
         return 1
     report["classification"] = lambda_sets(spec).as_dict()
-    graph = build_graph(spec)
+    graph = build_graph(spec, args.rel_tol)
     report["communication_classes"] = communication_classes(graph).as_dict()
     profile = boundary_profile(spec, args.rel_tol)
     report["boundary"] = [profile[k].as_dict() for k in sorted(profile)]
@@ -173,12 +173,10 @@ def cmd_measure(args) -> int:
     report, failed = _checked_base(spec, args)
     if failed:
         return 1
-    if args.coefficients:
-        coeffs = [float(p) for p in args.coefficients.split(",")]
-        measure = measure_family(spec, coeffs, rel_tol=args.rel_tol)
-    else:
-        measure = canonical_measure(spec, rel_tol=args.rel_tol)
     sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
+    coeffs = ([float(p) for p in args.coefficients.split(",")]
+              if args.coefficients else None)
+    measure = family_member(spec, sym, coeffs)
     report["symmetry"] = sym.as_dict()
     report["measure"] = measure.as_dict()
     _emit(report, args.out)
@@ -192,7 +190,7 @@ def cmd_dirichlet(args) -> int:
         return 1
     sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
     report["symmetry"] = sym.as_dict()
-    regular = check_regular_form(spec)
+    regular = check_regular_form(spec, rel_tol=args.rel_tol)
     adapted = check_adapted(spec, rel_tol=args.rel_tol)
     report["dirichlet"] = {"regular_form": regular.as_dict(),
                            "adapted": adapted.as_dict()}

@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import scale_limit
 from .errors import (DomainError, MembershipError, NotSymmetrizableError,
                      UndeterminedVerdict)
 from .expr import evaluate
 from .quadrature import FINITE, INFINITE, UNDETERMINED, cell_quad, improper_integral
-from .symmetry import (Measure, SymmetryReport, canonical_measure,
-                       check_symmetrizable)
+from .symmetry import SymmetryReport, check_symmetrizable
 
 __all__ = ["Profile", "TestFunction", "FormDescriptor", "make_form",
            "energy", "membership", "require_member", "clip_unit",
@@ -41,6 +39,8 @@ __all__ = ["Profile", "TestFunction", "FormDescriptor", "make_form",
 
 _JUMP_TOL = 1e-9
 _EXIT_TOL = 1e-8
+_WINDOWS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)  # half-widths k of [-k, k]
+_WINDOW_TOL = 1e-8  # rel_tol of the window masses
 
 
 def _ext(v: float):
@@ -170,8 +170,7 @@ class FormDescriptor:
     """Killed-form data: verdicts, components and symmetrizing measure."""
 
     spec: object
-    report: SymmetryReport
-    measure: Measure
+    report: SymmetryReport  # its measure is the form's reference measure
 
     def component_of(self, x: float):
         for c in self.report.components:
@@ -202,11 +201,11 @@ class FormDescriptor:
         return f
 
 
-def make_form(spec, measure: Measure = None, rel_tol: float = 1e-6) -> FormDescriptor:
+def make_form(spec, rel_tol: float = 1e-6) -> FormDescriptor:
     report = check_symmetrizable(spec, rel_tol)
     if not report.killed:
         raise NotSymmetrizableError(report.reason)
-    return FormDescriptor(spec, report, measure or report.measure)
+    return FormDescriptor(spec, report)
 
 
 def energy(form: FormDescriptor, f: TestFunction, g: TestFunction,
@@ -249,11 +248,12 @@ class MembershipReport:
                 "self_energy": self.self_energy}
 
 
-def _square_mass_side(form, entry, prof, piece, side, anchor, rel_tol):
+def _square_mass_side(form, entry, prof, piece, side, rel_tol):
     """(verdict, value, note) for the F^2 m-mass toward one entry end."""
     endpoint = entry.lo if side == "lo" else entry.hi
     hint = entry.hint_lo if side == "lo" else entry.hint_hi
-    u_lim = scale_limit(piece, "a" if side == "lo" else "b")
+    u_lim = form.report.profile[
+        (entry.piece_index, "a" if side == "lo" else "b")].scale_limit
     tail = prof.value(u_lim)
     if abs(tail) > 0 and hint == "infinite":
         return INFINITE, math.inf, "non-vanishing tail against infinite end mass"
@@ -262,7 +262,7 @@ def _square_mass_side(form, entry, prof, piece, side, anchor, rel_tol):
         v = prof.value(evaluate(piece.scale, x))
         return entry.weight * v * v * evaluate(entry.density, x)
 
-    res = improper_integral(fx, anchor, endpoint, rel_tol=rel_tol)
+    res = improper_integral(fx, piece.interior_point(), endpoint, rel_tol)
     if res.verdict == UNDETERMINED and hint == "finite":
         # bounded profile against declared-finite end mass
         return FINITE, res.value, "finite by end-mass declaration"
@@ -278,7 +278,7 @@ def membership(form: FormDescriptor, tf: TestFunction,
         prof = tf.profile_for(c.index)
         piece = form.spec.pieces[c.piece_index]
         for side in c.exit_sides:
-            u_lim = scale_limit(piece, side)
+            u_lim = form.report.profile[(c.piece_index, side)].scale_limit
             val = 0.0 if prof is None else prof.value(u_lim)
             if abs(val) > _EXIT_TOL:
                 e = piece.endpoint(side)
@@ -302,20 +302,12 @@ def membership(form: FormDescriptor, tf: TestFunction,
         if prof is None:
             continue
         piece = form.spec.pieces[c.piece_index]
-        for entry in form.measure.entries:
+        for entry in form.report.measure.entries:
             if entry.component != c.index:
                 continue
-            if math.isfinite(entry.lo) and math.isfinite(entry.hi):
-                anchor = 0.5 * (entry.lo + entry.hi)
-            elif math.isfinite(entry.lo):
-                anchor = entry.lo + 1.0
-            elif math.isfinite(entry.hi):
-                anchor = entry.hi - 1.0
-            else:
-                anchor = 0.0
             for side in ("lo", "hi"):
                 verdict, value, note = _square_mass_side(
-                    form, entry, prof, piece, side, anchor, rel_tol)
+                    form, entry, prof, piece, side, rel_tol)
                 if verdict == INFINITE:
                     reasons.append(
                         f"component {c.index}: infinite F^2 mass toward the "
@@ -411,26 +403,24 @@ class RegularFormReport:
                             for k, v, m in self.windows]}
 
 
-def check_regular_form(spec, measure: Measure = None,
-                       k_values=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-                       rel_tol: float = 1e-8) -> RegularFormReport:
-    """Is the symmetrizing measure finite on every compact window.
+def check_regular_form(spec, rel_tol: float = 1e-6) -> RegularFormReport:
+    """Is the canonical symmetrizing measure finite on every compact window.
 
     Defined for processes symmetrizable without killing; the question is
-    about their energy form on the whole line.  Undecidable windows
-    raise, suggesting an end-mass declaration.
+    about their energy form on the whole line.  rel_tol is the verdict's
+    tolerance; the masses of the windows [-k, k], k = 1, 2, 4, ..., 32,
+    are integrated to 1e-8.  Undecidable windows raise, suggesting an
+    end-mass declaration.
     """
-    report = check_symmetrizable(spec)
+    report = check_symmetrizable(spec, rel_tol)
     if not report.full:
         raise NotSymmetrizableError(
             f"whole-line form checks need a process symmetrizable without "
             f"killing; {report.reason}")
-    if measure is None:
-        measure = canonical_measure(spec)
     windows = []
     ok = True
-    for k in k_values:
-        verdict, value = measure.interval_mass(-k, k, rel_tol)
+    for k in _WINDOWS:
+        verdict, value = report.measure.interval_mass(-k, k, _WINDOW_TOL)
         windows.append((float(k), verdict, value))
         if verdict == INFINITE:
             ok = False
@@ -466,12 +456,11 @@ def check_adapted(spec, rel_tol: float = 1e-6) -> AdaptedReport:
             f"killing; {report.reason}")
     violations = []
     for c in report.components:
-        piece = spec.pieces[c.piece_index]
         for side, endpoint, included in (("a", c.lo, c.lo_closed),
                                          ("b", c.hi, c.hi_closed)):
             if not math.isfinite(endpoint):
                 continue
-            s_lim = scale_limit(piece, side)
+            s_lim = report.profile[(c.piece_index, side)].scale_limit
             if included != math.isfinite(s_lim):
                 violations.append((("component", c.index), ("side", side),
                                    ("endpoint", endpoint),

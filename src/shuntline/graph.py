@@ -86,11 +86,12 @@ class CommunicationGraph:
         raise DomainError(f"no atom holds {x}")
 
 
-def build_graph(spec: DiffusionSpec) -> CommunicationGraph:
-    """Assemble the atom graph.  Undetermined approachability anywhere
-    stops construction with an error naming the endpoint."""
+def build_graph(spec: DiffusionSpec, rel_tol: float = 1e-6) -> CommunicationGraph:
+    """Assemble the atom graph from the endpoint profile at rel_tol.
+    Undetermined approachability anywhere stops construction with an
+    error naming the endpoint."""
     try:
-        profile = boundary_profile(spec)
+        profile = boundary_profile(spec, rel_tol)
     except UndeterminedVerdict as exc:
         raise GraphBuildError(str(exc)) from exc
 

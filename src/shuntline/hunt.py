@@ -11,6 +11,8 @@ come straight back.  Two ways this can fail:
 * ``r2``: an isolated shunt point whose flanking regular interval never
   returns to it in finite time.
 
+``lambda_ap`` lists the shunt points approachable from both sides.
+
 ``singleton_status`` grades individual points: ``polar`` singletons are
 never hit from anywhere else, ``thin_not_polar`` ones are hit but left
 instantly and for good, and everything else is ``not_thin``.  Failure
@@ -23,12 +25,12 @@ import math
 from dataclasses import dataclass
 
 from .boundary import YES, boundary_profile
-from .graph import build_graph, communication_classes
+from .graph import build_graph, communication_classes, reaches
 from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT, TRAP,
                     DiffusionSpec)
 
 __all__ = ["Witness", "HuntReport", "check_hunt", "singleton_status",
-           "POLAR", "THIN_NOT_POLAR", "NOT_THIN"]
+           "lambda_ap", "POLAR", "THIN_NOT_POLAR", "NOT_THIN"]
 
 POLAR = "polar"
 THIN_NOT_POLAR = "thin_not_polar"
@@ -57,6 +59,9 @@ class HuntReport:
     witnesses: tuple
     h_xi: str     # equivalent_to_h / not_decided
     classes: object = None
+    graph: object = None    # the CommunicationGraph it was decided on
+    profile: object = None  # the boundary profile it was decided on
+    lambda_ap: tuple = ()
 
     def as_dict(self) -> dict:
         return {"holds": self.holds,
@@ -74,9 +79,40 @@ def _open_side_neighbor(spec: DiffusionSpec, index: int):
     return j, spec.pieces[j], "b"
 
 
+def _flanked_shunts(spec: DiffusionSpec):
+    """(index, x) of shunt points with a regular interval on both sides."""
+    return [(i, p.x) for i, p in enumerate(spec.pieces)
+            if p.is_point and p.point_class in (LEFT_SHUNT, RIGHT_SHUNT)
+            and spec.pieces[i - 1].kind == spec.pieces[i + 1].kind == REGULAR]
+
+
+def _lambda_ap(spec: DiffusionSpec, profile) -> tuple:
+    return tuple(x for i, x in _flanked_shunts(spec)
+                 if profile[(i - 1, "b")].approachable == YES
+                 and profile[(i + 1, "a")].approachable == YES)
+
+
+def lambda_ap(spec: DiffusionSpec, literal: bool = False,
+              rel_tol: float = 1e-6) -> tuple:
+    """Shunt points flanked by regular intervals on both sides and
+    approachable from both.
+
+    The default reading asks both flanking intervals to approach the
+    point; ``literal=True`` instead runs reachability queries from
+    interior probe points on each side.  On a line the two agree: any
+    path into the point funnels through a flanking interval.
+    """
+    if not literal:
+        return _lambda_ap(spec, boundary_profile(spec, rel_tol))
+    graph = build_graph(spec, rel_tol)
+    return tuple(x for i, x in _flanked_shunts(spec)
+                 if all(reaches(graph, spec.pieces[j].interior_point(), x)
+                        for j in (i - 1, i + 1)))
+
+
 def check_hunt(spec: DiffusionSpec, rel_tol: float = 1e-6) -> HuntReport:
     """Decide the fine-regularity property and collect failure witnesses."""
-    graph = build_graph(spec)
+    graph = build_graph(spec, rel_tol)
     classes = communication_classes(graph)
     profile = boundary_profile(spec, rel_tol)
     witnesses = []
@@ -103,9 +139,10 @@ def check_hunt(spec: DiffusionSpec, rel_tol: float = 1e-6) -> HuntReport:
                 "r1", p.x, p.x,
                 f"shunt point at {p.x} feeds straight into segment material"))
     witnesses.sort(key=lambda w: (w.lo, w.hi))
-    from .symmetry import lambda_ap  # local import, symmetry imports us
-    h_xi = "equivalent_to_h" if not lambda_ap(spec) else "not_decided"
-    return HuntReport(not witnesses, tuple(witnesses), h_xi, classes)
+    lam_ap = _lambda_ap(spec, profile)
+    h_xi = "equivalent_to_h" if not lam_ap else "not_decided"
+    return HuntReport(not witnesses, tuple(witnesses), h_xi, classes, graph,
+                      profile, lam_ap)
 
 
 def singleton_status(spec: DiffusionSpec, x: float, rel_tol: float = 1e-6) -> str:
@@ -123,7 +160,7 @@ def singleton_status(spec: DiffusionSpec, x: float, rel_tol: float = 1e-6) -> st
     if nb.kind == REGULAR:
         if boundary_profile(spec, rel_tol)[(j, back_side)].approachable == YES:
             return NOT_THIN
-    graph = build_graph(spec)
+    graph = build_graph(spec, rel_tol)
     me = graph.locate(x)
     hit_from_elsewhere = any(t == me for (_, t) in graph.edges)
     return THIN_NOT_POLAR if hit_from_elsewhere else POLAR

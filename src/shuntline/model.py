@@ -165,6 +165,13 @@ class Piece:
     def endpoint(self, side: str) -> float:
         return self.a if side == "a" else self.b
 
+    def interior_point(self) -> float:
+        """The midpoint, else 1 inside the one finite end, else 0."""
+        a, b = self.a, self.b
+        if math.isfinite(a) and math.isfinite(b):
+            return 0.5 * (a + b)
+        return a + 1.0 if math.isfinite(a) else b - 1.0 if math.isfinite(b) else 0.0
+
     def contains_interior(self, x: float) -> bool:
         if self.is_point:
             return x == self.x

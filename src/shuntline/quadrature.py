@@ -188,8 +188,7 @@ def _shell_edges(anchor, endpoint, k):
     return (far, near) if width > 0 else (near, far)
 
 
-def improper_integral(fn, anchor, endpoint, rel_tol=1e-6,
-                      max_shells=MAX_SHELLS) -> IntegralResult:
+def improper_integral(fn, anchor, endpoint, rel_tol=1e-6) -> IntegralResult:
     """Integrate fn between anchor and endpoint, improper at the endpoint.
 
     fn must be integrable on every compact subinterval excluding the
@@ -205,7 +204,7 @@ def improper_integral(fn, anchor, endpoint, rel_tol=1e-6,
     lead_sign = 0.0
     peak = 0.0
     decayed = False
-    for k in range(max_shells):
+    for k in range(MAX_SHELLS):
         lo, hi = _shell_edges(anchor, endpoint, k)
         if not (lo < hi) or lo == hi:
             # shell width fell below float resolution
@@ -255,7 +254,7 @@ def improper_integral(fn, anchor, endpoint, rel_tol=1e-6,
     # shells exhausted: try a geometric tail estimate
     if prev_contrib is not None and abs(prev_contrib) > 0:
         try:
-            lo, hi = _shell_edges(anchor, endpoint, max_shells)
+            lo, hi = _shell_edges(anchor, endpoint, MAX_SHELLS)
             tail_ratio = abs(cell_quad(fn, lo, hi)) / abs(prev_contrib)
         except Exception:
             tail_ratio = 1.0
@@ -263,8 +262,8 @@ def improper_integral(fn, anchor, endpoint, rel_tol=1e-6,
             tail = abs(prev_contrib) * tail_ratio / (1.0 - tail_ratio)
             if tail <= 0.1 * max(abs(total), 1e-300):
                 return IntegralResult(FINITE, total + math.copysign(tail, prev_contrib),
-                                      max_shells, "geometric tail estimate")
-    return IntegralResult(UNDETERMINED, total, max_shells, "shells exhausted")
+                                      MAX_SHELLS, "geometric tail estimate")
+    return IntegralResult(UNDETERMINED, total, MAX_SHELLS, "shells exhausted")
 
 
 @lru_cache(maxsize=8)

@@ -50,6 +50,8 @@ _MODES = (MODE_FULL, MODE_KILLED, MODE_PART)
 
 _STEP_START = 1 << 62  # counter slot reserved for start-node sampling
 _BLOCK = 8192  # engine uniforms drawn per block (a block spans <= 256 steps)
+_GAUSS_ORDER = 16  # Gauss-Legendre order of the holding-time cell integrals
+_CHECK_ORDER = 8   # lower order they are audited against
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +303,7 @@ def _end_scale(piece, i, side, cut, end, ana):
         f"exclude it")
 
 
-def _build_regular(builder, i, piece, profile, order=16):
+def _build_regular(builder, i, piece, profile):
     (w_lo, w_hi), h = builder.window, builder.h
     lo = max(piece.a, w_lo)
     hi = min(piece.b, w_hi)
@@ -360,9 +362,9 @@ def _build_regular(builder, i, piece, profile, order=16):
         builder.right[a] = b if builder.right[a] == -1 else builder.right[a]
         builder.left[b] = a if builder.left[b] == -1 else builder.left[b]
 
-    A, B, M = _regular_cells(piece, list(x_nodes), list(u_nodes), order)
+    A, B, M = _regular_cells(piece, list(x_nodes), list(u_nodes), _GAUSS_ORDER)
     A8, B8, _ = _regular_cells(piece, list(x_nodes), list(u_nodes),
-                               max(order // 2, 2))
+                               _CHECK_ORDER)
     with np.errstate(invalid="ignore"):
         ref = np.maximum(np.abs(A), np.abs(B))
         da = np.abs(A - A8)
@@ -374,7 +376,7 @@ def _build_regular(builder, i, piece, profile, order=16):
     if rel > 1e-6:
         builder.warnings.append(
             f"piece {i}: holding-time quadrature differs by {rel:.2e} between "
-            f"orders {order} and {max(order // 2, 2)}; the speed density may "
+            f"orders {_GAUSS_ORDER} and {_CHECK_ORDER}; the speed density may "
             f"be rough at this h")
 
     if n_cells > 1:
@@ -451,8 +453,7 @@ def _build_segment(builder, i, piece):
             builder.tau[pn] = abs(builder.x[first] - up_end) if body else h_eff
 
 
-def build_chain(spec: DiffusionSpec, window, h: float,
-                gauss_order: int = 16) -> ChainModel:
+def build_chain(spec: DiffusionSpec, window, h: float) -> ChainModel:
     """Discretize the part of the line inside the window."""
     if not (h > 0):
         raise DomainError("h must be positive")
@@ -469,7 +470,7 @@ def build_chain(spec: DiffusionSpec, window, h: float,
 
     for i, p in enumerate(spec.pieces):
         if p.kind == REGULAR:
-            _build_regular(builder, i, p, profile, gauss_order)
+            _build_regular(builder, i, p, profile)
         elif p.kind == SHUNT_SEGMENT:
             _build_segment(builder, i, p)
         # trap segments carry no dynamics and get no nodes

@@ -23,74 +23,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary import EXIT, YES, boundary_profile
+from .boundary import EXIT, YES
 from .classify import lambda_sets
 from .errors import DomainError, NotSymmetrizableError
 from .expr import evaluate, parse_expr
-from .graph import build_graph, reaches
-from .hunt import check_hunt
-from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, TRAP, TRAP_SEGMENT,
-                    DiffusionSpec)
+from .graph import build_graph
+from .hunt import check_hunt, lambda_ap
+from .model import LEFT_SHUNT, RIGHT_SHUNT, TRAP, TRAP_SEGMENT, DiffusionSpec
 from .quadrature import FINITE, INFINITE, UNDETERMINED, improper_integral
 from .sets import RealSet
 
 __all__ = ["lambda_ap", "lambda_at", "Component", "MeasureEntry", "Measure",
            "SymmetryReport", "check_symmetrizable", "canonical_measure",
-           "measure_family"]
+           "measure_family", "family_member"]
 
 
 def _ext(v: float):
     return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
 
 
-def _interior_probe(piece) -> float:
-    if math.isfinite(piece.a) and math.isfinite(piece.b):
-        return 0.5 * (piece.a + piece.b)
-    if math.isfinite(piece.a):
-        return piece.a + 1.0
-    if math.isfinite(piece.b):
-        return piece.b - 1.0
-    return 0.0
-
-
-def lambda_ap(spec: DiffusionSpec, literal: bool = False,
-              rel_tol: float = 1e-6) -> tuple:
-    """Shunt points flanked by regular intervals on both sides and
-    approachable from both.
-
-    The default reading asks both flanking intervals to approach the
-    point; ``literal=True`` instead runs reachability queries from
-    interior probe points on each side.  On a line the two agree: any
-    path into the point funnels through a flanking interval.
-    """
-    out = []
-    graph = build_graph(spec) if literal else None
-    profile = None if literal else boundary_profile(spec, rel_tol)
-    for i, p in enumerate(spec.pieces):
-        if not p.is_point or p.point_class not in (LEFT_SHUNT, RIGHT_SHUNT):
-            continue
-        left = spec.pieces[i - 1]
-        right = spec.pieces[i + 1]
-        if left.kind != REGULAR or right.kind != REGULAR:
-            continue
-        if literal:
-            ok = (reaches(graph, _interior_probe(left), p.x)
-                  and reaches(graph, _interior_probe(right), p.x))
-        else:
-            ok = (profile[(i - 1, "b")].approachable == YES
-                  and profile[(i + 1, "a")].approachable == YES)
-        if ok:
-            out.append(p.x)
-    return tuple(out)
-
-
-def lambda_at(spec: DiffusionSpec) -> tuple:
-    """Trap points that some other point reaches."""
-    graph = build_graph(spec)
+def _lambda_at(graph) -> tuple:
     targets = {t for (_, t) in graph.edges}
-    out = [a.lo for i, a in enumerate(graph.atoms)
-           if a.kind == "point" and a.point_class == TRAP and i in targets]
-    return tuple(sorted(out))
+    return tuple(sorted(a.lo for i, a in enumerate(graph.atoms)
+                        if a.kind == "point" and a.point_class == TRAP
+                        and i in targets))
+
+
+def lambda_at(spec: DiffusionSpec, rel_tol: float = 1e-6) -> tuple:
+    """Trap points that some other point reaches."""
+    return _lambda_at(build_graph(spec, rel_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +164,7 @@ class SymmetryReport:
     reason: str
     measure: object = None
     hunt: object = None
+    profile: object = None  # the boundary profile it was decided on
 
     def as_dict(self) -> dict:
         return {"hunt_holds": self.hunt_holds,
@@ -214,8 +176,7 @@ class SymmetryReport:
                 "reason": self.reason}
 
 
-def _components(spec: DiffusionSpec, rel_tol: float) -> tuple:
-    profile = boundary_profile(spec, rel_tol)
+def _components(spec: DiffusionSpec, profile) -> tuple:
     out = []
     for n, i in enumerate(spec.regular_indices()):
         p = spec.pieces[i]
@@ -268,10 +229,11 @@ def _measure_from(spec: DiffusionSpec, components: tuple, coeffs) -> Measure:
 
 
 def check_symmetrizable(spec: DiffusionSpec, rel_tol: float = 1e-6) -> SymmetryReport:
-    """Full verdict ladder plus components and canonical measure."""
+    """Full verdict ladder plus components and canonical measure, all
+    decided on the one boundary profile at rel_tol."""
     hunt = check_hunt(spec, rel_tol)
-    lam_ap = lambda_ap(spec, rel_tol=rel_tol)
-    lam_at = lambda_at(spec)
+    lam_ap = hunt.lambda_ap
+    lam_at = _lambda_at(hunt.graph)
     killed = hunt.holds and not lam_ap
     full = killed and not lam_at
     if not hunt.holds:
@@ -288,18 +250,15 @@ def check_symmetrizable(spec: DiffusionSpec, rel_tol: float = 1e-6) -> SymmetryR
     components = ()
     measure = None
     if killed:
-        components = _components(spec, rel_tol)
+        components = _components(spec, hunt.profile)
         _assert_component_union(spec, components)
         measure = _measure_from(spec, components, None)
     return SymmetryReport(hunt.holds, killed, full, lam_ap, lam_at,
-                          components, reason, measure, hunt)
+                          components, reason, measure, hunt, hunt.profile)
 
 
 def canonical_measure(spec: DiffusionSpec, rel_tol: float = 1e-6) -> Measure:
-    report = check_symmetrizable(spec, rel_tol)
-    if not report.killed:
-        raise NotSymmetrizableError(report.reason)
-    return report.measure
+    return family_member(spec, check_symmetrizable(spec, rel_tol), None)
 
 
 def measure_family(spec: DiffusionSpec, coefficients, rel_tol: float = 1e-6) -> Measure:
@@ -308,9 +267,17 @@ def measure_family(spec: DiffusionSpec, coefficients, rel_tol: float = 1e-6) -> 
     coefficients: mapping component index -> scale, or a sequence in
     component order.
     """
-    report = check_symmetrizable(spec, rel_tol)
+    return family_member(spec, check_symmetrizable(spec, rel_tol), coefficients)
+
+
+def family_member(spec: DiffusionSpec, report: SymmetryReport,
+                  coefficients) -> Measure:
+    """``measure_family`` on a verdict at hand; coefficients None gives
+    the canonical measure."""
     if not report.killed:
         raise NotSymmetrizableError(report.reason)
+    if coefficients is None:
+        return report.measure
     if not isinstance(coefficients, dict):
         seq = list(coefficients)
         if len(seq) != len(report.components):

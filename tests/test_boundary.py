@@ -151,3 +151,42 @@ def test_default_and_explicit_tolerance_share_one_profile():
     assert _profile.cache_info().misses == before + 1
     assert boundary_profile(spec) is boundary_profile(spec, 1e-6)
     assert _profile.cache_info().misses == before + 1
+
+
+def test_tight_verdict_stack_builds_one_profile():
+    """Every layer reads the profile at the caller's tolerance."""
+    from shuntline import check_symmetrizable, lambda_at, lambda_ap
+    from shuntline.boundary import _profile
+    from shuntline.dirichlet import check_adapted, check_regular_form
+
+    # a fresh whole-line spec (symmetrizable without killing)
+    spec, _ = one_piece("-inf", "inf", "x", "1.618")
+    before = _profile.cache_info().misses
+    assert check_symmetrizable(spec, 1e-8).full
+    assert _profile.cache_info().misses == before + 1
+    assert check_regular_form(spec, 1e-8).ok
+    assert check_adapted(spec, 1e-8).ok
+    assert lambda_at(spec, 1e-8) == ()
+    assert lambda_ap(spec, literal=True, rel_tol=1e-8) == ()
+    assert _profile.cache_info().misses == before + 1
+
+
+def test_endpoint_role_probes_each_scale_limit_once(monkeypatch):
+    import shuntline.boundary as bd
+
+    real = bd.scale_limit
+    calls = []
+
+    def counting(piece, side):
+        calls.append(side)
+        return real(piece, side)
+
+    monkeypatch.setattr(bd, "scale_limit", counting)
+    for name in ("exa1", "exa2", "absorb-reflect"):
+        spec = get_example(name)
+        for i in spec.regular_indices():
+            for side in ("a", "b"):
+                calls.clear()
+                ana = endpoint_role(spec, i, side)
+                assert calls == [side]
+                assert ana.scale_limit == real(spec.pieces[i], side)

@@ -220,3 +220,43 @@ def test_reports_are_sorted_and_stable(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     keys = list(d1)
     assert keys == sorted(keys)
+
+
+def test_dirichlet_passes_rel_tol_to_both_checks(tmp_path, monkeypatch):
+    from shuntline import cli
+
+    seen = []
+    for name in ("check_regular_form", "check_adapted"):
+        real = getattr(cli, name)
+
+        def spy(spec, rel_tol=None, real=real, name=name):
+            seen.append((name, rel_tol))
+            return real(spec, rel_tol=rel_tol)
+
+        monkeypatch.setattr(cli, name, spy)
+    code, doc = run_cli(tmp_path, "dirichlet", "--example", "bm",
+                        "--rel-tol", "1e-8")
+    assert code == 0
+    assert doc["dirichlet"]["regular_form"]["ok"] is True
+    assert doc["dirichlet"]["adapted"]["ok"] is True
+    assert seen == [("check_regular_form", 1e-8), ("check_adapted", 1e-8)]
+
+
+def test_measure_decides_its_verdict_once(tmp_path, monkeypatch):
+    from shuntline import cli, symmetry
+
+    calls = []
+    real = symmetry.check_symmetrizable
+
+    def counting(spec, rel_tol=1e-6):
+        calls.append(rel_tol)
+        return real(spec, rel_tol=rel_tol)
+
+    monkeypatch.setattr(cli, "check_symmetrizable", counting)
+    monkeypatch.setattr(symmetry, "check_symmetrizable", counting)
+    for extra in ([], ["--coefficients", "3,5"]):
+        calls.clear()
+        code, doc = run_cli(tmp_path, "measure", "--example", "split-bm", *extra)
+        assert code == 0
+        assert calls == [1e-6]
+    assert [e["weight"] for e in doc["measure"]["entries"]] == [3.0, 5.0]

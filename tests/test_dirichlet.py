@@ -136,3 +136,25 @@ def test_atoms_keep_the_measure_radon():
         {"kind": "regular_interval", "a": "-inf", "b": "inf", "scale": "x",
          "speed": {"density": "2", "atoms": [{"at": 0.0, "weight": 5.0}]}}]}
     assert dl.check_regular_form(parse_spec(doc)).ok
+
+
+def test_adapted_and_membership_read_scale_limits_from_the_profile(monkeypatch):
+    from shuntline import boundary
+
+    bm = get_example('bm')
+    bm_form = dl.make_form(bm)
+    ar_form = dl.make_form(get_example('absorb-reflect'))
+
+    def probe_again(*args):
+        raise AssertionError("scale_limit probed after the profile was built")
+
+    monkeypatch.setattr(boundary, "scale_limit", probe_again)
+    monkeypatch.setattr(dl, "scale_limit", probe_again, raising=False)
+    assert dl.check_adapted(bm).ok
+    bump = tf(0, dl.linear_profile([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
+    assert dl.membership(bm_form, bump).ok
+    # absorb-reflect has an exit endpoint, whose limit must vanish
+    good = tf(0, dl.linear_profile([0.0, 0.5, 1.5], [0.0, 1.0, 0.0]))
+    assert dl.membership(ar_form, good).ok
+    bad = tf(0, dl.linear_profile([0.0, 1.5], [1.0, 0.0]))
+    assert not dl.membership(ar_form, bad).ok
