@@ -3,15 +3,17 @@
 Each regular interval met by the simulation window gets a grid that is
 uniform in its scale coordinate.  Jump probabilities make the chain
 exactly scale-linear, and mean holding times come from the Green
-function of the two-cell exit problem, so spatial hitting statistics
-are exact and time statistics converge at order h^2.  Shunt segments
+function of the two-cell exit problem, so hitting probabilities and
+mean exit times are exact at the nodes; laws at a finite time t
+converge as h goes to 0.  Shunt segments
 get deterministic unit-drift hops on an x-uniform grid; shunt points
 become deterministic entry moves into their open side; traps absorb;
 window edges kill.
 
 Randomness is a stateless counter hash of (seed, replication, step), so
 a replication's path does not depend on which other replications run
-beside it.  The engine is one loop over the replications still running;
+beside it.  The engine is one loop over the replications still running,
+and ``simulate_path`` traces one replication through the same loop;
 ``n_jobs`` is accepted for compatibility and changes nothing.  Holding
 times are deterministic by default; ``exponential_holding=True`` draws
 exponential times at walk nodes.
@@ -520,42 +522,21 @@ def _warn_capped(count, cap):
     warnings.warn(
         f"{count} replication(s) stopped at the step cap ({cap}) before "
         f"t_max; they are reported alive at t_max", RuntimeWarning,
-        stacklevel=3)
+        stacklevel=4)
 
 
-def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
-        seed: int = 0, n_jobs: int = 1, mode: str = MODE_FULL,
-        exponential_holding: bool = False, target=None, starts=None) -> dict:
-    """Run replications; returns arrays final_node, final_time, status, hit.
+def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
+          trace=None):
+    """The engine: replication r starts at starts[r] and reads the counter
+    stream keys[r].  Returns arrays final_node, final_time, status, hit.
 
-    Replication r always consumes the counter stream (seed, r, .), so
-    its outcome does not depend on the other replications; ``n_jobs``
-    is accepted for compatibility and changes neither the numbers nor
-    the threads used.
-
-    A replication ends when it reaches the target (status alive, hit
-    set, the hitting time kept), a terminal node, or the horizon t_max
-    (status alive at t_max).  Window edges and infinite endpoints keep
-    the time they were reached.  A trap keeps its absorption time in
-    ``killed_at_traps`` mode; in ``full`` and ``part_on_window`` modes the
-    path stays at the trap, so its time is t_max.  ``part_on_window`` is
-    the process killed only on leaving the window.  Replications stopped
-    by the step cap (reachable only with exponential holding) end alive
-    at t_max, with a RuntimeWarning giving their count.
+    With a trace (an empty list) and one start, the list receives two
+    arrays: the times and the nodes of that replication at its start and
+    after each of its moves.
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
-    if n_jobs < 1:
-        raise DomainError("n_jobs must be at least 1")
-    if starts is None:
-        if x0 is None:
-            raise DomainError("provide x0 or starts")
-        starts = np.full(n_rep, chain.node_at(float(x0)), dtype=np.int64)
-    else:
-        starts = np.asarray(starts, dtype=np.int64)
-        n_rep = len(starts)
-    target_node = chain.node_at(float(target)) if target is not None else -1
-
+    n_rep = len(starts)
     # per-node tables, so the loop body does not branch on node kinds:
     # the status a replication ends with at a node (RUNNING to move on),
     # whether it keeps its clock there, its holding time (inf where it
@@ -591,9 +572,11 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
     # steps of the whole active set, so a small active set pays the hash's
     # per-call cost once per block rather than once per step.
     idx = np.arange(n_rep)
-    key = _rep_key(seed, idx)
-    cur = starts.copy()
+    key = keys
+    cur = np.asarray(starts, dtype=np.int64)
     t = np.zeros(n_rep)
+    if trace is not None:  # times and nodes from the start; doubled when full
+        path_t, path_node = np.zeros(256), np.full(256, cur[0])
     per_step = 2 if exponential_holding else 1
     k = j = n_block = 0
     while idx.size:
@@ -624,14 +607,57 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
         cur = np.where(u < p_right[cur], go_right[cur], go_left[cur])
         k += 1
         j += 1
+        if trace is not None and idx.size:
+            if k == path_t.size:
+                path_t = np.concatenate([path_t, path_t])
+                path_node = np.concatenate([path_node, path_node])
+            path_t[k] = t[0]
+            path_node[k] = cur[0]
         if k > cap and idx.size:
             final_node[idx] = cur
             final_time[idx] = t_max
             status[idx] = ALIVE
             _warn_capped(idx.size, cap)
             break
+    if trace is not None:
+        n_path = k + 1 if idx.size else k  # the last step ended it, no move
+        trace.extend((path_t[:n_path], path_node[:n_path]))
     return {"final_node": final_node, "final_time": final_time,
             "status": status, "hit": hit}
+
+
+def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
+        seed: int = 0, n_jobs: int = 1, mode: str = MODE_FULL,
+        exponential_holding: bool = False, target=None, starts=None) -> dict:
+    """Run replications; returns arrays final_node, final_time, status, hit.
+
+    Replication r always consumes the counter stream (seed, r, .), so
+    its outcome does not depend on the other replications.  ``n_jobs``
+    must be at least 1 and changes neither the numbers nor the threads
+    used; it stays because the CLI's ``--jobs`` and the benchmark pass it.
+
+    A replication ends when it reaches the target (status alive, hit
+    set, the hitting time kept), a terminal node, or the horizon t_max
+    (status alive at t_max).  Window edges and infinite endpoints keep
+    the time they were reached.  A trap keeps its absorption time in
+    ``killed_at_traps`` mode; in ``full`` and ``part_on_window`` modes the
+    path stays at the trap, so its time is t_max.  ``part_on_window`` is
+    the process killed only on leaving the window.  Replications stopped
+    by the step cap (reachable only with exponential holding) end alive
+    at t_max, with a RuntimeWarning giving their count.
+    """
+    if n_jobs < 1:
+        raise DomainError("n_jobs must be at least 1")
+    if starts is None:
+        if x0 is None:
+            raise DomainError("provide x0 or starts")
+        starts = np.full(n_rep, chain.node_at(float(x0)), dtype=np.int64)
+    else:
+        starts = np.asarray(starts, dtype=np.int64)
+        n_rep = len(starts)
+    target_node = chain.node_at(float(target)) if target is not None else -1
+    return _walk(chain, starts, _rep_key(seed, np.arange(n_rep)), t_max, mode,
+                 exponential_holding, target_node)
 
 
 @dataclass
@@ -648,57 +674,19 @@ class PathResult:
 def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
                   rep: int = 0, mode: str = MODE_FULL,
                   exponential_holding: bool = False) -> PathResult:
-    """One replication with its trajectory, matching the vector engine.
-
-    A plain scalar loop, kept apart from ``run`` as its reference."""
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}")
-    cur = chain.node_at(float(x0))
-    t = 0.0
-    times = [0.0]
-    xs = [float(chain.x[cur])]
-    status = ALIVE
-    k = 0
-    cap = _step_cap(chain, t_max, exponential_holding)
-    while True:
-        kd = int(chain.kind[cur])
-        if kd == TRAP_NODE:
-            status = ABSORBED_TRAP
-            if mode != MODE_KILLED:
-                times.append(t_max)
-                xs.append(float(chain.x[cur]))
-            break
-        if kd == KILL_WINDOW:
-            status = KILLED_WINDOW
-            break
-        if kd == KILL_INF:
-            status = DEAD_INF
-            break
-        tau = float(chain.tau[cur])
-        if exponential_holding and kd == WALK:
-            uh = float(_uniform(seed, np.uint64(rep), 2 * k + 1))
-            tau = tau * (-math.log1p(-uh))
-        if t + tau >= t_max:
-            status = ALIVE
-            times.append(t_max)
-            xs.append(float(chain.x[cur]))
-            break
-        t += tau
-        if kd == WALK:
-            u = float(_uniform(seed, np.uint64(rep), 2 * k))
-            go_right = u < chain.p_right[cur]
-            cur = int(chain.nbr_right[cur] if go_right else chain.nbr_left[cur])
-        else:
-            cur = int(chain.det_target[cur])
-        times.append(t)
-        xs.append(float(chain.x[cur]))
-        k += 1
-        if k > cap:
-            times.append(t_max)
-            xs.append(float(chain.x[cur]))
-            _warn_capped(1, cap)
-            break
-    return PathResult(np.asarray(times), np.asarray(xs), STATUS_NAMES[status])
+    """Replication ``rep`` of ``run`` with its trajectory: the start at
+    time 0, one (time, position) per move, and the final time and
+    position when the path ends after its last move (at the horizon, held
+    at a trap, or at the step cap)."""
+    trace = []
+    out = _walk(chain, [chain.node_at(float(x0))], _rep_key(seed, [rep]),
+                t_max, mode, exponential_holding, -1, trace)
+    times, nodes = trace
+    if out["final_time"][0] > times[-1]:
+        times = np.append(times, out["final_time"][0])
+        nodes = np.append(nodes, out["final_node"][0])
+    return PathResult(times, chain.x[nodes],
+                      STATUS_NAMES[int(out["status"][0])])
 
 
 # ---------------------------------------------------------------------------

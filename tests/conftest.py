@@ -1,4 +1,5 @@
-"""Shared fixtures: hand-built spec documents and a randomized generator.
+"""Shared fixtures: hand-built spec documents, a randomized generator and
+an exact solve of the simulation chain.
 
 The generator produces structurally valid specs only (closedness of the
 one-way and trap label sets is respected by construction), drawing
@@ -9,9 +10,11 @@ decidable.
 import random
 import re
 
+import numpy as np
 import pytest
 
 from shuntline import parse_spec
+from shuntline.simulate import KILL_WINDOW, WALK
 
 SAFE_SCALES = ("x", "x/2", "2*x", "x^3 + x")
 SAFE_DENSITIES = ("2", "1", "1 + x^2")
@@ -182,3 +185,45 @@ def cubic_scale_doc():
     return {"name": "cubic-scale", "pieces": [
         {"kind": "regular_interval", "a": "-inf", "b": "inf",
          "scale": "x^3", "speed": {"density": "2"}}]}
+
+
+def _thomas(sub, sup, rhs):
+    """Solve sub[i] v[i-1] + v[i] + sup[i] v[i+1] = rhs[i] (unit diagonal,
+    sub[0] and sup[-1] unused) by the Thomas algorithm."""
+    n = len(rhs)
+    c = np.empty(n)
+    d = np.empty(n)
+    c[0], d[0] = sup[0], rhs[0]
+    for i in range(1, n):
+        m = 1.0 - sub[i] * c[i - 1]
+        c[i] = sup[i] / m
+        d[i] = (rhs[i] - sub[i] * d[i - 1]) / m
+    v = np.empty(n)
+    v[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        v[i] = d[i] - c[i] * v[i + 1]
+    return v
+
+
+def exact_walk(chain):
+    """Exact statistics of a chain of walk nodes between two window edges.
+
+    Returns the walk nodes from left to right, the probability of reaching
+    the right edge before the left one from each, and the mean time to
+    reach either edge, from the linear equations of the embedded chain:
+    v = p v(right) + (1 - p) v(left), and T = tau + p T(right)
+    + (1 - p) T(left) with T = 0 at the edges.
+    """
+    assert set(chain.kind.tolist()) == {WALK, KILL_WINDOW}
+    node = int(chain.nbr_right[int(np.argmin(chain.x))])
+    nodes = []
+    while chain.kind[node] == WALK:
+        nodes.append(node)
+        node = int(chain.nbr_right[node])
+    nodes = np.asarray(nodes)
+    p = chain.p_right[nodes]
+    right_edge = np.zeros(len(nodes))
+    right_edge[-1] = p[-1]
+    hit = _thomas(p - 1.0, -p, right_edge)
+    exit_time = _thomas(p - 1.0, -p, chain.tau[nodes])
+    return nodes, hit, exit_time

@@ -5,7 +5,9 @@ was reorganised into a single compacted replication loop.  Replication r
 always reads the counter stream (seed, r, step), so any reorganisation of
 the loop must reproduce every output array bit for bit.  The defect
 estimates were recorded at the same time, when ``f`` and ``g`` were still
-called once per replication.
+called once per replication.  The ``simulate_path`` trajectories and the
+``simulate --paths-out`` CSV files were recorded from the scalar path loop,
+before ``simulate_path`` was moved onto the loop of ``run()``.
 
 Exponential holding times go through ``numpy.log1p``, whose last bit may
 depend on the SIMD extensions of the machine, so that one case digests
@@ -14,12 +16,16 @@ exactly.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shuntline import get_example
-from shuntline.simulate import build_chain, estimate_symmetry_defect, run
+from shuntline.cli import main
+from shuntline.simulate import (build_chain, estimate_symmetry_defect, run,
+                                simulate_path)
 
 KEYS = ("final_node", "final_time", "status", "hit")
 
@@ -137,10 +143,13 @@ def _case_output(name):
     return out
 
 
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def digests(name):
     out = _case_output(name)
-    return {k: hashlib.sha256(np.ascontiguousarray(out[k]).tobytes())
-            .hexdigest() for k in KEYS}
+    return {k: _sha(np.ascontiguousarray(out[k]).tobytes()) for k in KEYS}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -180,12 +189,168 @@ def test_defect_estimate_is_unchanged(name):
     assert d["sd"] == pytest.approx(sd, rel=1e-12)
 
 
+# one trajectory each: walk nodes, the DET shunt point of exa1, a one-way
+# segment alive at the horizon and killed at the window edge, a trap in
+# every mode, reflection at an included shunt point, exponential holding
+PATH_CASES = {
+    "bm-walk": (("bm", (0.0, 1.0), 0.05),
+                dict(x0=0.3, t_max=0.4, seed=31)),
+    "exa1-det": (("exa1", (-2.5, 2.5), 0.05),
+                 dict(x0=-0.2, t_max=1.0, seed=11, rep=2)),
+    "drift-alive": (("drift", (-1.0, 1.0), 0.01),
+                    dict(x0=0.0, t_max=0.7, seed=3)),
+    "drift-killed": (("drift", (-1.0, 1.0), 0.01),
+                     dict(x0=0.0, t_max=2.0, seed=3)),
+    "exa2-full": (("exa2", (-1.0, 2.0), 0.05),
+                  dict(x0=0.5, t_max=1.0, seed=9, rep=2, mode="full")),
+    "exa2-killed": (("exa2", (-1.0, 2.0), 0.05),
+                    dict(x0=0.5, t_max=1.0, seed=9, rep=2,
+                         mode="killed_at_traps")),
+    "exa2-part": (("exa2", (-1.0, 2.0), 0.05),
+                  dict(x0=0.5, t_max=1.0, seed=9, rep=2,
+                       mode="part_on_window")),
+    "absorb-reflect-wide": (("absorb-reflect", (-0.5, 1.5), 0.05),
+                            dict(x0=0.9, t_max=4.0, seed=13)),
+    "exa1-exponential": (("exa1", (-2.5, 2.5), 0.05),
+                         dict(x0=0.5, t_max=2.0, seed=13, rep=1,
+                              exponential_holding=True)),
+}
+
+PATH_DIGESTS = {
+    "absorb-reflect-wide": {
+        "positions":
+            "4d8b6c182996b65201b91b86a0037d78c00439bd3d4a1b2b8b0e32b146a06fbc",
+        "times":
+            "ec97ac83b51eed94028435cb821bae6d3e9de044d7e37cf34b6e4bf3cb41dcf2",
+        "status":
+            "0313b5ad6a05b7cf937bd66778ed33e69a6b8870853eafd010dd18bbd04a1b1a",
+    },
+    "bm-walk": {
+        "positions":
+            "7351fc467dc4de00875f1f0716d18b1f01ad1151f9bd5f1ff008451d86b02859",
+        "times":
+            "d302c788678d16dcdc31f4592c4f79fbf83f0189dd3dd07092a6c2a5606e362f",
+        "status":
+            "00a3f6cb1ace50eaf5a47459aa83c2afc12e8927619244e49bfef54678f52b9d",
+    },
+    "drift-alive": {
+        "positions":
+            "fa60f5d0df337f990dc4c352345c84aea8bccfb6206ca17e854235b3f36a58a5",
+        "times":
+            "8acac0c58c1a78fc7ac3825251879fcbdcb915da0068d8279960fb19c24b9214",
+        "status":
+            "135fc7a09da25f03e44f7a2c700efd4a9d0a989af4d4704eabfe9ada71b26590",
+    },
+    "drift-killed": {
+        "positions":
+            "c4fb7743ced11364e9118068646dc53d2a1b8e51e68949d344f62f3a9c7a9d4c",
+        "times":
+            "da37fbc5eb7fb60fd19fcba8a5b16182933f1c7807cbb759efe5d466c73a60c5",
+        "status":
+            "00a3f6cb1ace50eaf5a47459aa83c2afc12e8927619244e49bfef54678f52b9d",
+    },
+    "exa1-det": {
+        "positions":
+            "ff589a895cf036f94589c3f36ce5fc0a561b06bee78f9c265182cc7dce66399d",
+        "times":
+            "4cc04ba1ab629a574e4d7e96979bd4d64854066f1126f0a0a750e9c952f7f073",
+        "status":
+            "135fc7a09da25f03e44f7a2c700efd4a9d0a989af4d4704eabfe9ada71b26590",
+    },
+    "exa1-exponential": {
+        "positions":
+            "b01bf3e07f427b0d1ac69debb74589ec9f15dbf3c775d93a11223674ccece26c",
+        "times":
+            "60a280bab00c360921a09b7927834e0447c9087777f78b6ff51b784b6f5cab7f",
+        "status":
+            "135fc7a09da25f03e44f7a2c700efd4a9d0a989af4d4704eabfe9ada71b26590",
+    },
+    "exa2-full": {
+        "positions":
+            "e7f9faf225ff187be45f65f28b82315a4273c6c998b4f200b09e51c7c6be68dc",
+        "times":
+            "b0f7d477db8035557cf4600850611b53836585d81e00c064ec512961a73eaf2b",
+        "status":
+            "0313b5ad6a05b7cf937bd66778ed33e69a6b8870853eafd010dd18bbd04a1b1a",
+    },
+    "exa2-killed": {
+        "positions":
+            "d528478dd63facc4c97d9d8a3fa9ac2d0cec5df59a199e1a6d936235dae9e192",
+        "times":
+            "655777b36a3c95a6ffb6da0f73c08f4fc0152e9e4d2762c7eb1131dd995c5f44",
+        "status":
+            "0313b5ad6a05b7cf937bd66778ed33e69a6b8870853eafd010dd18bbd04a1b1a",
+    },
+    "exa2-part": {
+        "positions":
+            "e7f9faf225ff187be45f65f28b82315a4273c6c998b4f200b09e51c7c6be68dc",
+        "times":
+            "b0f7d477db8035557cf4600850611b53836585d81e00c064ec512961a73eaf2b",
+        "status":
+            "0313b5ad6a05b7cf937bd66778ed33e69a6b8870853eafd010dd18bbd04a1b1a",
+    },
+}
+
+
+def path_digests(name):
+    (example, window, h), kwargs = PATH_CASES[name]
+    path = simulate_path(build_chain(get_example(example), window, h),
+                         **kwargs)
+    times = path.times
+    if kwargs.get("exponential_holding"):
+        times = np.round(times, 10)
+    return {"positions": _sha(np.ascontiguousarray(path.positions).tobytes()),
+            "times": _sha(np.ascontiguousarray(times).tobytes()),
+            "status": _sha(path.status.encode())}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CASES))
+def test_path_output_is_bit_identical(name):
+    assert path_digests(name) == PATH_DIGESTS[name]
+
+
+CSV_CASES = {
+    "bm": ("--example", "bm", "--window", "0,1", "--h", "0.05",
+           "--t-max", "0.3", "--x0", "0.5", "--n-rep", "20", "--seed", "3"),
+    "exa1": ("--example", "exa1", "--window=-2.5,2.5", "--h", "0.05",
+             "--t-max", "1", "--x0=-0.2", "--n-rep", "20", "--seed", "11"),
+}
+
+CSV_DIGESTS = {
+    "bm":
+        "a202c6fd5e8f8b1833c46a4a85e0d2806596b614baa60a861a041809ff0babf5",
+    "exa1":
+        "9b3cb99ffaf11c1b8cd7146320a60c8eea5624fe8531b8f13a073d4a4b726bb0",
+}
+
+
+def csv_digest(name, directory):
+    paths = Path(directory) / f"{name}.csv"
+    code = main(["simulate", *CSV_CASES[name],
+                 "--out", str(Path(directory) / f"{name}.json"),
+                 "--paths-out", str(paths)])
+    assert code == 0
+    return _sha(paths.read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_paths_csv_is_byte_identical(name, tmp_path):
+    assert csv_digest(name, tmp_path) == CSV_DIGESTS[name]
+
+
 if __name__ == "__main__":
-    # prints the DIGESTS table for the engine on the import path
-    print("DIGESTS = {")
-    for name in sorted(CASES):
-        print(f'    "{name}": {{')
-        for key, value in digests(name).items():
-            print(f'        "{key}":\n            "{value}",')
-        print("    },")
-    print("}")
+    # prints the digest tables for the engine on the import path
+    for table, cases, digest in (("DIGESTS", CASES, digests),
+                                 ("PATH_DIGESTS", PATH_CASES, path_digests)):
+        print(f"{table} = {{")
+        for name in sorted(cases):
+            print(f'    "{name}": {{')
+            for key, value in digest(name).items():
+                print(f'        "{key}":\n            "{value}",')
+            print("    },")
+        print("}")
+    with tempfile.TemporaryDirectory() as directory:
+        print("CSV_DIGESTS = {")
+        for name in sorted(CSV_CASES):
+            print(f'    "{name}":\n        "{csv_digest(name, directory)}",')
+        print("}")

@@ -12,7 +12,7 @@ from shuntline.simulate import (STATUS_NAMES, analytic_hitting,
                                 build_chain, estimate_hitting,
                                 estimate_symmetry_defect, run, simulate_path)
 
-from conftest import spec_from
+from conftest import exact_walk, spec_from
 
 
 def status_counter(out):
@@ -38,6 +38,35 @@ def test_cubic_scale_reproduces_scale_ratio():
     est = estimate_hitting(ch, 0.5, 1.0, 50.0, 4000, seed=21)
     assert est["ci_low"] <= 0.125 <= est["ci_high"]
     assert abs(est["estimate"] - 0.125) < 0.02
+
+
+@pytest.mark.parametrize("doc, exit_time", [
+    ("bm", lambda x: x * (1.0 - x)),
+    ("cubic", lambda x: 1.5 * x ** 3 * (1.0 - x)),
+], ids=["bm", "cubic"])
+def test_exact_chain_matches_scale_ratio_and_green_function(
+        doc, exit_time, cubic_scale_doc):
+    # hitting probabilities are scale ratios and mean exit times are
+    # integrals of the Green function against the speed measure, exactly
+    # at the nodes: x(1 - x) for bm, and for scale x^3 with density 2 on
+    # (0, 1), 2 [(1 - x^3) x^4 / 4 + x^3 (3/4 - x + x^4 / 4)]
+    # = 1.5 x^3 (1 - x)
+    spec = get_example(doc) if doc == "bm" else parse_spec(cubic_scale_doc)
+    ch = build_chain(spec, (0.0, 1.0), 0.02)
+    nodes, hit, mean_exit = exact_walk(ch)
+    x = ch.x[nodes]
+    ratio = [analytic_hitting(spec, xi, 0.0, 1.0) for xi in x]
+    assert np.max(np.abs(hit - ratio)) < 1e-12
+    assert np.max(np.abs(mean_exit - exit_time(x))) < 1e-12
+
+
+def test_hitting_estimate_covers_the_exact_chain_value(cubic_scale_doc):
+    ch = build_chain(parse_spec(cubic_scale_doc), (0.0, 1.0), 0.01)
+    nodes, hit, _ = exact_walk(ch)
+    k = len(nodes) // 2
+    est = estimate_hitting(ch, float(ch.x[nodes[k]]), 1.0, 50.0, 4000,
+                           seed=21)
+    assert est["ci_low"] <= hit[k] <= est["ci_high"]
 
 
 def test_exit_time_mean_matches_closed_form():
