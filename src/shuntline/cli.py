@@ -72,10 +72,9 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(report, out_path) -> None:
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _write(text: str, out) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -91,118 +90,80 @@ def _floats(text: str, n: int, what: str):
         raise _UsageError(f"bad {what}: {exc}")
 
 
-def _load(args):
-    if args.example:
-        return get_example(args.example)
-    return load_spec(args.spec)
+def _indicator(lo, hi):
+    """The indicator function of the open interval (lo, hi)."""
+    return lambda x: 1.0 if lo < x < hi else 0.0
 
 
-def _base_report(spec) -> dict:
-    rep = validate(spec)
-    return {
-        "name": spec.name,
-        "digest": spec_digest(spec),
-        "validation": {
-            "ok": rep.ok,
-            "violations": [{"code": v.code, "where": v.where,
-                            "message": v.message} for v in rep.violations],
-        },
-    }
+def _spec_command(sections):
+    """A subcommand that reads the spec and reports its name, digest and
+    validation.  An invalid spec ends there with exit 1; a valid one adds
+    the report sections ``sections(spec, args)`` returns (if any)."""
 
+    def command(args) -> int:
+        spec = get_example(args.example) if args.example else load_spec(args.spec)
+        rep = validate(spec)
+        report = {
+            "name": spec.name,
+            "digest": spec_digest(spec),
+            "validation": {
+                "ok": rep.ok,
+                "violations": [{"code": v.code, "where": v.where,
+                                "message": v.message} for v in rep.violations],
+            },
+        }
+        if rep.ok and sections:
+            report.update(sections(spec, args))
+        _write(json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n",
+               args.out)
+        return 0 if rep.ok else 1
 
-def _checked_base(spec, args):
-    """(report, failed) with the validation gate applied."""
-    report = _base_report(spec)
-    if not report["validation"]["ok"]:
-        _emit(report, args.out)
-        return report, True
-    return report, False
+    return command
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# report sections
 
 
-def cmd_validate(args) -> int:
-    spec = _load(args)
-    report = _base_report(spec)
-    _emit(report, args.out)
-    return 0 if report["validation"]["ok"] else 1
+def _classify(spec, args) -> dict:
+    return {
+        "classification": lambda_sets(spec).as_dict(),
+        "communication_classes": communication_classes(
+            build_graph(spec, args.rel_tol)).as_dict(),
+        "boundary": [p.as_dict() for _, p in
+                     sorted(boundary_profile(spec, args.rel_tol).items())],
+    }
 
 
-def cmd_classify(args) -> int:
-    spec = _load(args)
-    report, failed = _checked_base(spec, args)
-    if failed:
-        return 1
-    report["classification"] = lambda_sets(spec).as_dict()
-    graph = build_graph(spec, args.rel_tol)
-    report["communication_classes"] = communication_classes(graph).as_dict()
-    profile = boundary_profile(spec, args.rel_tol)
-    report["boundary"] = [profile[k].as_dict() for k in sorted(profile)]
-    _emit(report, args.out)
-    return 0
-
-
-def cmd_check_hunt(args) -> int:
-    spec = _load(args)
-    report, failed = _checked_base(spec, args)
-    if failed:
-        return 1
+def _check_hunt(spec, args) -> dict:
     hunt = check_hunt(spec, rel_tol=args.rel_tol)
-    report["hunt"] = hunt.as_dict()
-    report["communication_classes"] = hunt.classes.as_dict()
-    _emit(report, args.out)
-    return 0
+    return {"hunt": hunt.as_dict(),
+            "communication_classes": hunt.classes.as_dict()}
 
 
-def cmd_check_symmetry(args) -> int:
-    spec = _load(args)
-    report, failed = _checked_base(spec, args)
-    if failed:
-        return 1
+def _check_symmetry(spec, args) -> dict:
     sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
-    report["hunt"] = sym.hunt.as_dict()
-    report["symmetry"] = sym.as_dict()
-    _emit(report, args.out)
-    return 0
+    return {"hunt": sym.hunt.as_dict(), "symmetry": sym.as_dict()}
 
 
-def cmd_measure(args) -> int:
-    spec = _load(args)
-    report, failed = _checked_base(spec, args)
-    if failed:
-        return 1
+def _measure(spec, args) -> dict:
     sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
     coeffs = ([float(p) for p in args.coefficients.split(",")]
               if args.coefficients else None)
-    measure = family_member(spec, sym, coeffs)
-    report["symmetry"] = sym.as_dict()
-    report["measure"] = measure.as_dict()
-    _emit(report, args.out)
-    return 0
+    return {"symmetry": sym.as_dict(),
+            "measure": family_member(spec, sym, coeffs).as_dict()}
 
 
-def cmd_dirichlet(args) -> int:
-    spec = _load(args)
-    report, failed = _checked_base(spec, args)
-    if failed:
-        return 1
+def _dirichlet(spec, args) -> dict:
     sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
-    report["symmetry"] = sym.as_dict()
     regular = check_regular_form(spec, rel_tol=args.rel_tol)
     adapted = check_adapted(spec, rel_tol=args.rel_tol)
-    report["dirichlet"] = {"regular_form": regular.as_dict(),
-                           "adapted": adapted.as_dict()}
-    _emit(report, args.out)
-    return 0
+    return {"symmetry": sym.as_dict(),
+            "dirichlet": {"regular_form": regular.as_dict(),
+                          "adapted": adapted.as_dict()}}
 
 
-def cmd_simulate(args) -> int:
-    spec = _load(args)
-    report, failed = _checked_base(spec, args)
-    if failed:
-        return 1
+def _simulate(spec, args) -> dict:
     window = _floats(args.window, 2, "--window")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
@@ -220,17 +181,11 @@ def cmd_simulate(args) -> int:
             exponential_holding=args.exponential_holding)
     elif args.defect is not None:
         a, b, c, d = _floats(args.defect, 4, "--defect")
-
-        def f(x, lo=a, hi=b):
-            return 1.0 if lo < x < hi else 0.0
-
-        def g(x, lo=c, hi=d):
-            return 1.0 if lo < x < hi else 0.0
-
         weights = "lebesgue" if args.weights == "lebesgue" else None
         sim["defect"] = estimate_symmetry_defect(
-            chain, f, g, args.t_max, args.n_rep, seed=args.seed,
-            n_jobs=args.jobs, mode=mode or MODE_FULL, weights=weights)
+            chain, _indicator(a, b), _indicator(c, d), args.t_max,
+            args.n_rep, seed=args.seed, n_jobs=args.jobs,
+            mode=mode or MODE_FULL, weights=weights)
         sim["defect"]["f_window"] = [a, b]
         sim["defect"]["g_window"] = [c, d]
     else:
@@ -264,30 +219,32 @@ def cmd_simulate(args) -> int:
                 writer.writerow([f"{t:.12g}", f"{x:.12g}", path.status])
         sim["paths_out"] = args.paths_out
 
-    report["simulation"] = sim
-    report["warnings"] = list(chain.warnings)
-    _emit(report, args.out)
-    return 0
+    return {"simulation": sim, "warnings": list(chain.warnings)}
+
+
+# (name, help, sections) of the analyses, in the order of ``--help``
+_ANALYSES = (
+    ("classify", "point classes, communication classes, endpoint roles",
+     _classify),
+    ("check-hunt", "decide whether every path keeps its strong Markov "
+                   "structure (no one-way point is hit without being "
+                   "revisited)", _check_hunt),
+    ("check-symmetry", "decide killed / full symmetrizability",
+     _check_symmetry),
+    ("measure", "construct a symmetrizing measure", _measure),
+    ("dirichlet", "regular-form and adaptedness checks for the energy form",
+     _dirichlet),
+)
 
 
 def cmd_example(args) -> int:
     if args.list:
         text = "\n".join(list_examples()) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    if not args.name:
-        raise _UsageError("give an example name or --list")
-    spec = get_example(args.name)
-    text = serialize_spec(spec)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    elif args.name:
+        text = serialize_spec(get_example(args.name))
     else:
-        sys.stdout.write(text)
+        raise _UsageError("give an example name or --list")
+    _write(text, args.out)
     return 0
 
 
@@ -295,17 +252,14 @@ def cmd_example(args) -> int:
 # wiring
 
 
-def _add_source(p) -> None:
+def _spec_parser(sub, name, text, sections):
+    p = sub.add_parser(name, help=text)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", metavar="FILE", help="spec document to read")
     group.add_argument("--example", metavar="NAME",
                        help="use a built-in example instead of a file")
-
-
-def _add_common(p) -> None:
-    p.add_argument("--out", metavar="FILE", help="write the report here")
-    p.add_argument("--rel-tol", type=float, default=1e-6,
-                   help="relative tolerance for boundary quadrature")
+    p.set_defaults(func=_spec_command(sections))
+    return p
 
 
 def build_parser() -> _Parser:
@@ -314,49 +268,21 @@ def build_parser() -> _Parser:
                                  "diffusions given as symbolic specs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and audit a spec")
-    _add_source(p)
+    p = _spec_parser(sub, "validate", "parse and audit a spec", None)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("classify",
-                       help="point classes, communication classes, "
-                            "endpoint roles")
-    _add_source(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
+    for name, text, sections in _ANALYSES:
+        p = _spec_parser(sub, name, text, sections)
+        p.add_argument("--out", metavar="FILE", help="write the report here")
+        p.add_argument("--rel-tol", type=float, default=1e-6,
+                       help="relative tolerance for boundary quadrature")
+        if name == "measure":
+            p.add_argument("--coefficients", metavar="C1,C2,...",
+                           help="positive weight per regular component "
+                                "(default: all 1)")
 
-    p = sub.add_parser("check-hunt",
-                       help="decide whether every path keeps its "
-                            "strong Markov structure (no one-way point is "
-                            "hit without being revisited)")
-    _add_source(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_check_hunt)
-
-    p = sub.add_parser("check-symmetry",
-                       help="decide killed / full symmetrizability")
-    _add_source(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_check_symmetry)
-
-    p = sub.add_parser("measure", help="construct a symmetrizing measure")
-    _add_source(p)
-    _add_common(p)
-    p.add_argument("--coefficients", metavar="C1,C2,...",
-                   help="positive weight per regular component "
-                        "(default: all 1)")
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("dirichlet",
-                       help="regular-form and adaptedness checks for the "
-                            "energy form")
-    _add_source(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_dirichlet)
-
-    p = sub.add_parser("simulate", help="Monte Carlo on a discretized chain")
-    _add_source(p)
+    p = _spec_parser(sub, "simulate", "Monte Carlo on a discretized chain",
+                     _simulate)
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--window", required=True, metavar="LO,HI",
                    help="simulation window, e.g. --window=-2.5,2.5")
@@ -384,7 +310,6 @@ def build_parser() -> _Parser:
                    default="speed", help="start-weighting for --defect")
     p.add_argument("--paths-out", metavar="FILE",
                    help="write one sample path as CSV (t, x, status)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("example", help="print a built-in example spec")
     p.add_argument("name", nargs="?", help="example name")

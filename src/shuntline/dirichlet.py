@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (DomainError, MembershipError, NotSymmetrizableError,
                      UndeterminedVerdict)
 from .expr import evaluate
+from .graph import ext
 from .quadrature import FINITE, INFINITE, UNDETERMINED, cell_quad, improper_integral
 from .symmetry import SymmetryReport, check_symmetrizable
 
@@ -40,11 +41,8 @@ __all__ = ["Profile", "TestFunction", "FormDescriptor", "make_form",
 _JUMP_TOL = 1e-9
 _EXIT_TOL = 1e-8
 _WINDOWS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)  # half-widths k of [-k, k]
-_WINDOW_TOL = 1e-8  # rel_tol of the window masses
-
-
-def _ext(v: float):
-    return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
+_ENERGY_TOL = 1e-8  # rel_tol of each energy cell
+_INDICATOR_PAD = 1e-6  # width of the ramps of indicator_profile
 
 
 def _like_input(out):
@@ -150,13 +148,13 @@ def ramp_profile(u0: float, u1: float, v0: float = 0.0, v1: float = 1.0) -> Prof
     return linear_profile((u0, u1), (v0, v1))
 
 
-def indicator_profile(u0: float, u1: float, pad: float = 1e-6) -> Profile:
+def indicator_profile(u0: float, u1: float) -> Profile:
     """Indicator of [u0, u1), exact on the closed span, zero outside.
 
     Discontinuous, so it is not an energy-domain member; meant for
     pointwise evaluation.
     """
-    return Profile((u0 - pad, u0, u1, u1 + pad),
+    return Profile((u0 - _INDICATOR_PAD, u0, u1, u1 + _INDICATOR_PAD),
                    ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0),
                     (0.0, 0.0, 0.0, 0.0)))
 
@@ -208,8 +206,7 @@ def make_form(spec, rel_tol: float = 1e-6) -> FormDescriptor:
     return FormDescriptor(spec, report)
 
 
-def energy(form: FormDescriptor, f: TestFunction, g: TestFunction,
-           rel_tol: float = 1e-8) -> float:
+def energy(form: FormDescriptor, f: TestFunction, g: TestFunction) -> float:
     """Bilinear energy: half the integral of F'G' in scale coordinate,
     summed over components."""
     total = 0.0
@@ -227,7 +224,8 @@ def energy(form: FormDescriptor, f: TestFunction, g: TestFunction,
                       | {u for u in pg.breakpoints if lo < u < hi})
         for a, b in zip(grid, grid[1:]):
             total += cell_quad(
-                lambda u: pf.derivative(u) * pg.derivative(u), a, b, rel_tol)
+                lambda u: pf.derivative(u) * pg.derivative(u), a, b,
+                _ENERGY_TOL)
     return 0.5 * total
 
 
@@ -244,7 +242,7 @@ class MembershipReport:
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "reasons": list(self.reasons),
-                "mass": _ext(self.mass) if not math.isnan(self.mass) else "unknown",
+                "mass": ext(self.mass) if not math.isnan(self.mass) else "unknown",
                 "self_energy": self.self_energy}
 
 
@@ -284,7 +282,7 @@ def membership(form: FormDescriptor, tf: TestFunction,
                 e = piece.endpoint(side)
                 reasons.append(
                     f"component {c.index}: value {val:.3g} at exit endpoint "
-                    f"{_ext(e)} must vanish")
+                    f"{ext(e)} must vanish")
     if reasons:
         return MembershipReport(False, tuple(reasons), math.nan, math.nan)
 
@@ -399,7 +397,7 @@ class RegularFormReport:
 
     def as_dict(self) -> dict:
         return {"ok": self.ok,
-                "windows": [{"k": k, "verdict": v, "mass": _ext(m)}
+                "windows": [{"k": k, "verdict": v, "mass": ext(m)}
                             for k, v, m in self.windows]}
 
 
@@ -420,7 +418,7 @@ def check_regular_form(spec, rel_tol: float = 1e-6) -> RegularFormReport:
     windows = []
     ok = True
     for k in _WINDOWS:
-        verdict, value = report.measure.interval_mass(-k, k, _WINDOW_TOL)
+        verdict, value = report.measure.interval_mass(-k, k)
         windows.append((float(k), verdict, value))
         if verdict == INFINITE:
             ok = False
@@ -465,5 +463,5 @@ def check_adapted(spec, rel_tol: float = 1e-6) -> AdaptedReport:
                 violations.append((("component", c.index), ("side", side),
                                    ("endpoint", endpoint),
                                    ("included", included),
-                                   ("scale_limit", _ext(s_lim))))
+                                   ("scale_limit", ext(s_lim))))
     return AdaptedReport(not violations, tuple(violations))

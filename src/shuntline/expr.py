@@ -87,8 +87,10 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
+            pos = len(text) - len(rest)
             raise ExprError(f"bad character {text[pos]!r} at position {pos} in {text!r}")
         pos = m.end()
         if m.group("num") is not None:

@@ -33,6 +33,11 @@ __all__ = ["Atom", "CommunicationGraph", "CommunicationClasses",
            "build_graph", "reaches", "communication_classes", "ring_interior"]
 
 
+def ext(v: float):
+    """v as a report value: infinities become "+inf" and "-inf"."""
+    return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
+
+
 @dataclass(frozen=True)
 class Atom:
     kind: str            # regular / shunt / trap_seg / point / cemetery
@@ -229,8 +234,6 @@ class CommunicationClasses:
         return any(lo < x < hi for lo, hi in self.ring)
 
     def as_dict(self) -> dict:
-        def ext(v):
-            return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
         return {
             "interval_classes": [
                 {"lo": ext(lo), "hi": ext(hi), "lo_closed": lc, "hi_closed": hc}

@@ -21,11 +21,10 @@ witnesses coincide with the thin-but-not-polar shunt points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .boundary import YES, boundary_profile
-from .graph import build_graph, communication_classes, reaches
+from .graph import build_graph, communication_classes, ext, reaches
 from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT, TRAP,
                     DiffusionSpec)
 
@@ -37,10 +36,6 @@ THIN_NOT_POLAR = "thin_not_polar"
 NOT_THIN = "not_thin"
 
 
-def _ext(v: float):
-    return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
-
-
 @dataclass(frozen=True)
 class Witness:
     kind: str    # r1 or r2
@@ -49,7 +44,7 @@ class Witness:
     note: str
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "lo": _ext(self.lo), "hi": _ext(self.hi),
+        return {"kind": self.kind, "lo": ext(self.lo), "hi": ext(self.hi),
                 "note": self.note}
 
 

@@ -55,6 +55,9 @@ _CLASSES = (TRAP, LEFT_SHUNT, RIGHT_SHUNT)
 
 _HINTS = ("finite", "infinite", "unknown")
 
+_GRID_POINTS = 1001  # samples per piece in the validation audits
+_MASS_TOL = 1e-8  # rel_tol of eval_speed_mass
+
 
 @dataclass(frozen=True)
 class MeasureSpec:
@@ -125,15 +128,6 @@ class Piece:
     reach: str = "full"
 
     # -- factories ---------------------------------------------------------
-
-    @staticmethod
-    def regular(a, b, scale_src, density_src, atoms=(), hint_a="unknown",
-                hint_b="unknown") -> "Piece":
-        speed = MeasureSpec(density_src, parse_expr(density_src),
-                            tuple((float(at), float(w)) for at, w in atoms),
-                            hint_a, hint_b)
-        return Piece(REGULAR, a=float(a), b=float(b), scale_src=scale_src,
-                     scale=parse_expr(scale_src), speed=speed)
 
     @staticmethod
     def shunt(a, b, direction, reach="full") -> "Piece":
@@ -413,9 +407,9 @@ def spec_digest(spec: DiffusionSpec) -> str:
 # evaluation
 
 
-def _interior_grid(a, b, n=1001):
+def _interior_grid(a, b):
     """Sample grid biased toward both endpoints, all points interior."""
-    t = np.linspace(1e-6, 1.0 - 1e-6, n)
+    t = np.linspace(1e-6, 1.0 - 1e-6, _GRID_POINTS)
     if math.isfinite(a) and math.isfinite(b):
         return a + (b - a) * t
     # map through a bounded coordinate for infinite ends
@@ -434,14 +428,14 @@ def eval_scale(piece: Piece, x):
     return evaluate(piece.scale, x if isinstance(x, np.ndarray) else float(x))
 
 
-def eval_speed_mass(piece: Piece, u: float, v: float, rel_tol=1e-8) -> float:
+def eval_speed_mass(piece: Piece, u: float, v: float) -> float:
     """Speed mass of the open interval (u, v) inside a regular piece.
 
     Counts the density integral plus atoms strictly inside (u, v).  A
     finite (u, v) is one adaptive cell, which raises QuadratureError when
-    it misses rel_tol.  An infinite end is summed in shells from a finite
-    point: inf when they diverge, UndeterminedVerdict when no verdict
-    is reached.
+    it misses a relative tolerance of 1e-8.  An infinite end is summed in
+    shells from a finite point: inf when they diverge, UndeterminedVerdict
+    when no verdict is reached.
     """
     if piece.kind != REGULAR:
         raise DomainError("speed mass is defined on regular pieces only")
@@ -453,14 +447,14 @@ def eval_speed_mass(piece: Piece, u: float, v: float, rel_tol=1e-8) -> float:
         return evaluate(dens, z)
 
     if math.isfinite(u) and math.isfinite(v):
-        val = cell_quad(f, u, v, rel_tol)
+        val = cell_quad(f, u, v, _MASS_TOL)
     else:
         anchor = u if math.isfinite(u) else v if math.isfinite(v) else 0.0
         val = 0.0
         for end in (u, v):
             if end == anchor:
                 continue
-            res = improper_integral(f, anchor, end, rel_tol=rel_tol)
+            res = improper_integral(f, anchor, end, rel_tol=_MASS_TOL)
             if res.verdict == INFINITE:
                 return math.inf
             if res.verdict == UNDETERMINED:

@@ -54,6 +54,7 @@ _STEP_START = 1 << 62  # counter slot reserved for start-node sampling
 _BLOCK = 8192  # engine uniforms drawn per block (a block spans <= 256 steps)
 _GAUSS_ORDER = 16  # Gauss-Legendre order of the holding-time cell integrals
 _CHECK_ORDER = 8   # lower order they are audited against
+_Z95 = 1.959963984540054  # two-sided 95 % normal quantile of the intervals
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +636,8 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
     its outcome does not depend on the other replications.  ``n_jobs``
     must be at least 1 and changes neither the numbers nor the threads
     used; it stays because the CLI's ``--jobs`` and the benchmark pass it.
+    ``starts``, one node index per replication, replaces ``x0`` and
+    ``n_rep``.
 
     A replication ends when it reaches the target (status alive, hit
     set, the hitting time kept), a terminal node, or the horizon t_max
@@ -653,7 +656,13 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
             raise DomainError("provide x0 or starts")
         starts = np.full(n_rep, chain.node_at(float(x0)), dtype=np.int64)
     else:
-        starts = np.asarray(starts, dtype=np.int64)
+        starts = np.asarray(starts)
+        if starts.ndim != 1 or (starts.size and not (
+                np.issubdtype(starts.dtype, np.integer)
+                and 0 <= starts.min() and starts.max() < chain.n_nodes)):
+            raise DomainError(
+                f"starts must be node indices in [0, {chain.n_nodes})")
+        starts = starts.astype(np.int64)
         n_rep = len(starts)
     target_node = chain.node_at(float(target)) if target is not None else -1
     return _walk(chain, starts, _rep_key(seed, np.arange(n_rep)), t_max, mode,
@@ -693,7 +702,8 @@ def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
 # estimators
 
 
-def _wilson(hits: int, n: int, z: float = 1.959963984540054):
+def _wilson(hits: int, n: int):
+    z = _Z95
     if n == 0:
         return 0.0, 0.0, 1.0
     p = hits / n
@@ -760,9 +770,11 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     against the node weights.
 
     Zero for every f, g exactly when the weighting measure symmetrizes
-    the process.  Start nodes are drawn proportionally to the weights;
-    each replication contributes  W (f(X_0) g(X_t) - f(X_t) g(X_0))
-    with W the total weight, evaluated on a single common path.
+    the process.  ``weights`` is None (the speed measure), "lebesgue",
+    or one finite, non-negative value per node.  Start nodes are drawn
+    proportionally to the weights; each replication contributes
+    W (f(X_0) g(X_t) - f(X_t) g(X_0)) with W the total weight, evaluated
+    on a single common path.
     Functions count as zero after killing.
     """
     if weights is None:
@@ -773,6 +785,8 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (chain.n_nodes,):
             raise DomainError("weights must give one value per node")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise DomainError("node weights must be finite and non-negative")
     total = float(w.sum())
     if not (total > 0) or not math.isfinite(total):
         raise DomainError("node weights must have positive finite total")
@@ -797,7 +811,7 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     d = total * (f0 * gT - fT * g0)
     mean = float(np.mean(d))
     sd = float(np.std(d, ddof=1)) if n_rep > 1 else 0.0
-    half = 1.959963984540054 * sd / math.sqrt(n_rep) if n_rep else 0.0
+    half = _Z95 * sd / math.sqrt(n_rep) if n_rep else 0.0
     return {"mean": mean, "sd": sd, "ci_low": mean - half,
             "ci_high": mean + half, "n_rep": n_rep, "total_weight": total,
             "t_max": t_max, "seed": seed, "mode": mode}

@@ -27,7 +27,7 @@ from .boundary import EXIT, YES
 from .classify import lambda_sets
 from .errors import DomainError, NotSymmetrizableError
 from .expr import evaluate, parse_expr
-from .graph import build_graph
+from .graph import build_graph, ext
 from .hunt import check_hunt, lambda_ap
 from .model import LEFT_SHUNT, RIGHT_SHUNT, TRAP, TRAP_SEGMENT, DiffusionSpec
 from .quadrature import FINITE, INFINITE, UNDETERMINED, improper_integral
@@ -37,9 +37,7 @@ __all__ = ["lambda_ap", "lambda_at", "Component", "MeasureEntry", "Measure",
            "SymmetryReport", "check_symmetrizable", "canonical_measure",
            "measure_family", "family_member"]
 
-
-def _ext(v: float):
-    return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
+_MASS_TOL = 1e-8  # rel_tol of interval masses
 
 
 def _lambda_at(graph) -> tuple:
@@ -72,7 +70,7 @@ class Component:
 
     def as_dict(self) -> dict:
         return {"index": self.index, "piece_index": self.piece_index,
-                "lo": _ext(self.lo), "hi": _ext(self.hi),
+                "lo": ext(self.lo), "hi": ext(self.hi),
                 "lo_closed": self.lo_closed, "hi_closed": self.hi_closed,
                 "closure_lo_closed": self.tilde_lo_closed,
                 "closure_hi_closed": self.tilde_hi_closed,
@@ -95,7 +93,7 @@ class MeasureEntry:
     hint_hi: str
 
     def as_dict(self) -> dict:
-        return {"lo": _ext(self.lo), "hi": _ext(self.hi),
+        return {"lo": ext(self.lo), "hi": ext(self.hi),
                 "lo_closed": self.lo_closed, "hi_closed": self.hi_closed,
                 "density": self.density_src,
                 "atoms": [[p, w] for p, w in self.atoms],
@@ -118,8 +116,8 @@ class Measure:
         return {"description": self.description,
                 "entries": [e.as_dict() for e in self.entries]}
 
-    def interval_mass(self, a: float, b: float, rel_tol: float = 1e-8):
-        """(verdict, value) for the mass of [a, b].
+    def interval_mass(self, a: float, b: float):
+        """(verdict, value) for the mass of [a, b], integrated to 1e-8.
 
         Declared endpoint-mass hints short-circuit: touching an endpoint
         whose nearby mass is declared infinite makes the answer
@@ -144,7 +142,7 @@ class Measure:
             fn = (lambda y, ee=e: ee.weight * evaluate(ee.density, y))
             mid = 0.5 * (lo + hi)
             for anchor, endpoint in ((mid, lo), (mid, hi)):
-                res = improper_integral(fn, anchor, endpoint, rel_tol=rel_tol)
+                res = improper_integral(fn, anchor, endpoint, rel_tol=_MASS_TOL)
                 if res.verdict == INFINITE:
                     return INFINITE, math.inf
                 if res.verdict == UNDETERMINED:
@@ -170,8 +168,8 @@ class SymmetryReport:
         return {"hunt_holds": self.hunt_holds,
                 "killed_symmetrizable": self.killed,
                 "full_symmetrizable": self.full,
-                "lambda_ap": [_ext(x) for x in self.lambda_ap],
-                "lambda_at": [_ext(x) for x in self.lambda_at],
+                "lambda_ap": [ext(x) for x in self.lambda_ap],
+                "lambda_at": [ext(x) for x in self.lambda_at],
                 "components": [c.as_dict() for c in self.components],
                 "reason": self.reason}
 

@@ -24,11 +24,15 @@ def test_validate_builtin_ok(tmp_path):
     assert "digest" in doc
 
 
+# a scale that is not increasing: parses, fails validation
+BAD_DOC = {"name": "bad", "pieces": [
+    {"kind": "regular_interval", "a": "-inf", "b": "inf",
+     "scale": "sin(x)", "speed": {"density": "2"}}]}
+
+
 def test_validate_bad_spec_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"name": "bad", "pieces": [
-        {"kind": "regular_interval", "a": "-inf", "b": "inf",
-         "scale": "sin(x)", "speed": {"density": "2"}}]}))
+    bad.write_text(json.dumps(BAD_DOC))
     code, doc = run_cli(tmp_path, "validate", "--spec", str(bad))
     assert code == 1
     assert doc["validation"]["ok"] is False
@@ -173,6 +177,43 @@ def test_simulate_negative_window_values(tmp_path):
                         "--x0", "0.0", "--n-rep", "50")
     assert code == 0
     assert doc["simulation"]["n_rep"] == 50
+
+
+SIM = ["--window", "0,1", "--h", "0.05", "--t-max", "0.1", "--n-rep", "10"]
+SPEC_COMMANDS = ("validate", "classify", "check-hunt", "check-symmetry",
+                 "measure", "dirichlet")
+
+
+@pytest.mark.parametrize("argv, code", [
+    *[([cmd, "--spec", "{bad}"], 1) for cmd in SPEC_COMMANDS],
+    (["simulate", "--spec", "{bad}", *SIM, "--x0", "0.5"], 1),
+    (["example"], 3),
+    (["simulate", "--example", "bm", *SIM, "--target", "1.0"], 3),
+    (["simulate", "--example", "bm", *SIM], 3),
+    (["simulate", "--example", "bm", *SIM, "--defect", "0.2,0.4,0.6,0.8",
+      "--paths-out", "{tmp}/p.csv"], 3),
+    (["simulate", "--example", "bm", *SIM, "--window", "0,0.5,1",
+      "--x0", "0.3"], 3),
+    (["check-hunt", "--example", "bm", "--out", "{tmp}/missing/r.json"], 1),
+])
+def test_gates_and_usage_errors(tmp_path, capsys, argv, code):
+    """An invalid spec gets only its validation report, exit 1; a usage
+    error (exit 3) or an unwritable --out (exit 1) writes no report."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_DOC))
+    out = tmp_path / "r.json"
+    args = [a.format(bad=bad, tmp=tmp_path) for a in argv]
+    if "--out" not in args:
+        args += ["--out", str(out)]
+    assert main(args) == code
+    assert capsys.readouterr().out == ""
+    if "{bad}" in argv:
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"name", "digest", "validation"}
+        assert doc["validation"]["ok"] is False
+    else:
+        assert not out.exists()
+        assert not (tmp_path / "p.csv").exists()
 
 
 def test_example_listing_and_round_trip(tmp_path, capsys):

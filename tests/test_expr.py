@@ -87,3 +87,32 @@ def test_syntax_errors_raise_expr_error():
     for bad in ("2 +", "x y", "foo(x)", "(x", "x^", ""):
         with pytest.raises(ExprError):
             parse_expr(bad)
+    with pytest.raises(ExprError, match="bad character '>' at position 2 "):
+        parse_expr("x > 0")
+
+
+def test_piecewise_evaluates_by_interval_and_round_trips():
+    e = parse_expr("piecewise(-x if x < 0, x^2 if x < 2, 2*x)")
+    xs = [-1.5, 0.0, 1.0, 2.0, 3.0]
+    want = [1.5, 0.0, 1.0, 4.0, 6.0]    # a guard's bound goes to the next branch
+    assert [evaluate(e, x) for x in xs] == want
+    assert evaluate(e, np.array(xs)).tolist() == want
+    assert not is_constant(e)
+    flat = parse_expr("piecewise(1 if x < -1, 2)")
+    assert is_constant(flat)
+    assert evaluate(flat, np.array([-2.0, -1.0, 5.0])).tolist() == [1.0, 2.0, 2.0]
+    for g in (e, flat):
+        text = serialize_expr(g)
+        assert text.startswith("piecewise(")
+        assert parse_expr(text) == g
+
+
+@pytest.mark.parametrize("src, message", [
+    ("piecewise(1 if x < 2, 2 if x < 1, 3)", "strictly increasing"),
+    ("piecewise(1 if x < 0, 2 if x < 1)", "unguarded final branch"),
+    ("piecewise(1 if x < x, 2)", "must be a constant"),
+    ("piecewise(1 if y < 0, 2)", "form 'x < c'"),
+])
+def test_piecewise_parse_errors(src, message):
+    with pytest.raises(ExprError, match=message):
+        parse_expr(src)

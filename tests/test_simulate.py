@@ -178,6 +178,43 @@ def test_infinite_edge_allowed_when_reachable_in_finite_time():
     assert c["dead_at_infinite_endpoint"] + c["killed_at_window"] == 200
 
 
+def test_infinite_window_reaches_the_infinite_end_at_the_scale_ratio():
+    # the scale -1/x is bounded toward +inf: from 2 the walk reaches +inf
+    # before 1 with probability (s(2) - s(1)) / (s(inf) - s(1)) = 1/2
+    spec = spec_from([
+        {"kind": "trap_segment", "a": "-inf", "b": "0"},
+        {"kind": "singular_point", "x": "0", "class": "trap"},
+        {"kind": "regular_interval", "a": "0", "b": "inf",
+         "scale": "-1/x", "speed": {"density": "1/x"}}])
+    ch = build_chain(spec, (1.0, math.inf), 0.02)
+    est = estimate_hitting(ch, 2.0, math.inf, 1e6, 4000, seed=1)
+    assert est["ci_low"] <= 0.5 <= est["ci_high"]
+    out = run(ch, x0=2.0, t_max=1e6, n_rep=4000, seed=1)
+    c = status_counter(out)
+    assert c["dead_at_infinite_endpoint"] == est["hits"]
+    assert c["killed_at_window"] == 4000 - est["hits"]
+
+
+def test_run_refuses_starts_that_are_not_node_indices():
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    assert ch.n_nodes == 21
+    for starts in ([-1], [21], [0.0], [[0]]):
+        with pytest.raises(DomainError):
+            run(ch, starts=starts, t_max=0.1)
+    out = run(ch, starts=[0, 20], t_max=0.1)
+    assert out["final_node"].shape == (2,)
+
+
+def test_defect_refuses_negative_or_non_finite_weights():
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    for bad in (-1.0, math.nan, math.inf):
+        w = np.zeros(ch.n_nodes)
+        w[3] = 2.0
+        w[10] = bad
+        with pytest.raises(DomainError):
+            estimate_symmetry_defect(ch, abs, abs, 0.1, 10, weights=w)
+
+
 def test_parallel_runs_are_byte_identical():
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.02)
     a = run(ch, x0=0.4, t_max=0.5, n_rep=4000, seed=77, n_jobs=1)
