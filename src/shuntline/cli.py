@@ -80,9 +80,10 @@ def _write(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _floats(text: str, n: int, what: str):
+def _floats(text: str, n, what: str):
+    """The n (any number if None) comma-separated floats of an option."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise _UsageError(f"{what} needs {n} comma-separated values")
     try:
         return tuple(float(p) for p in parts)
@@ -147,9 +148,9 @@ def _check_symmetry(spec, args) -> dict:
 
 
 def _measure(spec, args) -> dict:
-    sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
-    coeffs = ([float(p) for p in args.coefficients.split(",")]
+    coeffs = (_floats(args.coefficients, None, "--coefficients")
               if args.coefficients else None)
+    sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
     return {"symmetry": sym.as_dict(),
             "measure": family_member(spec, sym, coeffs).as_dict()}
 
@@ -167,6 +168,8 @@ def _simulate(spec, args) -> dict:
     window = _floats(args.window, 2, "--window")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
+    if args.n_rep < 1:
+        raise _UsageError("--n-rep must be at least 1")
     chain = build_chain(spec, window, args.h)
     mode = args.mode
     sim = {"window": list(window), "h": args.h, "n_nodes": chain.n_nodes,

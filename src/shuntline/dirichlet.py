@@ -170,34 +170,6 @@ class FormDescriptor:
     spec: object
     report: SymmetryReport  # its measure is the form's reference measure
 
-    def component_of(self, x: float):
-        for c in self.report.components:
-            if c.lo < x < c.hi:
-                return c
-            if (x == c.lo and c.lo_closed) or (x == c.hi and c.hi_closed):
-                return c
-        return None
-
-    def scale_at(self, x: float) -> float:
-        c = self.component_of(x)
-        if c is None:
-            raise DomainError(f"{x} is outside every component")
-        piece = self.spec.pieces[c.piece_index]
-        return float(evaluate(piece.scale, x))
-
-    def as_callable(self, tf: TestFunction):
-        """Real-coordinate evaluator; zero off the components."""
-        def f(x: float) -> float:
-            c = self.component_of(x)
-            if c is None:
-                return 0.0
-            prof = tf.profile_for(c.index)
-            if prof is None:
-                return 0.0
-            piece = self.spec.pieces[c.piece_index]
-            return prof.value(float(evaluate(piece.scale, x)))
-        return f
-
 
 def make_form(spec, rel_tol: float = 1e-6) -> FormDescriptor:
     report = check_symmetrizable(spec, rel_tol)

@@ -48,13 +48,6 @@ class Atom:
     point_class: str = ""
     blocked: bool = False  # upstream part of a partial-reach segment
 
-    def describe(self) -> str:
-        if self.kind == "cemetery":
-            return "-inf" if self.lo < 0 else "+inf"
-        if self.kind == "point":
-            return f"{{{self.lo}}}"
-        return f"({self.lo}, {self.hi})"
-
 
 @dataclass(frozen=True)
 class CommunicationGraph:

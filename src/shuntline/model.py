@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, SpecParseError, UndeterminedVerdict
 from .expr import Expr, evaluate, parse_expr
-from .quadrature import INFINITE, UNDETERMINED, cell_quad, improper_integral
+from .quadrature import INFINITE, UNDETERMINED, interior_point, span_integral
 
 __all__ = [
     "MeasureSpec", "Piece", "DiffusionSpec", "Violation", "ValidationReport",
@@ -56,7 +56,6 @@ _CLASSES = (TRAP, LEFT_SHUNT, RIGHT_SHUNT)
 _HINTS = ("finite", "infinite", "unknown")
 
 _GRID_POINTS = 1001  # samples per piece in the validation audits
-_MASS_TOL = 1e-8  # rel_tol of eval_speed_mass
 
 
 @dataclass(frozen=True)
@@ -161,10 +160,7 @@ class Piece:
 
     def interior_point(self) -> float:
         """The midpoint, else 1 inside the one finite end, else 0."""
-        a, b = self.a, self.b
-        if math.isfinite(a) and math.isfinite(b):
-            return 0.5 * (a + b)
-        return a + 1.0 if math.isfinite(a) else b - 1.0 if math.isfinite(b) else 0.0
+        return interior_point(self.a, self.b)
 
     def contains_interior(self, x: float) -> bool:
         if self.is_point:
@@ -204,9 +200,6 @@ class DiffusionSpec:
             if p.contains_interior(x):
                 return i, p
         raise DomainError(f"point {x} not covered; boundaries are explicit pieces")
-
-    def singular_positions(self) -> tuple:
-        return tuple(p.x for p in self.pieces if p.is_point)
 
     def regular_indices(self) -> tuple:
         return tuple(i for i, p in enumerate(self.pieces) if p.kind == REGULAR)
@@ -431,40 +424,26 @@ def eval_scale(piece: Piece, x):
 def eval_speed_mass(piece: Piece, u: float, v: float) -> float:
     """Speed mass of the open interval (u, v) inside a regular piece.
 
-    Counts the density integral plus atoms strictly inside (u, v).  A
-    finite (u, v) is one adaptive cell, which raises QuadratureError when
-    it misses a relative tolerance of 1e-8.  An infinite end is summed in
-    shells from a finite point: inf when they diverge, UndeterminedVerdict
-    when no verdict is reached.
+    Counts the density integral plus atoms strictly inside (u, v), the
+    integral taken to a relative tolerance of 1e-8 by ``span_integral``.
+    Shells run only toward an end of (u, v) that is infinite or an
+    endpoint of the piece: inf when they diverge, UndeterminedVerdict
+    when no verdict is reached.  An interval with neither is one adaptive
+    cell, which raises QuadratureError when it misses the tolerance.
     """
     if piece.kind != REGULAR:
         raise DomainError("speed mass is defined on regular pieces only")
     if not (piece.a <= u < v <= piece.b):
         raise DomainError(f"need {piece.a} <= u < v <= {piece.b}")
     dens = piece.speed.density
-
-    def f(z):
-        return evaluate(dens, z)
-
-    if math.isfinite(u) and math.isfinite(v):
-        val = cell_quad(f, u, v, _MASS_TOL)
-    else:
-        anchor = u if math.isfinite(u) else v if math.isfinite(v) else 0.0
-        val = 0.0
-        for end in (u, v):
-            if end == anchor:
-                continue
-            res = improper_integral(f, anchor, end, rel_tol=_MASS_TOL)
-            if res.verdict == INFINITE:
-                return math.inf
-            if res.verdict == UNDETERMINED:
-                raise UndeterminedVerdict(
-                    f"speed mass of ({u}, {v}) undetermined toward {end}: {res.note}")
-            val += abs(res.value)
-    if not math.isfinite(val):
+    res = span_integral(lambda z: evaluate(dens, z), u, v,
+                        u == piece.a, v == piece.b)
+    if res.verdict == INFINITE:
         return math.inf
-    val += sum(w for at, w in piece.speed.atoms if u < at < v)
-    return val
+    if res.verdict == UNDETERMINED:
+        raise UndeterminedVerdict(
+            f"speed mass of ({u}, {v}) undetermined {res.note}")
+    return res.value + sum(w for at, w in piece.speed.atoms if u < at < v)
 
 
 # ---------------------------------------------------------------------------

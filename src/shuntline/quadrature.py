@@ -35,6 +35,10 @@ value, a declared divergence and an honest "undetermined":
   the integrand was evaluated below its numerical resolution (typically
   cancellation against a truncated limit constant) and any further
   arithmetic would launder noise into a verdict.
+
+``span_integral`` is the one way a density is integrated over an
+interval: shells only toward an infinite end or one its caller flags (a
+piece endpoint), one adaptive cell everywhere else, all to ``MASS_TOL``.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["IntegralResult", "improper_integral", "cell_quad", "gauss_cells"]
+__all__ = ["IntegralResult", "improper_integral", "span_integral", "cell_quad",
+           "gauss_cells"]
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -59,6 +64,7 @@ GROWTH_RUNS = 8
 GROWTH_FLOOR = 1e6
 STALL_RATIO = 0.9999
 MAX_SHELLS = 160
+MASS_TOL = 1e-8  # rel_tol of every span_integral
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,6 @@ class IntegralResult:
     value: float
     shells: int
     note: str = ""
-
-    @property
-    def finite(self):
-        return self.verdict == FINITE
 
 
 # QUADPACK qk21: Kronrod abscissae from the outermost inward, then the
@@ -264,6 +266,40 @@ def improper_integral(fn, anchor, endpoint, rel_tol=1e-6) -> IntegralResult:
                 return IntegralResult(FINITE, total + math.copysign(tail, prev_contrib),
                                       MAX_SHELLS, "geometric tail estimate")
     return IntegralResult(UNDETERMINED, total, MAX_SHELLS, "shells exhausted")
+
+
+def interior_point(lo, hi):
+    """The midpoint, else 1 inside the one finite end, else 0."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return 0.5 * (lo + hi)
+    return lo + 1.0 if math.isfinite(lo) else hi - 1.0 if math.isfinite(hi) else 0.0
+
+
+def span_integral(fn, lo, hi, improper_lo, improper_hi) -> IntegralResult:
+    """Integral of fn over (lo, hi), to a relative tolerance of MASS_TOL.
+
+    An end is improper when it is infinite or its flag is set.  With no
+    improper end the span is one cell_quad, whose QuadratureError
+    propagates.  Otherwise shells run toward each improper end, from the
+    other end or, when both are improper, from interior_point(lo, hi);
+    the first end whose shells give no finite value decides.
+    """
+    improper = (improper_lo or math.isinf(lo), improper_hi or math.isinf(hi))
+    if not any(improper):
+        value = cell_quad(fn, lo, hi, MASS_TOL)
+        if math.isfinite(value):
+            return IntegralResult(FINITE, value, 0)
+        return IntegralResult(INFINITE, math.inf, 0, "non-finite cell")
+    anchor = interior_point(lo, hi) if all(improper) else hi if improper[0] else lo
+    total, shells = 0.0, 0
+    for end in (e for e, flag in zip((lo, hi), improper) if flag):
+        res = improper_integral(fn, anchor, end, rel_tol=MASS_TOL)
+        shells += res.shells
+        if res.verdict != FINITE:
+            return IntegralResult(res.verdict, res.value, shells,
+                                  f"toward {end}: {res.note}")
+        total += res.value
+    return IntegralResult(FINITE, total, shells)
 
 
 @lru_cache(maxsize=8)

@@ -457,7 +457,10 @@ def _build_segment(builder, i, piece):
 
 
 def build_chain(spec: DiffusionSpec, window, h: float) -> ChainModel:
-    """Discretize the part of the line inside the window."""
+    """Discretize the part of the line inside the window.
+
+    Endpoint roles come from ``boundary_profile`` at its fixed default
+    tolerance, 1e-6."""
     if not (h > 0):
         raise DomainError("h must be positive")
     w_lo, w_hi = float(window[0]), float(window[1])

@@ -25,19 +25,17 @@ from dataclasses import dataclass
 
 from .boundary import EXIT, YES
 from .classify import lambda_sets
-from .errors import DomainError, NotSymmetrizableError
+from .errors import DomainError, EvalError, NotSymmetrizableError, QuadratureError
 from .expr import evaluate, parse_expr
 from .graph import build_graph, ext
 from .hunt import check_hunt, lambda_ap
 from .model import LEFT_SHUNT, RIGHT_SHUNT, TRAP, TRAP_SEGMENT, DiffusionSpec
-from .quadrature import FINITE, INFINITE, UNDETERMINED, improper_integral
+from .quadrature import FINITE, INFINITE, UNDETERMINED, span_integral
 from .sets import RealSet
 
 __all__ = ["lambda_ap", "lambda_at", "Component", "MeasureEntry", "Measure",
            "SymmetryReport", "check_symmetrizable", "canonical_measure",
            "measure_family", "family_member"]
-
-_MASS_TOL = 1e-8  # rel_tol of interval masses
 
 
 def _lambda_at(graph) -> tuple:
@@ -121,7 +119,10 @@ class Measure:
 
         Declared endpoint-mass hints short-circuit: touching an endpoint
         whose nearby mass is declared infinite makes the answer
-        infinite without any quadrature.
+        infinite without any quadrature.  Each entry's part of [a, b] is
+        one ``span_integral``, improper only at the entry's own
+        endpoints: a cut strictly inside an entry is one adaptive cell.
+        A cell that misses its tolerance makes the mass undetermined.
         """
         if b < a:
             raise DomainError("interval_mass needs a <= b")
@@ -139,15 +140,17 @@ class Measure:
                 return INFINITE, math.inf
             if hi == e.hi and math.isfinite(e.hi) and e.hint_hi == "infinite":
                 return INFINITE, math.inf
-            fn = (lambda y, ee=e: ee.weight * evaluate(ee.density, y))
-            mid = 0.5 * (lo + hi)
-            for anchor, endpoint in ((mid, lo), (mid, hi)):
-                res = improper_integral(fn, anchor, endpoint, rel_tol=_MASS_TOL)
-                if res.verdict == INFINITE:
-                    return INFINITE, math.inf
-                if res.verdict == UNDETERMINED:
-                    return UNDETERMINED, math.nan
-                total += abs(res.value)
+            try:
+                res = span_integral(
+                    lambda y, ee=e: ee.weight * evaluate(ee.density, y),
+                    lo, hi, lo == e.lo, hi == e.hi)
+            except (QuadratureError, EvalError):
+                return UNDETERMINED, math.nan
+            if res.verdict == INFINITE:
+                return INFINITE, math.inf
+            if res.verdict == UNDETERMINED:
+                return UNDETERMINED, math.nan
+            total += abs(res.value)
         return FINITE, total
 
 

@@ -1,7 +1,7 @@
 """Command line interface: exit codes, report shapes, determinism."""
 
 import json
-import os
+from pathlib import Path
 
 import pytest
 
@@ -195,10 +195,15 @@ SPEC_COMMANDS = ("validate", "classify", "check-hunt", "check-symmetry",
     (["simulate", "--example", "bm", *SIM, "--window", "0,0.5,1",
       "--x0", "0.3"], 3),
     (["check-hunt", "--example", "bm", "--out", "{tmp}/missing/r.json"], 1),
+    (["measure", "--example", "split-bm", "--coefficients", "3,x"], 3),
+    (["measure", "--example", "split-bm", "--coefficients", "3"], 1),
+    (["simulate", "--example", "bm", *SIM, "--x0", "0.3", "--n-rep", "-3"], 3),
+    (["simulate", "--example", "bm", *SIM, "--x0", "0.3", "--n-rep", "0"], 3),
 ])
 def test_gates_and_usage_errors(tmp_path, capsys, argv, code):
     """An invalid spec gets only its validation report, exit 1; a usage
-    error (exit 3) or an unwritable --out (exit 1) writes no report."""
+    error (exit 3), a refused request or an unwritable --out (exit 1)
+    writes no report."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(BAD_DOC))
     out = tmp_path / "r.json"
@@ -232,7 +237,7 @@ def test_example_listing_and_round_trip(tmp_path, capsys):
     assert code == 0 and rep["validation"]["ok"]
 
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_NAMES = ("bm", "drift", "bessel-glue", "exa1", "exa2")
 
 
@@ -240,7 +245,7 @@ GOLDEN_NAMES = ("bm", "drift", "bessel-glue", "exa1", "exa2")
 def test_check_hunt_matches_golden_report(tmp_path, name):
     out = tmp_path / "r.json"
     main(["check-hunt", "--example", name, "--out", str(out)])
-    golden = open(os.path.join(GOLDEN_DIR, f"hunt_{name}.json"), "rb").read()
+    golden = (GOLDEN_DIR / f"hunt_{name}.json").read_bytes()
     assert out.read_bytes() == golden
 
 
@@ -248,8 +253,7 @@ def test_check_hunt_matches_golden_report(tmp_path, name):
 def test_check_symmetry_matches_golden_report(tmp_path, name):
     out = tmp_path / "r.json"
     main(["check-symmetry", "--example", name, "--out", str(out)])
-    golden = open(os.path.join(GOLDEN_DIR,
-                               f"symmetry_{name}.json"), "rb").read()
+    golden = (GOLDEN_DIR / f"symmetry_{name}.json").read_bytes()
     assert out.read_bytes() == golden
 
 

@@ -123,6 +123,16 @@ def test_regular_form_on_radon_and_non_radon_measures():
     assert not rep.ok
 
 
+def test_bm_window_masses_are_exact():
+    """Density 2 on the whole line: [-k, k] has mass 4k.  Each window is
+    one adaptive cell, so no shell tail is left over."""
+    rep = dl.check_regular_form(get_example('bm'))
+    assert [k for k, _, _ in rep.windows] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    for k, verdict, mass in rep.windows:
+        assert verdict == "finite"
+        assert mass == pytest.approx(4.0 * k, rel=1e-12)
+
+
 def test_adaptedness_of_builtin_components(reflect_glue_doc):
     assert dl.check_adapted(get_example('bm')).ok
     assert dl.check_adapted(get_example('split-bm')).ok

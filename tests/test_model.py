@@ -153,3 +153,25 @@ def test_speed_mass_reports_failures_and_infinite_ends():
                        "speed": {"density": "2 + sin(1e9 * x)"}}]).pieces[0]
     with pytest.raises(QuadratureError):
         eval_speed_mass(wild, 1.0, 2.0)
+
+
+def _positive_half_line(density):
+    """The regular piece (0, inf) with scale x and the given density."""
+    return spec_from([
+        {"kind": "regular_interval", "a": "-inf", "b": "0", "scale": "x",
+         "speed": {"density": "1"}},
+        {"kind": "singular_point", "x": 0, "class": "trap"},
+        {"kind": "regular_interval", "a": "0", "b": "inf", "scale": "x",
+         "speed": {"density": density}}]).pieces[2]
+
+
+def test_speed_mass_runs_shells_toward_piece_endpoints():
+    """A piece endpoint is an improper end: 1/x diverges toward 0 on
+    both (0, 1) and (0, inf), and x^-0.5 integrates to 2 on (0, 1) up
+    to the shell policy's tail."""
+    inv = _positive_half_line("1/x")
+    assert eval_speed_mass(inv, 0.0, 1.0) == math.inf
+    assert eval_speed_mass(inv, 0.0, math.inf) == math.inf
+    assert eval_speed_mass(inv, 1.0, 2.0) == pytest.approx(math.log(2.0), rel=1e-12)
+    root = _positive_half_line("x^(-0.5)")
+    assert eval_speed_mass(root, 0.0, 1.0) == pytest.approx(2.0, rel=5e-8)

@@ -107,6 +107,27 @@ def test_measure_family_scales_components_independently():
     assert right == pytest.approx(10.0, rel=1e-7)
 
 
+def test_window_cut_inside_an_entry_is_one_cell(monkeypatch):
+    """Cuts strictly inside an entry are not singular: the mass of
+    [-1, 1] under bm's measure is one adaptive cell and no shells."""
+    from shuntline import quadrature
+
+    calls = {"cell_quad": 0, "improper_integral": 0}
+    for name in calls:
+        real = getattr(quadrature, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, name, counted)
+    m = canonical_measure(get_example('bm'))
+    calls.update(cell_quad=0, improper_integral=0)
+    verdict, value = m.interval_mass(-1.0, 1.0)
+    assert (verdict, value) == ("finite", pytest.approx(4.0, rel=1e-12))
+    assert calls == {"cell_quad": 1, "improper_integral": 0}
+
+
 def test_measure_family_rejects_bad_coefficients():
     spec = get_example('split-bm')
     with pytest.raises(DomainError):
