@@ -44,6 +44,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import EvalError, UndeterminedVerdict
 from .expr import evaluate
 from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, TRAP, DiffusionSpec,
@@ -67,15 +69,39 @@ NATURAL = "natural"
 GLUE_TO_NEIGHBOR = "glue_to_neighbor"
 
 _LIMIT_CAP = 1e12
+_FIRST_CHUNK = 16  # probes in scale_limit's first array call
+# probe k = 1 ... 419 sits at fraction 1 - 2^-k of the way to a finite
+# endpoint, or 2^k - 1 beyond the anchor toward an infinite one
+_TO_FINITE = np.array([1.0 - 2.0 ** (-k) for k in range(1, 420)])
+_TO_INFINITE = np.array([2.0 ** k - 1.0 for k in range(1, 420)])
+
+
+def _probe_values(scale, xs):
+    """evaluate(scale, x) for each x of xs, as floats, one array call per
+    chunk of 16, 32, 64, ... probes.  A chunk that raises is redone one
+    probe at a time, so an error names the first probe that raises it."""
+    start, size = 0, _FIRST_CHUNK
+    while start < len(xs):
+        chunk = xs[start:start + size]
+        try:
+            values = evaluate(scale, chunk).tolist()
+        except EvalError:
+            values = (evaluate(scale, x) for x in chunk.tolist())
+        yield from values
+        start, size = start + size, 2 * size
 
 
 def scale_limit(piece: Piece, side: str) -> float:
     """Limit of the scale at endpoint 'a' or 'b' of a regular piece.
 
     Probes a geometric sequence toward the endpoint.  Declared +-inf
-    when values pass 1e12 while still strictly monotone, or when the
-    increments of the (monotone) sequence stop shrinking, which covers
-    logarithmic growth that never reaches the cap.
+    when a value is infinite, when values pass 1e12 while still strictly
+    monotone, or when the increments of the (monotone) sequence stop
+    shrinking, which covers logarithmic growth that never reaches the
+    cap.  The probes are evaluated as arrays, in chunks of doubling size;
+    the rules read the values one by one, and a chunk whose evaluation
+    raises is redone one probe at a time, so the limit returned and the
+    error raised are those of one scalar evaluation per probe.
     """
     if piece.kind != REGULAR:
         raise EvalError("scale limits are defined for regular pieces")
@@ -84,24 +110,22 @@ def scale_limit(piece: Piece, side: str) -> float:
     if math.isfinite(e):
         width = min(1.0, (b - a) / 2 if math.isfinite(b - a) else 1.0)
         anchor = e + width if side == "a" else e - width
-        xs = (anchor + (e - anchor) * (1.0 - 2.0 ** (-k)) for k in range(1, 420))
+        xs = anchor + (e - anchor) * _TO_FINITE
     else:
         anchor = a + 1.0 if side == "b" and math.isfinite(a) else \
             b - 1.0 if side == "a" and math.isfinite(b) else 0.0
         sign = 1.0 if side == "b" else -1.0
-        xs = (anchor + sign * (2.0 ** k - 1.0) for k in range(1, 420))
+        xs = anchor + sign * _TO_INFINITE
     sign_to_end = 1.0 if side == "b" else -1.0
-    vals = []
-    prev_step = None
+    prev = prev_step = None
     stall = 0
-    for x in xs:
-        v = evaluate(piece.scale, float(x))
+    for v in _probe_values(piece.scale, xs):
         if math.isinf(v):
             return math.copysign(math.inf, sign_to_end)
-        vals.append(v)
-        if len(vals) < 2:
+        if prev is None:
+            prev = v
             continue
-        step = vals[-1] - vals[-2]
+        step = v - prev
         if step * sign_to_end < 0:
             raise EvalError(f"scale oscillates toward endpoint {side} = {e}")
         if abs(v) > _LIMIT_CAP:
@@ -114,7 +138,7 @@ def scale_limit(piece: Piece, side: str) -> float:
                 return math.copysign(math.inf, sign_to_end)
         else:
             stall = 0
-        prev_step = step
+        prev, prev_step = v, step
     raise EvalError(f"scale limit did not settle at endpoint {side} = {e}")
 
 
@@ -252,15 +276,26 @@ def boundary_profile(spec: DiffusionSpec, rel_tol: float = 1e-6):
     (piece_index, side).
 
     Cached on (spec, float(rel_tol)), so a call that leaves rel_tol at
-    its default and one that passes the same value share one entry.
+    its default and one that passes the same value share one entry.  A
+    refusal is cached too: every call on a spec whose profile raised
+    UndeterminedVerdict raises one with the same message, without
+    redoing the quadrature.
     """
-    return _profile(spec, float(rel_tol))
+    out = _profile(spec, float(rel_tol))
+    if isinstance(out, UndeterminedVerdict):
+        raise type(out)(*out.args)
+    return out
 
 
 @lru_cache(maxsize=128)
 def _profile(spec: DiffusionSpec, rel_tol: float):
+    """The profile, or the UndeterminedVerdict that refused it, kept
+    without its traceback."""
     out = {}
-    for i in spec.regular_indices():
-        for side in ("a", "b"):
-            out[(i, side)] = endpoint_role(spec, i, side, rel_tol=rel_tol)
+    try:
+        for i in spec.regular_indices():
+            for side in ("a", "b"):
+                out[(i, side)] = endpoint_role(spec, i, side, rel_tol=rel_tol)
+    except UndeterminedVerdict as exc:
+        return exc.with_traceback(None)
     return out

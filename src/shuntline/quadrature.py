@@ -36,6 +36,15 @@ value, a declared divergence and an honest "undetermined":
   cancellation against a truncated limit constant) and any further
   arithmetic would launder noise into a verdict.
 
+The integrand is called once per block of 16 shells, on the first-round
+nodes of all of them.  Each shell's first round is summed on its own row
+when the policy reaches it, and only a shell that misses its tolerance
+there goes on to ``cell_quad``'s bisection rounds, one call each.  The
+policy therefore sees the same shell values, and stops at the same shell
+with the same note, as with one ``cell_quad`` per shell.  A block on
+which the integrand raises is redone one ``cell_quad`` per shell, so the
+error is reported at the first shell that raises it.
+
 ``span_integral`` is the one way a density is integrated over an
 interval: shells only toward an infinite end or one its caller flags (a
 piece endpoint), one adaptive cell everywhere else, all to ``MASS_TOL``.
@@ -64,6 +73,7 @@ GROWTH_RUNS = 8
 GROWTH_FLOOR = 1e6
 STALL_RATIO = 0.9999
 MAX_SHELLS = 160
+_BLOCK = 16  # dyadic shells per integrand call of improper_integral
 MASS_TOL = 1e-8  # rel_tol of every span_integral
 
 
@@ -109,18 +119,24 @@ LIMIT = 200
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
-def _gk21(fn, lo, hi):
-    """GK21 integrals, error estimates and integrals of |fn| on the
-    intervals [lo, hi], from one call of fn on all their nodes.
+def _gk21_nodes(lo, hi):
+    """Half-widths of the intervals [lo, hi] and their 21 nodes, one row
+    per interval."""
+    half = 0.5 * (hi - lo)
+    return half, (0.5 * (lo + hi))[:, None] + half[:, None] * KRONROD_NODES
+
+
+def _gk21_sums(f, half):
+    """GK21 integrals, error estimates and integrals of |fn| from the
+    values f of fn at the nodes, one row per interval.
 
     The error is QUADPACK's: the Kronrod-Gauss difference e becomes
     asc * min(1, (200 e / asc)^1.5), asc the integral of |fn - mean|,
     floored at 50 eps times the integral of |fn|.  Where asc vanishes the
-    floor alone decides.  Run under np.errstate (cell_quad does).
+    floor alone decides.  A row's sums depend on how many rows f has (the
+    matrix products are not row-stable), so a shell of a block is summed
+    on its own row.  Run under np.errstate (cell_quad does).
     """
-    half = 0.5 * (hi - lo)
-    pts = (0.5 * (lo + hi))[:, None] + half[:, None] * KRONROD_NODES
-    f = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
     k_g = f @ _KG
     res_k = k_g[:, 0]
     res_abs = np.abs(f) @ KRONROD_WEIGHTS
@@ -129,6 +145,18 @@ def _gk21(fn, lo, hi):
     scale = np.abs(half)
     err = np.maximum(res_asc * ratio ** 1.5, _ROUNDOFF * res_abs) * scale
     return res_k * half, err, res_abs * scale
+
+
+def _fn_at(fn, pts):
+    """fn on the flattened nodes, shaped like them."""
+    return np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+
+
+def _gk21(fn, lo, hi):
+    """``_gk21_sums`` on the intervals [lo, hi], from one call of fn on
+    all their nodes."""
+    half, pts = _gk21_nodes(lo, hi)
+    return _gk21_sums(_fn_at(fn, pts), half)
 
 
 def cell_quad(fn, a, b, rel_tol=1e-8):
@@ -142,39 +170,46 @@ def cell_quad(fn, a, b, rel_tol=1e-8):
     if the summed error estimate is still above the tolerance with
     LIMIT intervals in use.
     """
+    with np.errstate(all="ignore"):
+        first = _gk21(fn, np.array([float(a)]), np.array([float(b)]))
+        return _bisect(fn, a, b, first, rel_tol)
+
+
+def _bisect(fn, a, b, first, rel_tol):
+    """cell_quad's rounds on [a, b], from the sums (val, err, mag) of its
+    first round.  Run under np.errstate."""
     lo = np.array([float(a)])
     hi = np.array([float(b)])
-    with np.errstate(all="ignore"):
-        val, err, mag = _gk21(fn, lo, hi)
-        while True:
-            total = val.sum()
-            if not math.isfinite(total):
-                return float(total)
-            tol = max(rel_tol * abs(total), _ROUNDOFF * mag.sum())
-            err_sum = err.sum()
-            if err_sum <= tol:
-                return float(total)
-            room = LIMIT - len(lo)
-            if room <= 0:
-                raise QuadratureError(
-                    f"cell [{a!r}, {b!r}]: estimated error {err_sum:.3g} above "
-                    f"rel_tol {rel_tol:g} of {total:.6g} with {LIMIT} subintervals")
-            # bisect the fewest largest-error intervals that leave at most
-            # half the allowed error behind
-            order = np.argsort(err)[::-1]
-            left_over = err_sum - np.cumsum(err[order])
-            n_split = min(int(np.searchsorted(-left_over, -0.5 * tol)) + 1,
-                          room, len(lo))
-            split, keep = order[:n_split], order[n_split:]
-            mid = 0.5 * (lo[split] + hi[split])
-            new_lo = np.concatenate([lo[split], mid])
-            new_hi = np.concatenate([mid, hi[split]])
-            new_val, new_err, new_mag = _gk21(fn, new_lo, new_hi)
-            lo = np.concatenate([lo[keep], new_lo])
-            hi = np.concatenate([hi[keep], new_hi])
-            val = np.concatenate([val[keep], new_val])
-            err = np.concatenate([err[keep], new_err])
-            mag = np.concatenate([mag[keep], new_mag])
+    val, err, mag = first
+    while True:
+        total = val.sum()
+        if not math.isfinite(total):
+            return float(total)
+        tol = max(rel_tol * abs(total), _ROUNDOFF * mag.sum())
+        err_sum = err.sum()
+        if err_sum <= tol:
+            return float(total)
+        room = LIMIT - len(lo)
+        if room <= 0:
+            raise QuadratureError(
+                f"cell [{a!r}, {b!r}]: estimated error {err_sum:.3g} above "
+                f"rel_tol {rel_tol:g} of {total:.6g} with {LIMIT} subintervals")
+        # bisect the fewest largest-error intervals that leave at most
+        # half the allowed error behind
+        order = np.argsort(err)[::-1]
+        left_over = err_sum - np.cumsum(err[order])
+        n_split = min(int(np.searchsorted(-left_over, -0.5 * tol)) + 1,
+                      room, len(lo))
+        split, keep = order[:n_split], order[n_split:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err, new_mag = _gk21(fn, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+        mag = np.concatenate([mag[keep], new_mag])
 
 
 def _shell_edges(anchor, endpoint, k):
@@ -188,6 +223,47 @@ def _shell_edges(anchor, endpoint, k):
     near = endpoint - width * 2.0 ** (-k - 1)
     far = endpoint - width * 2.0 ** (-k)
     return (far, near) if width > 0 else (near, far)
+
+
+def _shell_values(fn, anchor, endpoint, rel_tol):
+    """cell_quad(fn, lo, hi, rel_tol) on dyadic shells 0, 1, ... toward
+    the endpoint, or the exception it raised, up to MAX_SHELLS; stops
+    early at the first shell too narrow for float resolution.
+
+    Each block of _BLOCK shells costs one call of fn on all their first
+    rounds, made before the block's first shell is yielded; the sums of a
+    shell are taken when it is reached.  A block on which fn raises is
+    redone one cell_quad per shell.
+    """
+    for start in range(0, MAX_SHELLS, _BLOCK):
+        edges = []
+        for k in range(start, min(start + _BLOCK, MAX_SHELLS)):
+            lo, hi = _shell_edges(anchor, endpoint, k)
+            if not (lo < hi) or lo == hi:
+                break
+            edges.append((lo, hi))
+        if edges:
+            half, pts = _gk21_nodes(*np.array(edges).T)
+            try:
+                with np.errstate(all="ignore"):
+                    f = _fn_at(fn, pts)
+            except Exception:
+                f = None
+        for i, (lo, hi) in enumerate(edges):
+            try:
+                if f is None:
+                    value = cell_quad(fn, lo, hi, rel_tol)
+                else:
+                    with np.errstate(all="ignore"):
+                        # a copy, so the row is laid out as fn's own
+                        # output for a lone cell would be
+                        first = _gk21_sums(f[i:i + 1].copy(), half[i:i + 1])
+                        value = _bisect(fn, lo, hi, first, rel_tol)
+            except Exception as exc:  # quad failure counts as undetermined
+                value = exc
+            yield value
+        if len(edges) < _BLOCK:
+            return
 
 
 def improper_integral(fn, anchor, endpoint, rel_tol=1e-6) -> IntegralResult:
@@ -206,17 +282,16 @@ def improper_integral(fn, anchor, endpoint, rel_tol=1e-6) -> IntegralResult:
     lead_sign = 0.0
     peak = 0.0
     decayed = False
+    shells = _shell_values(fn, anchor, endpoint, min(rel_tol, 1e-8))
     for k in range(MAX_SHELLS):
-        lo, hi = _shell_edges(anchor, endpoint, k)
-        if not (lo < hi) or lo == hi:
+        contrib = next(shells, None)
+        if contrib is None:
             # shell width fell below float resolution
             if prev_contrib is not None and abs(prev_contrib) <= rel_tol * max(abs(total), 1e-300):
                 return IntegralResult(FINITE, total, k, "width underflow, tail negligible")
             return IntegralResult(UNDETERMINED, total, k, "shell width underflow")
-        try:
-            contrib = cell_quad(fn, lo, hi, rel_tol=min(rel_tol, 1e-8))
-        except Exception as exc:  # quad failure counts as undetermined
-            return IntegralResult(UNDETERMINED, total, k, f"quadrature failure: {exc}")
+        if isinstance(contrib, Exception):
+            return IntegralResult(UNDETERMINED, total, k, f"quadrature failure: {contrib}")
         if not math.isfinite(contrib):
             return IntegralResult(INFINITE, math.inf, k, "non-finite shell")
         total += contrib

@@ -630,6 +630,11 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
             "status": status, "hit": hit}
 
 
+def _check_n_rep(n_rep):
+    if n_rep < 1:
+        raise DomainError(f"n_rep must be at least 1, got {n_rep}")
+
+
 def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
         seed: int = 0, n_jobs: int = 1, mode: str = MODE_FULL,
         exponential_holding: bool = False, target=None, starts=None) -> dict:
@@ -640,7 +645,7 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
     must be at least 1 and changes neither the numbers nor the threads
     used; it stays because the CLI's ``--jobs`` and the benchmark pass it.
     ``starts``, one node index per replication, replaces ``x0`` and
-    ``n_rep``.
+    ``n_rep``; without it ``n_rep`` must be at least 1.
 
     A replication ends when it reaches the target (status alive, hit
     set, the hitting time kept), a terminal node, or the horizon t_max
@@ -657,6 +662,7 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
     if starts is None:
         if x0 is None:
             raise DomainError("provide x0 or starts")
+        _check_n_rep(n_rep)
         starts = np.full(n_rep, chain.node_at(float(x0)), dtype=np.int64)
     else:
         starts = np.asarray(starts)
@@ -707,8 +713,6 @@ def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
 
 def _wilson(hits: int, n: int):
     z = _Z95
-    if n == 0:
-        return 0.0, 0.0, 1.0
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -720,7 +724,8 @@ def estimate_hitting(chain: ChainModel, x0: float, target: float,
                      t_max: float, n_rep: int, seed: int = 0,
                      n_jobs: int = 1, mode: str = MODE_KILLED,
                      exponential_holding: bool = False) -> dict:
-    """Probability of visiting the target position before the horizon."""
+    """Probability of visiting the target position before the horizon,
+    from n_rep >= 1 replications."""
     res = run(chain, x0=x0, t_max=t_max, n_rep=n_rep, seed=seed,
               n_jobs=n_jobs, mode=mode,
               exponential_holding=exponential_holding, target=target)
@@ -778,8 +783,9 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     proportionally to the weights; each replication contributes
     W (f(X_0) g(X_t) - f(X_t) g(X_0)) with W the total weight, evaluated
     on a single common path.
-    Functions count as zero after killing.
+    Functions count as zero after killing.  ``n_rep`` must be at least 1.
     """
+    _check_n_rep(n_rep)
     if weights is None:
         w = chain.node_mass.copy()
     elif isinstance(weights, str) and weights == "lebesgue":
@@ -814,7 +820,7 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     d = total * (f0 * gT - fT * g0)
     mean = float(np.mean(d))
     sd = float(np.std(d, ddof=1)) if n_rep > 1 else 0.0
-    half = _Z95 * sd / math.sqrt(n_rep) if n_rep else 0.0
+    half = _Z95 * sd / math.sqrt(n_rep)
     return {"mean": mean, "sd": sd, "ci_low": mean - half,
             "ci_high": mean + half, "n_rep": n_rep, "total_weight": total,
             "t_max": t_max, "seed": seed, "mode": mode}

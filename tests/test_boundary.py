@@ -2,13 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from shuntline import UndeterminedVerdict, get_example, parse_spec
 from shuntline.boundary import (approachable, boundary_profile, endpoint_role,
                                 scale_limit)
-from shuntline.model import eval_scale
+from shuntline.errors import EvalError
+from shuntline.expr import parse_expr
+from shuntline.model import REGULAR, Piece, eval_scale
 
 from conftest import spec_from
 
@@ -190,3 +193,100 @@ def test_endpoint_role_probes_each_scale_limit_once(monkeypatch):
                 ana = endpoint_role(spec, i, side)
                 assert calls == [side]
                 assert ana.scale_limit == real(spec.pieces[i], side)
+
+
+def _regular(a, b, scale):
+    return Piece(REGULAR, a=a, b=b, scale_src=scale, scale=parse_expr(scale))
+
+
+def _limit_or_error(piece, side):
+    try:
+        return scale_limit(piece, side)
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+SCALE_CASES = {
+    # settles near probe 30; the probes from 44 on give ln of a negative
+    # number, inside the same array chunk
+    "nan-beyond-settling": ((0.0, 1.0, "x + 0 * ln(1 - 1e-13 - x)"), "b", 1.0),
+    "oscillation": ((0.0, 1.0, "x + 0.1 * x * sin(1 / (1 - x))"), "b",
+                    "EvalError: scale oscillates toward endpoint b = 1.0"),
+    "nan-at-first-probe": ((0.0, 1.0, "ln(x - 0.75)"), "a",
+                           "EvalError: expression undefined at x = 0.25"),
+    "cap": ((-math.inf, math.inf, "x^3 + x"), "a", -math.inf),
+    "log-stall": ((0.0, math.inf, "ln(x)"), "b", math.inf),
+    "infinite-value": ((0.0, 1.0, "0 - 1 / x^400"), "a", -math.inf),
+    "settles": ((0.0, math.inf, "0 - 1 / x"), "b", 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_CASES))
+def test_array_probes_match_scalar_probes(name, monkeypatch):
+    """The probes are evaluated in array chunks; the limit, or the error,
+    is the one of a scalar evaluation per probe, read from the same
+    stopping rules."""
+    from shuntline import boundary
+    (a, b, scale), side, want = SCALE_CASES[name]
+    piece = _regular(a, b, scale)
+    got = _limit_or_error(piece, side)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, abs=1e-8)
+
+    array_eval = boundary.evaluate
+
+    def scalar_only(e, x):
+        if isinstance(x, np.ndarray):
+            raise EvalError("arrays refused")
+        return array_eval(e, x)
+
+    monkeypatch.setattr(boundary, "evaluate", scalar_only)
+    scalar = _limit_or_error(piece, side)
+    assert type(scalar) is type(got)
+    assert (scalar.hex() == got.hex() if isinstance(got, float)
+            else scalar == got)
+
+
+def test_a_chunk_that_raises_falls_back_to_scalar_probes(monkeypatch):
+    from shuntline import boundary
+    piece = _regular(0.0, 1.0, "x + 0 * ln(1 - 1e-13 - x)")
+    calls = []
+    array_eval = boundary.evaluate
+
+    def counted(e, x):
+        calls.append(np.size(x))
+        return array_eval(e, x)
+
+    monkeypatch.setattr(boundary, "evaluate", counted)
+    assert scale_limit(piece, "b") == pytest.approx(1.0, abs=1e-8)
+    # the first chunk of 16 probes, the failed second chunk of 32, then
+    # that chunk's probes one by one until the limit settles
+    assert calls[:2] == [16, 32]
+    assert set(calls[2:]) == {1} and len(calls) < 2 + 32
+
+
+def test_refused_profile_is_cached(borderline_doc, monkeypatch):
+    """A refusal is memoized like a profile: the second call raises the
+    same message without any quadrature."""
+    from shuntline import boundary
+    calls = []
+    integrate = boundary.improper_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "improper_integral", counted)
+    # a name no other test uses, so no refusal is cached for it yet
+    spec = parse_spec(dict(borderline_doc, name="borderline-memo"))
+    with pytest.raises(UndeterminedVerdict) as first:
+        boundary_profile(spec)
+    assert calls
+    calls.clear()
+    with pytest.raises(UndeterminedVerdict) as second:
+        boundary_profile(spec)
+    assert calls == []
+    assert str(second.value) == str(first.value)
+    assert "hints" in str(second.value)

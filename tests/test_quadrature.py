@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from shuntline import QuadratureError
+from shuntline import EvalError, QuadratureError
 from shuntline.dirichlet import Profile
 from shuntline.quadrature import (FINITE, GAUSS_WEIGHTS, INFINITE,
                                   KRONROD_NODES, KRONROD_WEIGHTS, LIMIT,
@@ -191,3 +191,93 @@ def test_verdicts_workload_emits_no_warning():
     assert tally.attempted >= workloads.MIN_VERDICT_OPS
     assert tally.failed == 0
     assert tally.undetermined == len(tally.rates) * gen.POOL_BORDERLINE
+
+
+def _raises_beyond(limit):
+    def fn(xs):
+        if np.any(xs > limit):
+            raise EvalError(f"expression undefined at x = {limit!r}")
+        return xs ** -2.0
+    return fn
+
+
+# (fn, anchor, endpoint, rel_tol, verdict, note start)
+SHELL_CASES = {
+    "first-round": (lambda xs: xs ** -2.0, 1.0, math.inf, 1e-6, FINITE, ""),
+    "first-round-finite-end": (lambda xs: xs ** -0.5, 1.0, 0.0, 1e-8,
+                               FINITE, ""),
+    # the jump at 5.3 sits inside shell 2, [3, 7]
+    "bisection": (lambda xs: np.where(xs < 5.3, 1.0, 2.0) / xs ** 3, 1.0,
+                  math.inf, 1e-6, FINITE, ""),
+    # the center node of shell 2 is 5
+    "non-finite": (lambda xs: 1.0 / (xs - 5.0) ** 2, 1.0, math.inf, 1e-6,
+                   INFINITE, "non-finite shell"),
+    # converges near shell 20; the first block past it raises
+    "raises-past-the-stop": (_raises_beyond(2.0 ** 23), 1.0, math.inf, 1e-6,
+                             FINITE, ""),
+    "raises-on-a-reached-shell": (_raises_beyond(100.0), 1.0, math.inf, 1e-6,
+                                  UNDETERMINED, "quadrature failure: "),
+    "late-sign-flip": (lambda xs: np.where(xs > 4000.0, -1.0 / xs,
+                                           xs ** -1.5),
+                       1.0, math.inf, 1e-6, UNDETERMINED,
+                       "endpoint resolution exhausted"),
+    # shells shrink by 0.95 each: no rule fires within MAX_SHELLS
+    "geometric-tail": (lambda xs: xs ** (math.log2(0.95) - 1.0), 1.0,
+                       math.inf, 1e-6, FINITE, "geometric tail estimate"),
+    # twelve shells of width 2^-41, 2^-42, ... reach the resolution of 1.0
+    "width-underflow": (lambda xs: np.ones_like(xs), 1.0, 1.0 + 2.0 ** -40,
+                        1e-6, UNDETERMINED, "shell width underflow"),
+    "non-decaying": (lambda xs: xs, 1.0, math.inf, 1e-6, INFINITE,
+                     "non-decaying shells"),
+    "cap": (lambda xs: np.exp(xs), 1.0, math.inf, 1e-6, INFINITE,
+            "cap exceeded"),
+}
+
+
+def _as_bits(res):
+    return res.verdict, res.value.hex(), res.shells, res.note
+
+
+@pytest.mark.parametrize("name", sorted(SHELL_CASES))
+def test_blocked_shells_match_one_shell_per_call(name, monkeypatch):
+    """Blocks change which integrand calls are made, never the numbers the
+    stopping policy sees: verdict, value bits, shells and note are those
+    of one cell_quad per shell."""
+    from shuntline import quadrature
+    fn, anchor, endpoint, rel_tol, verdict, note = SHELL_CASES[name]
+    blocked = improper_integral(fn, anchor, endpoint, rel_tol)
+    assert blocked.verdict == verdict
+    assert blocked.note.startswith(note)
+    monkeypatch.setattr(quadrature, "_BLOCK", 1)
+    single = improper_integral(fn, anchor, endpoint, rel_tol)
+    assert _as_bits(blocked) == _as_bits(single)
+
+
+@pytest.mark.parametrize("name, refined", [("first-round", False),
+                                           ("bisection", True),
+                                           ("geometric-tail", False)])
+def test_one_integrand_call_per_block(name, refined, monkeypatch):
+    """At most one call per block of shells, plus the bisection rounds of
+    the shells that miss their tolerance in the first round."""
+    from shuntline import quadrature
+    fn, anchor, endpoint, rel_tol, _, _ = SHELL_CASES[name]
+
+    def calls_of(block):
+        sizes = []
+
+        def counted(xs):
+            sizes.append(xs.size)
+            return fn(xs)
+
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        improper_integral(counted, anchor, endpoint, rel_tol)
+        return sizes
+
+    single = calls_of(1)
+    # one 21-node first round per shell reached; bisection rounds have an
+    # even number of intervals
+    shells = single.count(21)
+    refined_rounds = len(single) - shells
+    batched = calls_of(quadrature._BLOCK)
+    assert len(batched) <= math.ceil(shells / quadrature._BLOCK) + refined_rounds
+    assert (refined_rounds > 0) == refined

@@ -250,6 +250,21 @@ def test_jobs_below_one_are_refused():
             estimate_hitting(ch, 0.3, 1.0, 1.0, 8, n_jobs=n_jobs)
 
 
+def test_replications_below_one_are_refused():
+    # no estimate, interval or nan from zero replications, and no bare
+    # numpy error from a negative count
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    for n_rep in (0, -3):
+        with pytest.raises(DomainError, match="n_rep must be at least 1"):
+            run(ch, x0=0.3, t_max=0.4, n_rep=n_rep)
+        with pytest.raises(DomainError, match="n_rep must be at least 1"):
+            estimate_hitting(ch, 0.3, 1.0, 1.0, n_rep)
+        with pytest.raises(DomainError, match="n_rep must be at least 1"):
+            estimate_symmetry_defect(ch, lambda x: x, lambda x: 1.0, 0.4,
+                                     n_rep)
+    assert run(ch, x0=0.3, t_max=0.4, n_rep=1)["hit"].shape == (1,)
+
+
 def test_part_process_holds_at_traps_inside_the_window():
     """The part process is killed only on leaving the window, so a trap
     inside it holds the path to the horizon, as in the full process."""
