@@ -326,7 +326,7 @@ def evaluate(e: Expr, x):
             out = np.broadcast_to(out, x.shape).copy()
         bad = np.isnan(out)
         if bad.any():
-            where = np.asarray(x, dtype=float)[bad].flat[0]
+            where = float(np.asarray(x, dtype=float)[bad].flat[0])
             raise EvalError(f"expression undefined at x = {where!r}")
         return out
     out = float(out)

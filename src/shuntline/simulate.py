@@ -111,7 +111,6 @@ class ChainModel:
     nbr_right: np.ndarray
     det_target: np.ndarray
     node_mass: np.ndarray  # speed-measure mass attributed to each node
-    piece_of: np.ndarray
     warnings: tuple = ()
 
     @property
@@ -149,27 +148,23 @@ class ChainModel:
 def _invert_scale(piece, u_targets, x_lo, x_hi):
     """Positions with scale values u_targets, via vectorized bisection."""
     u_targets = np.asarray(u_targets, dtype=np.float64)
-    lo = np.full(u_targets.shape, x_lo, dtype=np.float64)
-    hi = np.full(u_targets.shape, x_hi, dtype=np.float64)
-    # grow infinite brackets until the scale value is straddled
-    if math.isinf(x_lo):
-        probe = (x_hi if math.isfinite(x_hi) else 0.0) - 1.0
+    bracket = [x_lo, x_hi]
+    # grow an infinite bracket end until the scale value is straddled
+    for k, sign, word in ((0, -1.0, "-inf"), (1, 1.0, "+inf")):
+        if math.isfinite(bracket[k]):
+            continue
+        other = (x_lo, x_hi)[1 - k]
+        goal = sign * (u_targets.max() if k else u_targets.min())
+        probe = (other if math.isfinite(other) else 0.0) + sign
         for _ in range(200):
-            if float(evaluate(piece.scale, probe)) <= u_targets.min():
+            if sign * float(evaluate(piece.scale, probe)) >= goal:
                 break
-            probe -= max(1.0, abs(probe))
+            probe += sign * max(1.0, abs(probe))
         else:
-            raise ChainBuildError("cannot bracket scale inversion toward -inf")
-        lo[:] = probe
-    if math.isinf(x_hi):
-        probe = (x_lo if math.isfinite(x_lo) else 0.0) + 1.0
-        for _ in range(200):
-            if float(evaluate(piece.scale, probe)) >= u_targets.max():
-                break
-            probe += max(1.0, abs(probe))
-        else:
-            raise ChainBuildError("cannot bracket scale inversion toward +inf")
-        hi[:] = probe
+            raise ChainBuildError(f"cannot bracket scale inversion toward {word}")
+        bracket[k] = probe
+    lo = np.full(u_targets.shape, bracket[0], dtype=np.float64)
+    hi = np.full(u_targets.shape, bracket[1], dtype=np.float64)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         vm = np.asarray(evaluate(piece.scale, mid), dtype=np.float64)
@@ -182,8 +177,11 @@ def _invert_scale(piece, u_targets, x_lo, x_hi):
 
 
 class _Builder:
-    def __init__(self, spec, window, h):
-        self.spec = spec
+    """Per-node lists of a chain under construction.  ``build_chain`` gives
+    every singular point strictly inside the window its node first, in
+    ``point_nodes`` by position; the pieces then look those nodes up."""
+
+    def __init__(self, window, h):
         self.window = window
         self.h = h
         self.x = []
@@ -195,11 +193,10 @@ class _Builder:
         self.right = []
         self.det = []
         self.mass = []
-        self.piece_of = []
         self.point_nodes = {}
         self.warnings = []
 
-    def new_node(self, x, u, kind, piece_index):
+    def new_node(self, x, u, kind):
         self.x.append(float(x))
         self.u.append(float(u))
         self.kind.append(kind)
@@ -209,27 +206,13 @@ class _Builder:
         self.right.append(-1)
         self.det.append(-1)
         self.mass.append(0.0)
-        self.piece_of.append(piece_index)
         return len(self.x) - 1
-
-    def point_node(self, pos, kind, piece_index):
-        if pos in self.point_nodes:
-            return self.point_nodes[pos]
-        i = self.new_node(pos, math.nan, kind, piece_index)
-        self.point_nodes[pos] = i
-        return i
-
-
-def _atom_weight_at(piece, pos):
-    return sum(w for p, w in piece.speed.atoms if p == pos)
 
 
 def _regular_cells(piece, edges_x, edges_u, order):
     """Per-cell integrals A, B, M of the speed measure against the scale."""
     n = len(edges_x) - 1
-    A = np.zeros(n)
-    B = np.zeros(n)
-    M = np.zeros(n)
+    A, B, M = np.zeros((3, n))
 
     def rho_vec(y):
         return np.asarray(evaluate(piece.speed.density, y), dtype=np.float64)
@@ -248,30 +231,22 @@ def _regular_cells(piece, edges_x, edges_u, order):
         A[fin_lo:fin_hi] = I1 - ul * Mm
         B[fin_lo:fin_hi] = uh * Mm - I1
         M[fin_lo:fin_hi] = Mm
-    if fin_lo == 1:  # first cell stretches to -inf; only its A part is used
-        u0 = edges_u[0]
+    # a cell out to -inf uses only its A part, the integral of (s - u_far) m;
+    # a cell out to +inf only its B part, the integral of (u_far - s) m
+    for far, near, sign, used, unused in ((0, 1, 1.0, A, B),
+                                          (-1, -2, -1.0, B, A)):
+        if math.isfinite(edges_x[far]):
+            continue
+        u_far = edges_u[far]
         res = improper_integral(
-            lambda y: (s_vec(y) - u0) * rho_vec(y),
-            edges_x[1], -math.inf)
+            lambda y: sign * (s_vec(y) - u_far) * rho_vec(y),
+            edges_x[near], edges_x[far])
         if res.verdict != FINITE:
             raise ChainBuildError(
-                "holding integral toward -inf does not converge; "
-                "provide a finite window")
-        A[0] = res.value
-        B[0] = math.inf
-        M[0] = math.inf
-    if fin_hi == n - 1:  # last cell stretches to +inf; only its B part is used
-        u1 = edges_u[-1]
-        res = improper_integral(
-            lambda y: (u1 - s_vec(y)) * rho_vec(y),
-            edges_x[-2], math.inf)
-        if res.verdict != FINITE:
-            raise ChainBuildError(
-                "holding integral toward +inf does not converge; "
-                "provide a finite window")
-        B[-1] = res.value
-        A[-1] = math.inf
-        M[-1] = math.inf
+                f"holding integral toward {edges_x[far]:+} does not "
+                f"converge; provide a finite window")
+        used[far] = res.value
+        unused[far] = M[far] = math.inf
     # atoms of the speed measure join their cell
     for pos, w in piece.speed.atoms:
         if pos < edges_x[0] or pos > edges_x[-1]:
@@ -287,23 +262,29 @@ def _regular_cells(piece, edges_x, edges_u, order):
     return A, B, M
 
 
-def _end_scale(piece, i, side, cut, end, ana):
-    """Scale value at one end of the simulated range, or a build error."""
-    word = "-inf" if side == "a" else "+inf"
+def _end_node(builder, i, piece, cut, end, ana):
+    """Node and scale value at one end of a regular piece's range in the
+    window.  A cut end kills: at +-inf (approachable with bounded scale,
+    or refused) or at a finite window edge.  An uncut end is the piece
+    endpoint itself, whose singular point already has a node; it must be
+    reachable from inside."""
     if math.isinf(end):
         if not math.isfinite(ana.scale_limit) or ana.approachable != YES:
             raise ChainBuildError(
-                f"piece {i}: window reaches {word} but the end is not "
+                f"piece {i}: window reaches {end:+} but the end is not "
                 f"approachable with bounded scale; provide a finite window")
-        return ana.scale_limit
+        return builder.new_node(end, ana.scale_limit, KILL_INF), ana.scale_limit
     if cut:
-        return float(evaluate(piece.scale, end))
-    if ana.role in (INCLUDED_SHUNT, GLUE_TO_NEIGHBOR, EXIT):
-        return ana.scale_limit
-    raise ChainBuildError(
-        f"piece {i}: endpoint {end} is inside the window but cannot be "
-        f"reached from inside (role {ana.role}); shrink the window to "
-        f"exclude it")
+        u = float(evaluate(piece.scale, end))
+        return builder.new_node(end, u, KILL_WINDOW), u
+    if ana.role not in (INCLUDED_SHUNT, GLUE_TO_NEIGHBOR, EXIT):
+        raise ChainBuildError(
+            f"piece {i}: endpoint {end} is inside the window but cannot be "
+            f"reached from inside (role {ana.role}); shrink the window to "
+            f"exclude it")
+    node = builder.point_nodes[end]
+    builder.u[node] = ana.scale_limit
+    return node, ana.scale_limit
 
 
 def _build_regular(builder, i, piece, profile):
@@ -312,16 +293,19 @@ def _build_regular(builder, i, piece, profile):
     hi = min(piece.b, w_hi)
     if hi <= lo:
         return
-    left_cut = w_lo >= piece.a
-    right_cut = w_hi <= piece.b
-    ana_a = profile[(i, "a")]
-    ana_b = profile[(i, "b")]
-    u_lo = _end_scale(piece, i, "a", left_cut, lo, ana_a)
-    u_hi = _end_scale(piece, i, "b", right_cut, hi, ana_b)
+    cut_a, cut_b = w_lo >= piece.a, w_hi <= piece.b
+    ana_a, ana_b = profile[(i, "a")], profile[(i, "b")]
+    nid_lo, u_lo = _end_node(builder, i, piece, cut_a, lo, ana_a)
+    nid_hi, u_hi = _end_node(builder, i, piece, cut_b, hi, ana_b)
 
     span = u_hi - u_lo
     if not (span > 0):
         raise ChainBuildError(f"piece {i}: empty scale span in the window")
+    if math.isinf(span):  # a cut at unbounded scale; the refusals above win
+        raise ChainBuildError(
+            f"piece {i}: window edge {lo if math.isinf(u_lo) else hi} falls "
+            f"on a piece endpoint where the scale is unbounded; move the "
+            f"window edge off the endpoint")
     n_cells = max(int(round(span / h)), 1)
     if math.isinf(lo) or math.isinf(hi):
         n_cells = max(n_cells, 2)  # keep a finite quadrature anchor inside
@@ -333,78 +317,47 @@ def _build_regular(builder, i, piece, profile):
     x_nodes[0] = lo
     x_nodes[-1] = hi
     if n_cells > 1:
-        x_nodes[1:-1] = _invert_scale(
-            piece, u_nodes[1:-1],
-            lo if math.isfinite(lo) else -math.inf,
-            hi if math.isfinite(hi) else math.inf)
+        x_nodes[1:-1] = _invert_scale(piece, u_nodes[1:-1], lo, hi)
 
-    # boundary nodes
-    if left_cut and math.isfinite(lo):
-        nid_lo = builder.new_node(lo, u_lo, KILL_WINDOW, i)
-    elif math.isinf(lo):
-        nid_lo = builder.new_node(lo, u_lo, KILL_INF, i)
-    elif ana_a.role == EXIT:
-        nid_lo = builder.point_node(lo, TRAP_NODE, i - 1)
-    else:
-        nid_lo = builder.point_node(lo, DET, i - 1)
-    if right_cut and math.isfinite(hi):
-        nid_hi = builder.new_node(hi, u_hi, KILL_WINDOW, i)
-    elif math.isinf(hi):
-        nid_hi = builder.new_node(hi, u_hi, KILL_INF, i)
-    elif ana_b.role == EXIT:
-        nid_hi = builder.point_node(hi, TRAP_NODE, i + 1)
-    else:
-        nid_hi = builder.point_node(hi, DET, i + 1)
-    builder.u[nid_lo] = u_lo
-    builder.u[nid_hi] = u_hi
-
-    interior = [builder.new_node(x_nodes[k], u_nodes[k], WALK, i)
+    interior = [builder.new_node(x_nodes[k], u_nodes[k], WALK)
                 for k in range(1, n_cells)]
     ids = [nid_lo] + interior + [nid_hi]
     for a, b in zip(ids, ids[1:]):
-        builder.right[a] = b if builder.right[a] == -1 else builder.right[a]
-        builder.left[b] = a if builder.left[b] == -1 else builder.left[b]
+        builder.right[a] = b
+        builder.left[b] = a
 
     A, B, M = _regular_cells(piece, list(x_nodes), list(u_nodes), _GAUSS_ORDER)
     A8, B8, _ = _regular_cells(piece, list(x_nodes), list(u_nodes),
                                _CHECK_ORDER)
     with np.errstate(invalid="ignore"):
         ref = np.maximum(np.abs(A), np.abs(B))
-        da = np.abs(A - A8)
-        db = np.abs(B - B8)
+        err = np.maximum(np.abs(A - A8), np.abs(B - B8))
         fin = np.isfinite(ref) & (ref > 0)
-        rel = 0.0
-        if fin.any():
-            rel = float(np.max((np.maximum(da, db))[fin] / ref[fin]))
+        rel = float(np.max(err[fin] / ref[fin])) if fin.any() else 0.0
     if rel > 1e-6:
         builder.warnings.append(
             f"piece {i}: holding-time quadrature differs by {rel:.2e} between "
             f"orders {_GAUSS_ORDER} and {_CHECK_ORDER}; the speed density may "
             f"be rough at this h")
 
-    if n_cells > 1:
-        u = u_nodes
-        dtot = u[2:] - u[:-2]
-        tau_int = (A[:-1] * (u[2:] - u[1:-1]) + B[1:] * (u[1:-1] - u[:-2])) / dtot
-        pr_int = (u[1:-1] - u[:-2]) / dtot
-        for k, nid in enumerate(interior):
-            builder.tau[nid] = float(tau_int[k])
-            builder.p_right[nid] = float(pr_int[k])
-            ml = M[k] if math.isfinite(M[k]) else 0.0
-            mr = M[k + 1] if math.isfinite(M[k + 1]) else 0.0
-            builder.mass[nid] = 0.5 * (ml + mr)
+    u = u_nodes
+    dtot = u[2:] - u[:-2]
+    tau_int = (A[:-1] * (u[2:] - u[1:-1]) + B[1:] * (u[1:-1] - u[:-2])) / dtot
+    pr_int = (u[1:-1] - u[:-2]) / dtot
+    M = np.where(np.isfinite(M), M, 0.0)  # cells out to +-inf add no mass
+    for k, nid in enumerate(interior):
+        builder.tau[nid] = float(tau_int[k])
+        builder.p_right[nid] = float(pr_int[k])
+        builder.mass[nid] = 0.5 * (M[k] + M[k + 1])
 
-    # entry dynamics at included shunt endpoints (this piece is the open side)
-    if not (left_cut or math.isinf(lo)) and ana_a.role == INCLUDED_SHUNT:
-        builder.kind[nid_lo] = DET
-        builder.det[nid_lo] = ids[1]
-        builder.tau[nid_lo] = float(B[0])
-        builder.mass[nid_lo] += _atom_weight_at(piece, lo)
-    if not (right_cut or math.isinf(hi)) and ana_b.role == INCLUDED_SHUNT:
-        builder.kind[nid_hi] = DET
-        builder.det[nid_hi] = ids[-2]
-        builder.tau[nid_hi] = float(A[-1])
-        builder.mass[nid_hi] += _atom_weight_at(piece, hi)
+    # entry moves at included shunt endpoints (this piece is the open side)
+    for end, cut, ana, tau, first in ((lo, cut_a, ana_a, B[0], ids[1]),
+                                      (hi, cut_b, ana_b, A[-1], ids[-2])):
+        if not cut and ana.role == INCLUDED_SHUNT:
+            node = builder.point_nodes[end]
+            builder.det[node] = first
+            builder.tau[node] = float(tau)
+            builder.mass[node] += sum(w for p, w in piece.speed.atoms if p == end)
 
 
 def _build_segment(builder, i, piece):
@@ -427,30 +380,30 @@ def _build_segment(builder, i, piece):
     xs[-1] = hi
 
     down_right = piece.direction == "right"
-    up_cut = (w_lo >= piece.a) if down_right else (w_hi <= piece.b)
-    down_cut = (w_hi <= piece.b) if down_right else (w_lo >= piece.a)
+    cut_a, cut_b = w_lo >= piece.a, w_hi <= piece.b
+    up_cut, down_cut = (cut_a, cut_b) if down_right else (cut_b, cut_a)
     up_end, down_end = (lo, hi) if down_right else (hi, lo)
 
     if down_cut:
-        cap = builder.new_node(down_end, math.nan, KILL_WINDOW, i)
+        cap = builder.new_node(down_end, math.nan, KILL_WINDOW)
     else:
-        # downstream piece endpoint: a singular point by the layout rules
-        cap = builder.point_node(down_end, DET, i + 1 if down_right else i - 1)
+        cap = builder.point_nodes[down_end]
     # body nodes walk downstream; the upstream edge node exists only when
     # the window cut it open (nothing ever arrives there, but paths may start)
     inner = list(xs[1:-1])
     up_positions = ([up_end] if up_cut else []) + (inner if down_right
                                                   else list(reversed(inner)))
-    body = [builder.new_node(x, math.nan, DET, i) for x in up_positions]
+    body = [builder.new_node(x, math.nan, DET) for x in up_positions]
     hop = body[1:] + [cap]
     for nid, target in zip(body, hop):
         builder.tau[nid] = h_eff
         builder.det[nid] = target
 
-    # the upstream singular point, when present, feeds the first body node
+    # the upstream singular point feeds the first body node, unless it is
+    # a trap or already pushes into the piece on its other side
     if not up_cut:
-        pn = builder.point_nodes.get(up_end)
-        if pn is not None and builder.kind[pn] == DET and builder.det[pn] == -1:
+        pn = builder.point_nodes[up_end]
+        if builder.kind[pn] == DET and builder.det[pn] == -1:
             first = body[0] if body else cap
             builder.det[pn] = first
             builder.tau[pn] = abs(builder.x[first] - up_end) if body else h_eff
@@ -459,20 +412,22 @@ def _build_segment(builder, i, piece):
 def build_chain(spec: DiffusionSpec, window, h: float) -> ChainModel:
     """Discretize the part of the line inside the window.
 
-    Endpoint roles come from ``boundary_profile`` at its fixed default
-    tolerance, 1e-6."""
+    Every singular point strictly inside the window gets its node first:
+    a trap absorbs, a shunt point is a deterministic move whose target
+    the piece on its open side sets.  The pieces then build their nodes
+    in order and look the point nodes up.  Endpoint roles come from
+    ``boundary_profile`` at its fixed default tolerance, 1e-6."""
     if not (h > 0):
         raise DomainError("h must be positive")
     w_lo, w_hi = float(window[0]), float(window[1])
     if not (w_lo < w_hi):
         raise DomainError("window must be an interval (lo, hi)")
     profile = boundary_profile(spec)
-    builder = _Builder(spec, (w_lo, w_hi), h)
-
-    # singular points strictly inside the window get shared nodes first
-    for i, p in enumerate(spec.pieces):
+    builder = _Builder((w_lo, w_hi), h)
+    for p in spec.pieces:
         if p.is_point and w_lo < p.x < w_hi:
-            builder.point_node(p.x, TRAP_NODE if p.point_class == TRAP else DET, i)
+            builder.point_nodes[p.x] = builder.new_node(
+                p.x, math.nan, TRAP_NODE if p.point_class == TRAP else DET)
 
     for i, p in enumerate(spec.pieces):
         if p.kind == REGULAR:
@@ -498,14 +453,12 @@ def build_chain(spec: DiffusionSpec, window, h: float) -> ChainModel:
             raise ChainBuildError(
                 f"degenerate holding time {tau[j]} at node x={builder.x[j]}; "
                 f"the speed measure may vanish or blow up there")
-    model = ChainModel(
+    return ChainModel(
         spec, (w_lo, w_hi), h,
         np.asarray(builder.x), np.asarray(builder.u), kind, tau,
         np.asarray(builder.p_right), np.asarray(builder.left, dtype=np.int64),
         np.asarray(builder.right, dtype=np.int64), det,
-        np.asarray(builder.mass), np.asarray(builder.piece_of, dtype=np.int64),
-        tuple(builder.warnings))
-    return model
+        np.asarray(builder.mass), tuple(builder.warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ import math
 import numpy as np
 import pytest
 
-from shuntline import ChainBuildError, get_example, parse_spec
-from shuntline.examples import list_examples
+from shuntline import ChainBuildError, get_example, parse_spec, simulate
+from shuntline.examples import example_document, list_examples
+from shuntline.quadrature import INFINITE, IntegralResult
 from shuntline.simulate import build_chain
 
 from conftest import mirrored_doc
@@ -842,3 +843,22 @@ def test_refusals_keep_their_messages(name, window, h, message):
     with pytest.raises(ChainBuildError) as exc:
         build_chain(_spec(name), window, h)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("mirror, window, end", [
+    (False, (0.5, INF), "+inf"),
+    (True, (-INF, -0.5), "-inf"),
+])
+def test_divergent_holding_integral_names_its_end(monkeypatch, mirror,
+                                                  window, end):
+    # nonradon's scale is bounded toward +inf and the end is approachable,
+    # so only a holding integral that fails to settle can refuse here
+    doc = example_document("nonradon")
+    spec = parse_spec(mirrored_doc(doc) if mirror else doc)
+    monkeypatch.setattr(
+        simulate, "improper_integral",
+        lambda *args: IntegralResult(INFINITE, math.inf, 3, "forced"))
+    with pytest.raises(ChainBuildError) as exc:
+        build_chain(spec, window, 0.05)
+    assert str(exc.value) == (f"holding integral toward {end} does not "
+                              f"converge; provide a finite window")

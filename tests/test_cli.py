@@ -137,6 +137,31 @@ def test_simulate_refuses_jobs_below_one(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_window_edge_on_an_unbounded_scale(capsys):
+    code = main(["simulate", "--example", "split-bm", "--window", "0,1",
+                 "--h", "0.05", "--t-max", "1", "--x0", "0.5"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "shuntline simulate: error: piece 2: window edge 0.0 falls on a "
+        "piece endpoint where the scale is unbounded; move the window edge "
+        "off the endpoint\n")
+
+
+def test_validate_names_an_undefined_point_as_a_plain_number(tmp_path):
+    spec = tmp_path / "ln.json"
+    spec.write_text(json.dumps({"name": "ln-half", "pieces": [
+        {"kind": "trap_segment", "a": "-inf", "b": "0"},
+        {"kind": "singular_point", "x": "0", "class": "trap"},
+        {"kind": "regular_interval", "a": "0", "b": "1",
+         "scale": "ln(x - 0.5)", "speed": {"density": "2"}},
+        {"kind": "singular_point", "x": "1", "class": "trap"},
+        {"kind": "trap_segment", "a": "1", "b": "inf"}]}))
+    code, doc = run_cli(tmp_path, "validate", "--spec", str(spec))
+    assert code == 1
+    assert [v["message"] for v in doc["validation"]["violations"]] == [
+        "scale not evaluable: expression undefined at x = 1e-06"]
+
+
 def test_simulate_defect_interval_form(tmp_path):
     code, doc = run_cli(
         tmp_path, "simulate", "--example", "bm", "--window", "0,1",

@@ -83,6 +83,15 @@ def test_domain_errors_raise_eval_error():
     assert ev("1/x", 0.0) == math.inf
 
 
+def test_array_domain_errors_name_the_point_like_scalar_ones():
+    with pytest.raises(EvalError) as exc:
+        ev("ln(x - 0.5)", np.array([0.75, 1e-06, 0.25]))
+    assert str(exc.value) == "expression undefined at x = 1e-06"
+    with pytest.raises(EvalError) as exc:
+        ev("ln(x - 0.5)", 1e-06)
+    assert str(exc.value) == "expression undefined at x = 1e-06"
+
+
 def test_syntax_errors_raise_expr_error():
     for bad in ("2 +", "x y", "foo(x)", "(x", "x^", ""):
         with pytest.raises(ExprError):

@@ -164,6 +164,25 @@ def test_chain_build_refusals():
         build_chain(part, (-2.0, 1.0), 0.05)
 
 
+@pytest.mark.parametrize("name, window, piece, edge", [
+    ("split-bm", (0.0, 1.0), 2, 0.0),
+    ("bessel-glue", (0.0, 1.0), 2, 0.0),
+    ("nonradon", (0.0, 0.5), 2, 0.0),
+    ("reflect-glue", (-1.0, 0.0), 0, 0.0),
+])
+def test_window_edge_on_an_endpoint_of_unbounded_scale_is_refused(
+        name, window, piece, edge, reflect_glue_doc):
+    # the edge is a cut where the scale is -inf (or +inf), so the walk
+    # would need infinitely many cells
+    spec = parse_spec(reflect_glue_doc) if name == "reflect-glue" \
+        else get_example(name)
+    with pytest.raises(ChainBuildError) as exc:
+        build_chain(spec, window, 0.05)
+    assert str(exc.value) == (
+        f"piece {piece}: window edge {edge} falls on a piece endpoint where "
+        f"the scale is unbounded; move the window edge off the endpoint")
+
+
 def test_infinite_edge_allowed_when_reachable_in_finite_time():
     spec = spec_from([
         {"kind": "trap_segment", "a": "-inf", "b": "0"},
