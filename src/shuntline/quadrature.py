@@ -37,13 +37,15 @@ value, a declared divergence and an honest "undetermined":
   arithmetic would launder noise into a verdict.
 
 The integrand is called once per block of 16 shells, on the first-round
-nodes of all of them.  Each shell's first round is summed on its own row
-when the policy reaches it, and only a shell that misses its tolerance
-there goes on to ``cell_quad``'s bisection rounds, one call each.  The
-policy therefore sees the same shell values, and stops at the same shell
-with the same note, as with one ``cell_quad`` per shell.  A block on
-which the integrand raises is redone one ``cell_quad`` per shell, so the
-error is reported at the first shell that raises it.
+nodes of all of them.  The block's first rounds are summed in one stacked
+product, one matrix product per row, so each shell gets bit for bit the
+sums of its own ``cell_quad``, and they are accepted together by
+``cell_quad``'s first test.  Only a shell that misses its tolerance there
+goes on to the bisection rounds, one call each.  The policy therefore
+sees the same shell values, and stops at the same shell with the same
+note, as with one ``cell_quad`` per shell.  A block on which the
+integrand raises is redone one ``cell_quad`` per shell, so the error is
+reported at the first shell that raises it.
 
 ``span_integral`` is the one way a density is integrated over an
 interval: shells only toward an infinite end or one its caller flags (a
@@ -128,20 +130,22 @@ def _gk21_nodes(lo, hi):
 
 def _gk21_sums(f, half):
     """GK21 integrals, error estimates and integrals of |fn| from the
-    values f of fn at the nodes, one row per interval.
+    values f of fn at the nodes, one row (the last axis) per interval.
 
     The error is QUADPACK's: the Kronrod-Gauss difference e becomes
     asc * min(1, (200 e / asc)^1.5), asc the integral of |fn - mean|,
     floored at 50 eps times the integral of |fn|.  Where asc vanishes the
-    floor alone decides.  A row's sums depend on how many rows f has (the
-    matrix products are not row-stable), so a shell of a block is summed
-    on its own row.  Run under np.errstate (cell_quad does).
+    floor alone decides.  The matrix products of an (n, 21) f are not
+    row-stable: a row's sums depend on how many rows f has.  A stack of
+    lone rows, f of shape (n, 1, 21) with half of shape (n, 1), is summed
+    one product per row, so each row gets the sums it would get alone.
+    Run under np.errstate (cell_quad does).
     """
     k_g = f @ _KG
-    res_k = k_g[:, 0]
+    res_k = k_g[..., 0]
     res_abs = np.abs(f) @ KRONROD_WEIGHTS
-    res_asc = np.abs(f - 0.5 * res_k[:, None]) @ KRONROD_WEIGHTS
-    ratio = np.fmin(200.0 * np.abs(res_k - k_g[:, 1]) / res_asc, 1.0)
+    res_asc = np.abs(f - 0.5 * res_k[..., None]) @ KRONROD_WEIGHTS
+    ratio = np.fmin(200.0 * np.abs(res_k - k_g[..., 1]) / res_asc, 1.0)
     scale = np.abs(half)
     err = np.maximum(res_asc * ratio ** 1.5, _ROUNDOFF * res_abs) * scale
     return res_k * half, err, res_abs * scale
@@ -231,33 +235,46 @@ def _shell_values(fn, anchor, endpoint, rel_tol):
     early at the first shell too narrow for float resolution.
 
     Each block of _BLOCK shells costs one call of fn on all their first
-    rounds, made before the block's first shell is yielded; the sums of a
-    shell are taken when it is reached.  A block on which fn raises is
-    redone one cell_quad per shell.
+    rounds and one stacked sum of them, made before the block's first
+    shell is yielded.  A shell whose first round meets its tolerance (the
+    first test of _bisect) is yielded as it is; only the others go on to
+    _bisect's rounds.  A block on which fn raises is redone one cell_quad
+    per shell.
     """
     for start in range(0, MAX_SHELLS, _BLOCK):
         edges = []
         for k in range(start, min(start + _BLOCK, MAX_SHELLS)):
             lo, hi = _shell_edges(anchor, endpoint, k)
-            if not (lo < hi) or lo == hi:
+            if not lo < hi:
                 break
             edges.append((lo, hi))
-        if edges:
-            half, pts = _gk21_nodes(*np.array(edges).T)
+        if not edges:
+            return
+        half, pts = _gk21_nodes(*np.array(edges).T)
+        with np.errstate(all="ignore"):
             try:
-                with np.errstate(all="ignore"):
-                    f = _fn_at(fn, pts)
+                f = _fn_at(fn, pts)
             except Exception:
                 f = None
+                done = np.zeros(len(edges), dtype=bool)
+            else:
+                # one product per shell: the sums of its own cell_quad
+                val, err, mag = (a[:, 0] for a in
+                                 _gk21_sums(f[:, None, :], half[:, None]))
+                # a lone row's val.sum() is val + 0.0: -0.0 becomes 0.0
+                total = val + 0.0
+                tol = np.maximum(rel_tol * np.abs(total), _ROUNDOFF * mag)
+                done = ~np.isfinite(total) | (err <= tol)
         for i, (lo, hi) in enumerate(edges):
+            if done[i]:
+                yield float(total[i])
+                continue
             try:
                 if f is None:
                     value = cell_quad(fn, lo, hi, rel_tol)
                 else:
                     with np.errstate(all="ignore"):
-                        # a copy, so the row is laid out as fn's own
-                        # output for a lone cell would be
-                        first = _gk21_sums(f[i:i + 1].copy(), half[i:i + 1])
+                        first = val[i:i + 1], err[i:i + 1], mag[i:i + 1]
                         value = _bisect(fn, lo, hi, first, rel_tol)
             except Exception as exc:  # quad failure counts as undetermined
                 value = exc
@@ -282,7 +299,8 @@ def improper_integral(fn, anchor, endpoint, rel_tol=1e-6) -> IntegralResult:
     lead_sign = 0.0
     peak = 0.0
     decayed = False
-    shells = _shell_values(fn, anchor, endpoint, min(rel_tol, 1e-8))
+    shell_tol = min(rel_tol, 1e-8)
+    shells = _shell_values(fn, anchor, endpoint, shell_tol)
     for k in range(MAX_SHELLS):
         contrib = next(shells, None)
         if contrib is None:
@@ -332,7 +350,7 @@ def improper_integral(fn, anchor, endpoint, rel_tol=1e-6) -> IntegralResult:
     if prev_contrib is not None and abs(prev_contrib) > 0:
         try:
             lo, hi = _shell_edges(anchor, endpoint, MAX_SHELLS)
-            tail_ratio = abs(cell_quad(fn, lo, hi)) / abs(prev_contrib)
+            tail_ratio = abs(cell_quad(fn, lo, hi, shell_tol)) / abs(prev_contrib)
         except Exception:
             tail_ratio = 1.0
         if tail_ratio < 0.99:

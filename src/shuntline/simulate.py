@@ -298,14 +298,14 @@ def _build_regular(builder, i, piece, profile):
     nid_lo, u_lo = _end_node(builder, i, piece, cut_a, lo, ana_a)
     nid_hi, u_hi = _end_node(builder, i, piece, cut_b, hi, ana_b)
 
-    span = u_hi - u_lo
-    if not (span > 0):
-        raise ChainBuildError(f"piece {i}: empty scale span in the window")
-    if math.isinf(span):  # a cut at unbounded scale; the refusals above win
+    if math.isinf(u_lo) or math.isinf(u_hi):  # a cut at unbounded scale
         raise ChainBuildError(
             f"piece {i}: window edge {lo if math.isinf(u_lo) else hi} falls "
             f"on a piece endpoint where the scale is unbounded; move the "
             f"window edge off the endpoint")
+    span = u_hi - u_lo
+    if not (span > 0):
+        raise ChainBuildError(f"piece {i}: empty scale span in the window")
     n_cells = max(int(round(span / h)), 1)
     if math.isinf(lo) or math.isinf(hi):
         n_cells = max(n_cells, 2)  # keep a finite quadrature anchor inside

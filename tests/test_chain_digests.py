@@ -140,9 +140,11 @@ REFUSALS = [
      "piece 0: endpoint 0.0 is inside the window but cannot be reached "
      "from inside (role natural); shrink the window to exclude it"),
     ("split-bm", (-1.0, 0.0), 0.05,
-     "piece 0: empty scale span in the window"),
+     "piece 0: window edge 0.0 falls on a piece endpoint where the "
+     "scale is unbounded; move the window edge off the endpoint"),
     ("nonradon", (-1.0, 0.0), 0.02,
-     "piece 0: empty scale span in the window"),
+     "piece 0: window edge 0.0 falls on a piece endpoint where the "
+     "scale is unbounded; move the window edge off the endpoint"),
     ("partial", (-2.0, 1.0), 0.05,
      "piece 0: partial-reach shunt segments are symbolic only and cannot "
      "be simulated"),

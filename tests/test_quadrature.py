@@ -1,5 +1,6 @@
 """Shell quadrature: verdicts and values on integrals with known answers."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -15,8 +16,9 @@ from shuntline import EvalError, QuadratureError
 from shuntline.dirichlet import Profile
 from shuntline.quadrature import (FINITE, GAUSS_WEIGHTS, INFINITE,
                                   KRONROD_NODES, KRONROD_WEIGHTS, LIMIT,
-                                  UNDETERMINED, cell_quad, gauss_cells,
-                                  improper_integral)
+                                  MAX_SHELLS, UNDETERMINED, _gk21_sums,
+                                  _shell_edges, _shell_values, cell_quad,
+                                  gauss_cells, improper_integral)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -242,7 +244,7 @@ def _as_bits(res):
 def test_blocked_shells_match_one_shell_per_call(name, monkeypatch):
     """Blocks change which integrand calls are made, never the numbers the
     stopping policy sees: verdict, value bits, shells and note are those
-    of one cell_quad per shell."""
+    of blocks of one shell (which the next test holds to cell_quad)."""
     from shuntline import quadrature
     fn, anchor, endpoint, rel_tol, verdict, note = SHELL_CASES[name]
     blocked = improper_integral(fn, anchor, endpoint, rel_tol)
@@ -251,6 +253,94 @@ def test_blocked_shells_match_one_shell_per_call(name, monkeypatch):
     monkeypatch.setattr(quadrature, "_BLOCK", 1)
     single = improper_integral(fn, anchor, endpoint, rel_tol)
     assert _as_bits(blocked) == _as_bits(single)
+
+
+@pytest.mark.parametrize("name", sorted(SHELL_CASES))
+def test_shell_values_equal_one_cell_quad_per_shell(name):
+    """Every shell _shell_values yields is, bit for bit, cell_quad on that
+    shell at the shell tolerance, or an exception of the type (and with
+    the message) cell_quad raises there."""
+    fn, anchor, endpoint, rel_tol, _, _ = SHELL_CASES[name]
+    tol = min(rel_tol, 1e-8)
+    values = list(_shell_values(fn, anchor, endpoint, tol))
+    reached = 0
+    while reached < MAX_SHELLS:
+        lo, hi = _shell_edges(anchor, endpoint, reached)
+        if not lo < hi:
+            break
+        reached += 1
+    assert len(values) == reached
+    for k, value in enumerate(values):
+        try:
+            want = cell_quad(fn, *_shell_edges(anchor, endpoint, k), tol)
+        except Exception as exc:
+            assert type(value) is type(exc), k
+            assert str(value) == str(exc), k
+        else:
+            assert isinstance(value, float), k
+            assert value.hex() == want.hex(), k
+
+
+def test_first_round_acceptance_at_the_edge_of_its_tolerance():
+    """A shell whose first-round error equals its tolerance is accepted
+    from the block; one ulp of rel_tol lower, it is bisected."""
+    from shuntline import quadrature
+    fn = SHELL_CASES["bisection"][0]
+    lo, hi = _shell_edges(1.0, math.inf, 2)  # holds the jump
+    with np.errstate(all="ignore"):
+        val, err, _ = (float(a[0]) for a in
+                       quadrature._gk21(fn, np.array([lo]), np.array([hi])))
+    edge = err / abs(val)
+    while edge * abs(val) < err:
+        edge = np.nextafter(edge, 1.0)
+    while np.nextafter(edge, 0.0) * abs(val) >= err:
+        edge = np.nextafter(edge, 0.0)
+    below = np.nextafter(edge, 0.0)
+    assert cell_quad(fn, lo, hi, edge) == val
+    assert cell_quad(fn, lo, hi, below) != val
+    for tol in (edge, below):
+        shells = list(itertools.islice(
+            _shell_values(fn, 1.0, math.inf, tol), 3))
+        assert shells[2].hex() == cell_quad(fn, lo, hi, tol).hex()
+
+
+def test_stacked_block_sums_equal_lone_row_sums():
+    """Each row of a block summed in one stacked product gets, byte for
+    byte, the sums of that row summed alone: the first round of its own
+    cell_quad.  The shells' bit identity rests on this."""
+    rng = np.random.default_rng(20)
+    with np.errstate(all="ignore"):
+        for _ in range(1000):
+            n = int(rng.integers(1, 17))
+            size = 10.0 ** rng.uniform(-8.0, 8.0, (n, 1))
+            f = size * rng.standard_normal((n, 21))
+            signed = rng.random(n) < 0.5  # single-signed rows, as integrands are
+            f[signed] = np.abs(f[signed])
+            half = 10.0 ** rng.uniform(-8.0, 8.0, n)
+            block = _gk21_sums(f[:, None, :], half[:, None])
+            for i in range(n):
+                lone = _gk21_sums(f[i:i + 1].copy(), half[i:i + 1])
+                for got, want in zip(block, lone):
+                    assert got[i].tobytes() == want.tobytes()
+
+
+def test_tail_probe_runs_at_the_shell_tolerance(monkeypatch):
+    """The geometric-tail probe integrates its cell at the tolerance of
+    the shells, min(rel_tol, 1e-8), so a tighter rel_tol holds there too."""
+    from shuntline import quadrature
+    fn, anchor, endpoint, _, verdict, note = SHELL_CASES["geometric-tail"]
+    tols = []
+
+    def recorded(fn, a, b, rel_tol=1e-8):
+        tols.append(rel_tol)
+        return cell_quad(fn, a, b, rel_tol)
+
+    monkeypatch.setattr(quadrature, "cell_quad", recorded)
+    res = improper_integral(fn, anchor, endpoint, 1e-10)
+    assert (res.verdict, res.shells, res.note) == (verdict, MAX_SHELLS, note)
+    assert tols == [1e-10]
+    # the integral of x^(a - 1) over (1, inf) is -1/a
+    assert res.value == pytest.approx(-1.0 / math.log2(0.95), rel=1e-12)
 
 
 @pytest.mark.parametrize("name, refined", [("first-round", False),
