@@ -12,8 +12,10 @@ window edges kill.
 
 Randomness is a stateless counter hash of (seed, replication, step), so
 a replication's path does not depend on which other replications run
-beside it.  The engine is one loop over the replications still running,
-and ``simulate_path`` traces one replication through the same loop;
+beside it.  The engine is one loop over the replications still running;
+each pass moves them through a block of steps, positions first, then
+clocks by one running sum (terminal nodes lead to themselves), and
+``simulate_path`` traces one replication through the same loop;
 ``n_jobs`` is accepted for compatibility and changes nothing.  Holding
 times are deterministic by default; ``exponential_holding=True`` draws
 exponential times at walk nodes.
@@ -51,7 +53,7 @@ MODE_PART = "part_on_window"
 _MODES = (MODE_FULL, MODE_KILLED, MODE_PART)
 
 _STEP_START = 1 << 62  # counter slot reserved for start-node sampling
-_BLOCK = 8192  # engine uniforms drawn per block (a block spans <= 256 steps)
+_BLOCK = 8192  # engine uniforms drawn per block of steps (length: see _walk)
 _GAUSS_ORDER = 16  # Gauss-Legendre order of the holding-time cell integrals
 _CHECK_ORDER = 8   # lower order they are audited against
 _Z95 = 1.959963984540054  # two-sided 95 % normal quantile of the intervals
@@ -67,10 +69,13 @@ _C_REP = np.uint64(0xD1342543DE82EF95)
 _C_STEP = np.uint64(0xAF251AF3B0F025B5)
 
 
-def _mix(z):
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix(z):  # in place on an array
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _rep_key(seed, rep):
@@ -84,8 +89,12 @@ def _keyed_uniform(key, step):
     """U[0,1) from replication keys and steps; arrays broadcast."""
     with np.errstate(over="ignore"):
         z = key ^ (np.asarray(step, dtype=np.uint64) * _C_STEP)
-        z = _mix(_mix(z + _PHI))
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        z += _PHI
+        z = _mix(_mix(z))
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 def _uniform(seed, rep, step):
@@ -487,9 +496,15 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     """The engine: replication r starts at starts[r] and reads the counter
     stream keys[r].  Returns arrays final_node, final_time, status, hit.
 
+    Each pass walks the replications still running through a block of
+    steps: positions first, one coin per step, then the clocks, by one
+    running sum of the holding times along them.  A replication ends at
+    the first step whose clock reaches t_max; the rest of its block is
+    discarded.
+
     With a trace (an empty list) and one start, the list receives two
-    arrays: the times and the nodes of that replication at its start and
-    after each of its moves.
+    arrays: the times and the positions of that replication at its start,
+    after each of its moves, and at its end when that comes later.
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
@@ -498,6 +513,8 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     # the status a replication ends with at a node (RUNNING to move on),
     # whether it keeps its clock there, its holding time (inf where it
     # ends, so the horizon test catches it) and where each coin side leads
+    # (back to the node itself where it ends, so a path that ends inside a
+    # block stays in the table)
     kind = chain.kind
     end_code = np.zeros(chain.n_nodes, dtype=np.int8)
     end_code[kind == TRAP_NODE] = ABSORBED_TRAP
@@ -511,65 +528,83 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
         keeps_time[target_node] = True
     moves = end_code == RUNNING
     tau_of = np.where(moves, chain.tau, np.inf)
+    # the exponential factor stays 1.0 where tau is inf: inf * 0 is nan
     random_tau = moves & (kind == WALK) & exponential_holding
     det = kind == DET
-    go_left = np.where(det, chain.det_target, chain.nbr_left)
-    go_right = np.where(det, chain.det_target, chain.nbr_right)
-    p_right = np.where(det, 2.0, chain.p_right)  # DET nodes ignore the coin
+    node_type = np.min_scalar_type(-2 * chain.n_nodes)  # holds 2 * node + 1
+    go = np.where(det, chain.det_target, [chain.nbr_left, chain.nbr_right])
+    go = np.where(moves, go, np.arange(chain.n_nodes))
+    # while a block moves, its rows hold 2 * node, so one addition of the
+    # coin (0 left, 1 right) gives the entry of both tables below
+    go = (2 * go.T.ravel()).astype(node_type)
+    p_right = np.repeat(np.where(det, 2.0, chain.p_right), 2)  # DET: no coin
     cap = _step_cap(chain, t_max, exponential_holding)
 
     final_node = np.empty(n_rep, dtype=np.int64)
     final_time = np.empty(n_rep)
     status = np.empty(n_rep, dtype=np.int8)
     hit = np.zeros(n_rep, dtype=bool)
-    # the active set: output index, counter key, node, clock and row of
-    # uniforms of every replication still running; each has taken exactly
-    # k steps.  Step k reads counter 2k for its coin and 2k+1 for its
-    # exponential holding time.  Uniforms come in blocks of the next few
-    # steps of the whole active set, so a small active set pays the hash's
-    # per-call cost once per block rather than once per step.
+    # the active set: output index, counter key, node and clock of every
+    # replication still running; each has taken exactly k steps.  Step k
+    # reads counter 2k for its coin and 2k+1 for its exponential holding
+    # time.  A block of n steps fills rows 1..n of the (n + 1, active)
+    # arrays of positions and clocks; row 0 is where the block starts.
     idx = np.arange(n_rep)
     key = keys
-    cur = np.asarray(starts, dtype=np.int64)
+    cur = np.asarray(starts, dtype=node_type)
     t = np.zeros(n_rep)
-    if trace is not None:  # times and nodes from the start; doubled when full
-        path_t, path_node = np.zeros(256), np.full(256, cur[0])
+    path_buf, clock_buf = np.empty(0, dtype=node_type), np.empty(0)
+    if trace is not None:  # grown by half when full, with one slot to spare
+        path_t, path_x = np.zeros(256), np.full(256, chain.x[cur[0]])
+        n_path = 1
     per_step = 2 if exponential_holding else 1
-    k = j = n_block = 0
+    k = 0
     while idx.size:
-        if j == n_block:
-            n_block = min(max(_BLOCK // idx.size, 1), 256)
-            counters = np.arange(2 * k, 2 * (k + n_block), 2 // per_step)
-            block = _keyed_uniform(key[:, None], counters)
-            row = np.arange(idx.size)
-            j = 0
-        tau = tau_of[cur]
+        active = idx.size
+        # _BLOCK // active steps, and at least 8 while that keeps the block
+        # within 2 * _BLOCK values; at most 256, and none past the step cap
+        n_block = min(max(_BLOCK // active, min(8, 2 * _BLOCK // active), 1),
+                      256, cap + 1 - k)
+        rows = (n_block + 1) * active
+        if rows > path_buf.size:
+            path_buf = np.empty(rows, dtype=node_type)
+            clock_buf = np.empty(rows)
+        path = path_buf[:rows].reshape(n_block + 1, active)
+        clock = clock_buf[:rows].reshape(n_block + 1, active)
+        uniforms = _keyed_uniform(
+            key, np.arange(2 * k, 2 * (k + n_block), 2 // per_step)[:, None])
+        np.multiply(cur, 2, out=path[0])
+        for c, nxt, u in zip(path[:-1], path[1:], uniforms[::per_step]):
+            go.take(c + (u < p_right.take(c)), out=nxt)
+        path >>= 1
+        clock[0] = t
+        tau_of.take(path[:-1], out=clock[1:])
         if exponential_holding:
-            uh = block[row, 2 * j + 1]
-            tau = tau * np.where(random_tau[cur], -np.log1p(-uh), 1.0)
-        t_new = t + tau
-        ends = t_new >= t_max
-        if ends.any():
-            sel, ce = idx[ends], cur[ends]
-            code = end_code[ce]
-            final_node[sel] = ce
-            final_time[sel] = np.where(keeps_time[ce], t[ends], t_max)
-            status[sel] = np.where(code == RUNNING, ALIVE, code)
-            hit[sel] = ce == target_node
-            stay = ~ends
-            idx, key, cur, row = idx[stay], key[stay], cur[stay], row[stay]
-            t_new = t_new[stay]
-        t = t_new
-        u = block[row, per_step * j]
-        cur = np.where(u < p_right[cur], go_right[cur], go_left[cur])
-        k += 1
-        j += 1
-        if trace is not None and idx.size:
-            if k == path_t.size:
-                path_t = np.concatenate([path_t, path_t])
-                path_node = np.concatenate([path_node, path_node])
-            path_t[k] = t[0]
-            path_node[k] = cur[0]
+            clock[1:] *= np.where(random_tau.take(path[:-1]),
+                                  -np.log1p(-uniforms[1::2]), 1.0)
+        np.add.accumulate(clock, axis=0, out=clock)
+        k += n_block
+        # steps whose clock reached t_max; each replication ends at the first
+        last = n_block - np.count_nonzero(clock[1:] >= t_max, axis=0)
+        if trace is not None:
+            m = last[0]
+            if n_path + m >= path_t.size:
+                grown = max(n_path + m + 1, path_t.size * 3 // 2)
+                path_t.resize(grown, refcheck=False)
+                path_x.resize(grown, refcheck=False)
+            path_t[n_path:n_path + m] = clock[1:m + 1, 0]
+            chain.x.take(path[1:m + 1, 0], out=path_x[n_path:n_path + m])
+            n_path += m
+        stay = last == n_block
+        ends = np.flatnonzero(~stay)
+        step = last[ends]
+        sel, ce = idx[ends], path[step, ends]
+        code = end_code[ce]
+        final_node[sel] = ce
+        final_time[sel] = np.where(keeps_time[ce], clock[step, ends], t_max)
+        status[sel] = np.where(code == RUNNING, ALIVE, code)
+        hit[sel] = ce == target_node
+        idx, key, cur, t = idx[stay], key[stay], path[-1, stay], clock[-1, stay]
         if k > cap and idx.size:
             final_node[idx] = cur
             final_time[idx] = t_max
@@ -577,8 +612,11 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
             _warn_capped(idx.size, cap)
             break
     if trace is not None:
-        n_path = k + 1 if idx.size else k  # the last step ended it, no move
-        trace.extend((path_t[:n_path], path_node[:n_path]))
+        if final_time[0] > path_t[n_path - 1]:  # held after the last move
+            path_t[n_path] = final_time[0]
+            path_x[n_path] = chain.x[final_node[0]]
+            n_path += 1
+        trace.extend((path_t[:n_path], path_x[:n_path]))
     return {"final_node": final_node, "final_time": final_time,
             "status": status, "hit": hit}
 
@@ -652,12 +690,7 @@ def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
     trace = []
     out = _walk(chain, [chain.node_at(float(x0))], _rep_key(seed, [rep]),
                 t_max, mode, exponential_holding, -1, trace)
-    times, nodes = trace
-    if out["final_time"][0] > times[-1]:
-        times = np.append(times, out["final_time"][0])
-        nodes = np.append(nodes, out["final_node"][0])
-    return PathResult(times, chain.x[nodes],
-                      STATUS_NAMES[int(out["status"][0])])
+    return PathResult(*trace, STATUS_NAMES[int(out["status"][0])])
 
 
 # ---------------------------------------------------------------------------

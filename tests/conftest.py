@@ -1,5 +1,5 @@
-"""Shared fixtures: hand-built spec documents, a randomized generator and
-an exact solve of the simulation chain.
+"""Shared fixtures: hand-built spec documents, a randomized generator, an
+exact solve of the simulation chain and a one-step-at-a-time walker.
 
 The generator produces structurally valid specs only (closedness of the
 one-way and trap label sets is respected by construction), drawing
@@ -7,6 +7,7 @@ scales and densities from a pool whose boundary integrals are cleanly
 decidable.
 """
 
+import math
 import random
 import re
 
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from shuntline import parse_spec
-from shuntline.simulate import KILL_WINDOW, WALK
+from shuntline.simulate import (ABSORBED_TRAP, ALIVE, DEAD_INF, DET, KILL_INF,
+                                KILL_WINDOW, KILLED_WINDOW, MODE_KILLED,
+                                RUNNING, TRAP_NODE, WALK, _keyed_uniform)
 
 SAFE_SCALES = ("x", "x/2", "2*x", "x^3 + x")
 SAFE_DENSITIES = ("2", "1", "1 + x^2")
@@ -227,3 +230,47 @@ def exact_walk(chain):
     hit = _thomas(p - 1.0, -p, right_edge)
     exit_time = _thomas(p - 1.0, -p, chain.tau[nodes])
     return nodes, hit, exit_time
+
+
+_END_OF_KIND = {TRAP_NODE: ABSORBED_TRAP, KILL_WINDOW: KILLED_WINDOW,
+                KILL_INF: DEAD_INF}
+
+
+def reference_walk(chain, start, key, t_max, mode, exponential_holding,
+                   target_node, cap):
+    """One replication of the engine in plain Python, one step at a time.
+
+    Step k reads counter 2k of the stream ``key`` for its coin and 2k + 1
+    for its exponential holding time.  A replication ends before a step
+    whose clock would reach t_max; it stops alive at t_max after cap + 1
+    moves.  Returns (final_node, final_time, status, hit, capped, times,
+    nodes), the last two from the start and after each move.
+    """
+    node, t, k = int(start), 0.0, 0
+    times, nodes = [t], [node]
+    while True:
+        kind = int(chain.kind[node])
+        end = ALIVE if node == target_node else _END_OF_KIND.get(kind, RUNNING)
+        tau = math.inf
+        if end == RUNNING:
+            tau = float(chain.tau[node])
+            if exponential_holding and kind == WALK:
+                tau *= float(-np.log1p(-_keyed_uniform(key, 2 * k + 1)))
+        if t + tau >= t_max:
+            keeps = node == target_node or (
+                end != RUNNING and (kind != TRAP_NODE or mode == MODE_KILLED))
+            return (node, t if keeps else t_max,
+                    ALIVE if end == RUNNING else end, node == target_node,
+                    False, times, nodes)
+        t += tau
+        if kind == DET:
+            node = int(chain.det_target[node])
+        elif _keyed_uniform(key, 2 * k) < chain.p_right[node]:
+            node = int(chain.nbr_right[node])
+        else:
+            node = int(chain.nbr_left[node])
+        k += 1
+        times.append(t)
+        nodes.append(node)
+        if k > cap:
+            return node, t_max, ALIVE, False, True, times, nodes

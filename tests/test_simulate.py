@@ -2,17 +2,19 @@
 
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from shuntline import ChainBuildError, DomainError, get_example, parse_spec
 from shuntline import simulate
-from shuntline.simulate import (STATUS_NAMES, analytic_hitting,
+from shuntline.simulate import (MODE_FULL, MODE_KILLED, MODE_PART,
+                                STATUS_NAMES, analytic_hitting,
                                 build_chain, estimate_hitting,
                                 estimate_symmetry_defect, run, simulate_path)
 
-from conftest import exact_walk, spec_from
+from conftest import exact_walk, reference_walk, spec_from
 
 
 def status_counter(out):
@@ -258,6 +260,111 @@ def test_scalar_path_engine_matches_vector_engine():
                 assert out["final_time"][rep] == pytest.approx(
                     path.times[-1], abs=1e-12)
                 assert STATUS_NAMES[out["status"][rep]] == path.status
+
+
+# A trap at 0, a walk on (0, 1), a shunt point at 1 entering (1, inf), and
+# a walk on (1, inf) that reaches +inf in finite time.  Window (0, inf)
+# gives DET, KILL_WINDOW, WALK and KILL_INF nodes; (-0.5, 3) gives TRAP,
+# DET, WALK and KILL_WINDOW nodes.
+MIXED = [
+    {"kind": "trap_segment", "a": "-inf", "b": "0"},
+    {"kind": "singular_point", "x": "0", "class": "trap"},
+    {"kind": "regular_interval", "a": "0", "b": "1",
+     "scale": "x", "speed": {"density": "2"}},
+    {"kind": "singular_point", "x": "1", "class": "right_shunt"},
+    {"kind": "regular_interval", "a": "1", "b": "inf",
+     "scale": "-1/x", "speed": {"density": "1/x^4"}}]
+MIXED_WINDOWS = ((0.0, math.inf), (-0.5, 3.0))
+ENGINE_KEYS = ("final_node", "final_time", "status", "hit")
+
+
+def _reference_run(ch, starts, seed, t_max, mode, expo, target_node):
+    keys = simulate._rep_key(seed, np.arange(len(starts)))
+    cap = simulate._step_cap(ch, t_max, expo)
+    walks = [reference_walk(ch, s, keys[r], t_max, mode, expo, target_node,
+                            cap) for r, s in enumerate(starts)]
+    dtypes = (np.int64, np.float64, np.int8, bool)
+    return {key: np.array([w[i] for w in walks], dtype=dtype)
+            for i, (key, dtype) in enumerate(zip(ENGINE_KEYS, dtypes))}, walks
+
+
+def _recorded(fn, *args, **kw):
+    """The result of one engine call and the messages of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kw)
+    return out, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("window", MIXED_WINDOWS)
+@pytest.mark.parametrize("cap", [None, 7])
+def test_run_equals_the_reference_walker(monkeypatch, window, cap):
+    """Every mode, with and without a target (on a walk node and on the
+    shunt point) and exponential holding, at engine block sizes 1, 5 and
+    8192 and at a step cap that falls inside a block: the arrays of
+    ``run`` equal those of the one-step walker byte for byte."""
+    ch = build_chain(spec_from(MIXED), window, 0.1)
+    kinds = set(ch.kind.tolist())
+    assert {simulate.WALK, simulate.DET, simulate.KILL_WINDOW} <= kinds
+    assert kinds & {simulate.TRAP_NODE, simulate.KILL_INF}
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_step_cap", lambda *args: cap)
+    starts = np.arange(3 * ch.n_nodes) % ch.n_nodes
+    for mode in (MODE_FULL, MODE_KILLED, MODE_PART):
+        for target in (None, 0.6, 1.0):
+            target_node = -1 if target is None else ch.node_at(target)
+            for expo in (False, True):
+                want, walks = _reference_run(ch, starts, 5, 0.25, mode,
+                                             expo, target_node)
+                capped = sum(w[4] for w in walks)
+                assert (capped > 0) == (cap is not None)
+                for block in (1, 5, 8192):
+                    monkeypatch.setattr(simulate, "_BLOCK", block)
+                    out, caught = _recorded(
+                        run, ch, starts=starts, t_max=0.25, seed=5, mode=mode,
+                        exponential_holding=expo, target=target)
+                    assert caught == ([f"{capped} replication(s) stopped at "
+                                       f"the step cap ({cap}) before t_max; "
+                                       f"they are reported alive at t_max"]
+                                      if capped else [])
+                    for key in ENGINE_KEYS:
+                        assert out[key].tobytes() == want[key].tobytes(), (
+                            mode, target, expo, block, key)
+
+
+@pytest.mark.parametrize("window", MIXED_WINDOWS)
+@pytest.mark.parametrize("cap", [None, 7])
+def test_simulate_path_equals_the_reference_walker(monkeypatch, window, cap):
+    """The trace of ``simulate_path`` is the walker's start, every move and
+    the closing (final time, position) when the path ends after its last
+    move, also when the step cap cuts the walk inside an engine block."""
+    ch = build_chain(spec_from(MIXED), window, 0.1)
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_step_cap", lambda *args: cap)
+    keys = simulate._rep_key(3, np.arange(12))
+    ends = collections.Counter()
+    for mode in (MODE_FULL, MODE_KILLED, MODE_PART):
+        for expo in (False, True):
+            for rep in range(12):
+                node, t_end, status, _, capped, times, nodes = reference_walk(
+                    ch, ch.node_at(0.6), keys[rep], 0.25, mode, expo, -1,
+                    simulate._step_cap(ch, 0.25, expo))
+                ends[STATUS_NAMES[status], capped] += 1
+                if t_end > times[-1]:
+                    times, nodes = times + [t_end], nodes + [node]
+                for block in (1, 5, 8192):
+                    monkeypatch.setattr(simulate, "_BLOCK", block)
+                    path, caught = _recorded(
+                        simulate_path, ch, 0.6, 0.25, seed=3, rep=rep,
+                        mode=mode, exponential_holding=expo)
+                    assert len(caught) == capped
+                    assert path.status == STATUS_NAMES[status]
+                    assert path.times.tobytes() == np.array(times).tobytes()
+                    assert path.positions.tobytes() == ch.x[nodes].tobytes()
+    if cap is None:  # the horizon and a terminal node both end some paths
+        assert ends["alive", False] and len(ends) >= 2
+    else:
+        assert ends["alive", True]
 
 
 def test_jobs_below_one_are_refused():
