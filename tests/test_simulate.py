@@ -367,6 +367,85 @@ def test_simulate_path_equals_the_reference_walker(monkeypatch, window, cap):
         assert ends["alive", True]
 
 
+class _CountingAdd:
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __call__(self, *args, **kw):
+        self.calls["row add"] += 1
+        return np.add(*args, **kw)
+
+    def accumulate(self, *args, **kw):
+        self.calls["accumulate"] += 1
+        return np.add.accumulate(*args, **kw)
+
+
+class _CountingNumpy:
+    """numpy as the engine module sees it, counting the row adds and the
+    accumulates of its clock sums and the ``flatnonzero`` calls of its
+    compactions."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+        self.add = _CountingAdd(self.calls)
+
+    def flatnonzero(self, a):
+        self.calls["compaction"] += 1
+        return np.flatnonzero(a)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+# Both start in the middle of bm's window.  2 048 replications walk blocks
+# of 8 steps, wide enough for clocks summed by rows; 10 cells from the
+# edges, the first block of a deterministic clock ends no replication.
+# 4 replications walk blocks of 256 steps, summed by one accumulate;
+# 25 cells from the edges, the first block of this seed ends none of them.
+@pytest.mark.parametrize("h, n_rep, t_max, first_block, sums", [
+    (0.05, 2048, 0.03, (8, 2048), "row add"),
+    (0.02, 4, 0.2, (256, 4), "accumulate")], ids=["wide", "narrow"])
+def test_clock_sums_and_block_ends_equal_the_reference_walker(
+        monkeypatch, h, n_rep, t_max, first_block, sums):
+    """Clocks summed by rows and by one accumulate, and blocks that end
+    some replications and none, give ``run`` the arrays of the one-step
+    walker byte for byte in every mode, with and without exponential
+    holding; a block compacts the active set only when one ends."""
+    ch = build_chain(get_example('bm'), (0.0, 1.0), h)
+    starts = np.full(n_rep, ch.node_at(0.5))
+    counting = _CountingNumpy()
+    # (steps, replications, whether one of them ended, compactions so far)
+    blocks = []
+    sum_clocks = simulate._sum_clocks
+
+    def spy(clock):
+        sum_clocks(clock)
+        blocks.append((len(clock) - 1, clock.shape[1],
+                       bool((clock[1:] >= t_max).any()),
+                       counting.calls["compaction"]))
+
+    monkeypatch.setattr(simulate, "_sum_clocks", spy)
+    monkeypatch.setattr(simulate, "np", counting)
+    # with no trap on the chain the walker does not depend on the mode
+    assert simulate.TRAP_NODE not in ch.kind
+    for expo in (False, True):
+        want, _ = _reference_run(ch, starts, 11, t_max, MODE_FULL, expo, -1)
+        for mode in (MODE_FULL, MODE_KILLED, MODE_PART):
+            del blocks[:]
+            counting.calls.clear()
+            out = run(ch, starts=starts, t_max=t_max, seed=11, mode=mode,
+                      exponential_holding=expo)
+            for key in ENGINE_KEYS:
+                assert out[key].tobytes() == want[key].tobytes(), (
+                    mode, expo, key)
+            ended = [e for _, _, e, _ in blocks]
+            after = [c for *_, c in blocks[1:]] + [counting.calls["compaction"]]
+            compacted = [b > a for (*_, a), b in zip(blocks, after)]
+            assert blocks[0][:2] == first_block and counting.calls[sums]
+            assert compacted == ended and any(ended), (mode, expo)
+            assert expo or not ended[0], mode
+
+
 def test_jobs_below_one_are_refused():
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
     for n_jobs in (0, -1):
