@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -271,31 +271,41 @@ def endpoint_role(spec: DiffusionSpec, piece_index: int, side: str,
                             app, role, value, cls)
 
 
+@lru_cache(maxsize=128)
+def _context(spec: DiffusionSpec, rel_tol: float) -> dict:
+    """The memoised stages' results for (spec, rel_tol), by stage."""
+    return {}
+
+
+def _memo(stage):
+    """stage(spec, rel_tol), derived once per (spec, float(rel_tol)) in the
+    one context shared by the profile, the graph and the two verdicts; a
+    defaulted and an explicit rel_tol of one value share it, and the 128
+    most recent contexts are kept.  A refusal (UndeterminedVerdict) is kept
+    without its traceback and raised again with the same message."""
+
+    @wraps(stage)
+    def memoised(spec, rel_tol=1e-6):
+        done = _context(spec, float(rel_tol))
+        if stage not in done:
+            try:
+                done[stage] = stage(spec, float(rel_tol))
+            except UndeterminedVerdict as exc:
+                done[stage] = exc.with_traceback(None)
+        out = done[stage]
+        if isinstance(out, UndeterminedVerdict):
+            raise type(out)(*out.args)
+        return out
+
+    return memoised
+
+
+@_memo
 def boundary_profile(spec: DiffusionSpec, rel_tol: float = 1e-6):
     """EndpointAnalysis for both ends of every regular piece, keyed
-    (piece_index, side).
-
-    Cached on (spec, float(rel_tol)), so a call that leaves rel_tol at
-    its default and one that passes the same value share one entry.  A
-    refusal is cached too: every call on a spec whose profile raised
-    UndeterminedVerdict raises one with the same message, without
-    redoing the quadrature.
-    """
-    out = _profile(spec, float(rel_tol))
-    if isinstance(out, UndeterminedVerdict):
-        raise type(out)(*out.args)
-    return out
-
-
-@lru_cache(maxsize=128)
-def _profile(spec: DiffusionSpec, rel_tol: float):
-    """The profile, or the UndeterminedVerdict that refused it, kept
-    without its traceback."""
+    (piece_index, side).  Derived once per (spec, rel_tol), a refusal too."""
     out = {}
-    try:
-        for i in spec.regular_indices():
-            for side in ("a", "b"):
-                out[(i, side)] = endpoint_role(spec, i, side, rel_tol=rel_tol)
-    except UndeterminedVerdict as exc:
-        return exc.with_traceback(None)
+    for i in spec.regular_indices():
+        for side in ("a", "b"):
+            out[(i, side)] = endpoint_role(spec, i, side, rel_tol=rel_tol)
     return out

@@ -33,7 +33,7 @@ from .sets import RealSet
 from .simulate import (ALIVE, MODE_FULL, MODE_KILLED, MODE_PART,
                        STATUS_NAMES, build_chain, estimate_hitting,
                        estimate_symmetry_defect, run, simulate_path)
-from .symmetry import check_symmetrizable, family_member
+from .symmetry import check_symmetrizable, measure_family
 
 __all__ = ["main"]
 
@@ -143,8 +143,9 @@ def _check_hunt(spec, args) -> dict:
 
 
 def _check_symmetry(spec, args) -> dict:
+    hunt = check_hunt(spec, rel_tol=args.rel_tol)
     sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
-    return {"hunt": sym.hunt.as_dict(), "symmetry": sym.as_dict()}
+    return {"hunt": hunt.as_dict(), "symmetry": sym.as_dict()}
 
 
 def _measure(spec, args) -> dict:
@@ -152,7 +153,7 @@ def _measure(spec, args) -> dict:
               if args.coefficients else None)
     sym = check_symmetrizable(spec, rel_tol=args.rel_tol)
     return {"symmetry": sym.as_dict(),
-            "measure": family_member(spec, sym, coeffs).as_dict()}
+            "measure": measure_family(spec, coeffs, args.rel_tol).as_dict()}
 
 
 def _dirichlet(spec, args) -> dict:

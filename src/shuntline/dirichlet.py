@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import boundary_profile
 from .errors import (DomainError, MembershipError, NotSymmetrizableError,
                      UndeterminedVerdict)
 from .expr import evaluate
@@ -169,13 +170,14 @@ class FormDescriptor:
 
     spec: object
     report: SymmetryReport  # its measure is the form's reference measure
+    rel_tol: float = 1e-6   # the tolerance of the verdicts and the profile
 
 
 def make_form(spec, rel_tol: float = 1e-6) -> FormDescriptor:
     report = check_symmetrizable(spec, rel_tol)
     if not report.killed:
         raise NotSymmetrizableError(report.reason)
-    return FormDescriptor(spec, report)
+    return FormDescriptor(spec, report, rel_tol)
 
 
 def energy(form: FormDescriptor, f: TestFunction, g: TestFunction) -> float:
@@ -222,7 +224,7 @@ def _square_mass_side(form, entry, prof, piece, side, rel_tol):
     """(verdict, value, note) for the F^2 m-mass toward one entry end."""
     endpoint = entry.lo if side == "lo" else entry.hi
     hint = entry.hint_lo if side == "lo" else entry.hint_hi
-    u_lim = form.report.profile[
+    u_lim = boundary_profile(form.spec, form.rel_tol)[
         (entry.piece_index, "a" if side == "lo" else "b")].scale_limit
     tail = prof.value(u_lim)
     if abs(tail) > 0 and hint == "infinite":
@@ -243,12 +245,13 @@ def membership(form: FormDescriptor, tf: TestFunction,
                rel_tol: float = 1e-6) -> MembershipReport:
     """Domain membership for the killed form."""
     reasons = []
+    profile = boundary_profile(form.spec, form.rel_tol)
     # 1. limits at exit endpoints must vanish
     for c in form.report.components:
         prof = tf.profile_for(c.index)
         piece = form.spec.pieces[c.piece_index]
         for side in c.exit_sides:
-            u_lim = form.report.profile[(c.piece_index, side)].scale_limit
+            u_lim = profile[(c.piece_index, side)].scale_limit
             val = 0.0 if prof is None else prof.value(u_lim)
             if abs(val) > _EXIT_TOL:
                 e = piece.endpoint(side)
@@ -425,12 +428,13 @@ def check_adapted(spec, rel_tol: float = 1e-6) -> AdaptedReport:
             f"adaptedness is defined for processes symmetrizable without "
             f"killing; {report.reason}")
     violations = []
+    profile = boundary_profile(spec, rel_tol)
     for c in report.components:
         for side, endpoint, included in (("a", c.lo, c.lo_closed),
                                          ("b", c.hi, c.hi_closed)):
             if not math.isfinite(endpoint):
                 continue
-            s_lim = report.profile[(c.piece_index, side)].scale_limit
+            s_lim = profile[(c.piece_index, side)].scale_limit
             if included != math.isfinite(s_lim):
                 violations.append((("component", c.index), ("side", side),
                                    ("endpoint", endpoint),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary import YES, boundary_profile
+from .boundary import YES, _memo, boundary_profile
 from .errors import DomainError, GraphBuildError, UndeterminedVerdict
 from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT, TRAP,
                     TRAP_SEGMENT, DiffusionSpec)
@@ -84,6 +84,7 @@ class CommunicationGraph:
         raise DomainError(f"no atom holds {x}")
 
 
+@_memo
 def build_graph(spec: DiffusionSpec, rel_tol: float = 1e-6) -> CommunicationGraph:
     """Assemble the atom graph from the endpoint profile at rel_tol.
     Undetermined approachability anywhere stops construction with an

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import YES, boundary_profile
+from .boundary import YES, _memo, boundary_profile
 from .graph import build_graph, communication_classes, ext, reaches
 from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT, TRAP,
                     DiffusionSpec)
@@ -54,9 +54,6 @@ class HuntReport:
     witnesses: tuple
     h_xi: str     # equivalent_to_h / not_decided
     classes: object = None
-    graph: object = None    # the CommunicationGraph it was decided on
-    profile: object = None  # the boundary profile it was decided on
-    lambda_ap: tuple = ()
 
     def as_dict(self) -> dict:
         return {"holds": self.holds,
@@ -81,12 +78,6 @@ def _flanked_shunts(spec: DiffusionSpec):
             and spec.pieces[i - 1].kind == spec.pieces[i + 1].kind == REGULAR]
 
 
-def _lambda_ap(spec: DiffusionSpec, profile) -> tuple:
-    return tuple(x for i, x in _flanked_shunts(spec)
-                 if profile[(i - 1, "b")].approachable == YES
-                 and profile[(i + 1, "a")].approachable == YES)
-
-
 def lambda_ap(spec: DiffusionSpec, literal: bool = False,
               rel_tol: float = 1e-6) -> tuple:
     """Shunt points flanked by regular intervals on both sides and
@@ -98,17 +89,20 @@ def lambda_ap(spec: DiffusionSpec, literal: bool = False,
     path into the point funnels through a flanking interval.
     """
     if not literal:
-        return _lambda_ap(spec, boundary_profile(spec, rel_tol))
+        profile = boundary_profile(spec, rel_tol)
+        return tuple(x for i, x in _flanked_shunts(spec)
+                     if profile[(i - 1, "b")].approachable == YES
+                     and profile[(i + 1, "a")].approachable == YES)
     graph = build_graph(spec, rel_tol)
     return tuple(x for i, x in _flanked_shunts(spec)
                  if all(reaches(graph, spec.pieces[j].interior_point(), x)
                         for j in (i - 1, i + 1)))
 
 
+@_memo
 def check_hunt(spec: DiffusionSpec, rel_tol: float = 1e-6) -> HuntReport:
-    """Decide the fine-regularity property and collect failure witnesses."""
-    graph = build_graph(spec, rel_tol)
-    classes = communication_classes(graph)
+    """Decide fine regularity and its witnesses once per (spec, rel_tol)."""
+    classes = communication_classes(build_graph(spec, rel_tol))
     profile = boundary_profile(spec, rel_tol)
     witnesses = []
     for i, p in enumerate(spec.pieces):
@@ -134,10 +128,9 @@ def check_hunt(spec: DiffusionSpec, rel_tol: float = 1e-6) -> HuntReport:
                 "r1", p.x, p.x,
                 f"shunt point at {p.x} feeds straight into segment material"))
     witnesses.sort(key=lambda w: (w.lo, w.hi))
-    lam_ap = _lambda_ap(spec, profile)
-    h_xi = "equivalent_to_h" if not lam_ap else "not_decided"
-    return HuntReport(not witnesses, tuple(witnesses), h_xi, classes, graph,
-                      profile, lam_ap)
+    h_xi = ("equivalent_to_h" if not lambda_ap(spec, rel_tol=rel_tol)
+            else "not_decided")
+    return HuntReport(not witnesses, tuple(witnesses), h_xi, classes)
 
 
 def singleton_status(spec: DiffusionSpec, x: float, rel_tol: float = 1e-6) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary import EXIT, YES
+from .boundary import EXIT, YES, _memo, boundary_profile
 from .classify import lambda_sets
 from .errors import DomainError, EvalError, NotSymmetrizableError, QuadratureError
 from .expr import evaluate, parse_expr
@@ -35,19 +35,16 @@ from .sets import RealSet
 
 __all__ = ["lambda_ap", "lambda_at", "Component", "MeasureEntry", "Measure",
            "SymmetryReport", "check_symmetrizable", "canonical_measure",
-           "measure_family", "family_member"]
-
-
-def _lambda_at(graph) -> tuple:
-    targets = {t for (_, t) in graph.edges}
-    return tuple(sorted(a.lo for i, a in enumerate(graph.atoms)
-                        if a.kind == "point" and a.point_class == TRAP
-                        and i in targets))
+           "measure_family"]
 
 
 def lambda_at(spec: DiffusionSpec, rel_tol: float = 1e-6) -> tuple:
     """Trap points that some other point reaches."""
-    return _lambda_at(build_graph(spec, rel_tol))
+    graph = build_graph(spec, rel_tol)
+    targets = {t for (_, t) in graph.edges}
+    return tuple(sorted(a.lo for i, a in enumerate(graph.atoms)
+                        if a.kind == "point" and a.point_class == TRAP
+                        and i in targets))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +161,6 @@ class SymmetryReport:
     components: tuple
     reason: str
     measure: object = None
-    hunt: object = None
-    profile: object = None  # the boundary profile it was decided on
 
     def as_dict(self) -> dict:
         return {"hunt_holds": self.hunt_holds,
@@ -229,12 +224,13 @@ def _measure_from(spec: DiffusionSpec, components: tuple, coeffs) -> Measure:
     return Measure(tuple(entries), f"{label} symmetrizing measure for {spec.name}")
 
 
+@_memo
 def check_symmetrizable(spec: DiffusionSpec, rel_tol: float = 1e-6) -> SymmetryReport:
-    """Full verdict ladder plus components and canonical measure, all
-    decided on the one boundary profile at rel_tol."""
+    """Full verdict ladder plus components and canonical measure, decided
+    once per (spec, rel_tol) on the one boundary profile at rel_tol."""
     hunt = check_hunt(spec, rel_tol)
-    lam_ap = hunt.lambda_ap
-    lam_at = _lambda_at(hunt.graph)
+    lam_ap = lambda_ap(spec, rel_tol=rel_tol)
+    lam_at = lambda_at(spec, rel_tol)
     killed = hunt.holds and not lam_ap
     full = killed and not lam_at
     if not hunt.holds:
@@ -251,30 +247,24 @@ def check_symmetrizable(spec: DiffusionSpec, rel_tol: float = 1e-6) -> SymmetryR
     components = ()
     measure = None
     if killed:
-        components = _components(spec, hunt.profile)
+        components = _components(spec, boundary_profile(spec, rel_tol))
         _assert_component_union(spec, components)
         measure = _measure_from(spec, components, None)
     return SymmetryReport(hunt.holds, killed, full, lam_ap, lam_at,
-                          components, reason, measure, hunt, hunt.profile)
+                          components, reason, measure)
 
 
 def canonical_measure(spec: DiffusionSpec, rel_tol: float = 1e-6) -> Measure:
-    return family_member(spec, check_symmetrizable(spec, rel_tol), None)
+    return measure_family(spec, None, rel_tol)
 
 
 def measure_family(spec: DiffusionSpec, coefficients, rel_tol: float = 1e-6) -> Measure:
     """Member of the symmetrizing family with positive per-component scales.
 
     coefficients: mapping component index -> scale, or a sequence in
-    component order.
+    component order; None gives the canonical measure.
     """
-    return family_member(spec, check_symmetrizable(spec, rel_tol), coefficients)
-
-
-def family_member(spec: DiffusionSpec, report: SymmetryReport,
-                  coefficients) -> Measure:
-    """``measure_family`` on a verdict at hand; coefficients None gives
-    the canonical measure."""
+    report = check_symmetrizable(spec, rel_tol)
     if not report.killed:
         raise NotSymmetrizableError(report.reason)
     if coefficients is None:

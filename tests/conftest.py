@@ -1,5 +1,6 @@
 """Shared fixtures: hand-built spec documents, a randomized generator, an
-exact solve of the simulation chain and a one-step-at-a-time walker.
+exact solve of the simulation chain, a one-step-at-a-time walker and a
+counter of derivations.
 
 The generator produces structurally valid specs only (closedness of the
 one-way and trap label sets is respected by construction), drawing
@@ -7,9 +8,12 @@ scales and densities from a pool whose boundary integrals are cleanly
 decidable.
 """
 
+import collections
+import contextlib
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +192,28 @@ def cubic_scale_doc():
     return {"name": "cubic-scale", "pieces": [
         {"kind": "regular_interval", "a": "-inf", "b": "inf",
          "scale": "x^3", "speed": {"density": "2"}}]}
+
+
+@contextlib.contextmanager
+def derivations(*functions):
+    """Count, by function name, the runs of each function's own body
+    while the block runs.  A memoised stage counts the runs of the stage
+    it wraps, so a memo hit counts nothing, and no caller's reference to
+    the function needs patching."""
+    names = {getattr(f, "__wrapped__", f).__code__: f.__name__
+             for f in functions}
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
 
 
 def _thomas(sub, sup, rhs):

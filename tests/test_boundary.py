@@ -13,7 +13,7 @@ from shuntline.errors import EvalError
 from shuntline.expr import parse_expr
 from shuntline.model import REGULAR, Piece, eval_scale
 
-from conftest import spec_from
+from conftest import derivations, spec_from
 
 
 def one_piece(a, b, scale, density, hints=None):
@@ -145,33 +145,31 @@ def test_finite_speed_hint_short_circuits_numerics():
 
 def test_default_and_explicit_tolerance_share_one_profile():
     from shuntline import check_symmetrizable
-    from shuntline.boundary import _profile
 
-    # a spec no other test builds, so nothing is cached for it yet
+    # a spec no other test builds, so nothing is derived for it yet
     spec, _ = one_piece("0", "3", "x", "2.718")
-    before = _profile.cache_info().misses
-    check_symmetrizable(spec)
-    assert _profile.cache_info().misses == before + 1
-    assert boundary_profile(spec) is boundary_profile(spec, 1e-6)
-    assert _profile.cache_info().misses == before + 1
+    with derivations(endpoint_role) as runs:
+        check_symmetrizable(spec)
+        assert runs == {"endpoint_role": 2}  # one per endpoint
+        assert boundary_profile(spec) is boundary_profile(spec, 1e-6)
+    assert runs == {"endpoint_role": 2}
 
 
 def test_tight_verdict_stack_builds_one_profile():
     """Every layer reads the profile at the caller's tolerance."""
     from shuntline import check_symmetrizable, lambda_at, lambda_ap
-    from shuntline.boundary import _profile
     from shuntline.dirichlet import check_adapted, check_regular_form
 
     # a fresh whole-line spec (symmetrizable without killing)
     spec, _ = one_piece("-inf", "inf", "x", "1.618")
-    before = _profile.cache_info().misses
-    assert check_symmetrizable(spec, 1e-8).full
-    assert _profile.cache_info().misses == before + 1
-    assert check_regular_form(spec, 1e-8).ok
-    assert check_adapted(spec, 1e-8).ok
-    assert lambda_at(spec, 1e-8) == ()
-    assert lambda_ap(spec, literal=True, rel_tol=1e-8) == ()
-    assert _profile.cache_info().misses == before + 1
+    with derivations(endpoint_role) as runs:
+        assert check_symmetrizable(spec, 1e-8).full
+        assert runs == {"endpoint_role": 2}
+        assert check_regular_form(spec, 1e-8).ok
+        assert check_adapted(spec, 1e-8).ok
+        assert lambda_at(spec, 1e-8) == ()
+        assert lambda_ap(spec, literal=True, rel_tol=1e-8) == ()
+    assert runs == {"endpoint_role": 2}
 
 
 def test_endpoint_role_probes_each_scale_limit_once(monkeypatch):
@@ -269,8 +267,9 @@ def test_a_chunk_that_raises_falls_back_to_scalar_probes(monkeypatch):
 
 def test_refused_profile_is_cached(borderline_doc, monkeypatch):
     """A refusal is memoized like a profile: the second call raises the
-    same message without any quadrature."""
-    from shuntline import boundary
+    same message without any quadrature, and so do the graph and the
+    Hunt verdict built on it."""
+    from shuntline import GraphBuildError, boundary, build_graph, check_hunt
     calls = []
     integrate = boundary.improper_integral
 
@@ -285,8 +284,14 @@ def test_refused_profile_is_cached(borderline_doc, monkeypatch):
         boundary_profile(spec)
     assert calls
     calls.clear()
-    with pytest.raises(UndeterminedVerdict) as second:
-        boundary_profile(spec)
-    assert calls == []
+    with derivations(boundary.endpoint_role) as runs:
+        with pytest.raises(UndeterminedVerdict) as second:
+            boundary_profile(spec)
+        with pytest.raises(GraphBuildError) as graph:
+            build_graph(spec)
+        with pytest.raises(GraphBuildError) as hunt:
+            check_hunt(spec, 1e-6)
+    assert calls == [] and runs == {}
     assert str(second.value) == str(first.value)
+    assert str(graph.value) == str(hunt.value) == str(first.value)
     assert "hints" in str(second.value)

@@ -8,6 +8,8 @@ import pytest
 from shuntline.cli import main
 from shuntline.examples import example_document
 
+from conftest import derivations
+
 
 def run_cli(tmp_path, *argv, out_name="report.json"):
     out = tmp_path / out_name
@@ -312,21 +314,36 @@ def test_dirichlet_passes_rel_tol_to_both_checks(tmp_path, monkeypatch):
     assert seen == [("check_regular_form", 1e-8), ("check_adapted", 1e-8)]
 
 
-def test_measure_decides_its_verdict_once(tmp_path, monkeypatch):
-    from shuntline import cli, symmetry
+def _fresh_spec_file(tmp_path, example, name):
+    """The example's document under a name no other test uses, so nothing
+    is derived for it yet."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(example_document(example), name=name)))
+    return str(path)
 
-    calls = []
-    real = symmetry.check_symmetrizable
 
-    def counting(spec, rel_tol=1e-6):
-        calls.append(rel_tol)
-        return real(spec, rel_tol=rel_tol)
+def test_measure_decides_its_verdict_once(tmp_path):
+    from shuntline import check_symmetrizable
 
-    monkeypatch.setattr(cli, "check_symmetrizable", counting)
-    monkeypatch.setattr(symmetry, "check_symmetrizable", counting)
-    for extra in ([], ["--coefficients", "3,5"]):
-        calls.clear()
-        code, doc = run_cli(tmp_path, "measure", "--example", "split-bm", *extra)
+    for k, extra in enumerate(([], ["--coefficients", "3,5"])):
+        path = _fresh_spec_file(tmp_path, "split-bm", f"split-bm-measure-{k}")
+        with derivations(check_symmetrizable) as runs:
+            code, doc = run_cli(tmp_path, "measure", "--spec", path, *extra)
         assert code == 0
-        assert calls == [1e-6]
+        assert runs == {"check_symmetrizable": 1}
     assert [e["weight"] for e in doc["measure"]["entries"]] == [3.0, 5.0]
+
+
+def test_dirichlet_derives_each_stage_once(tmp_path):
+    from shuntline import (boundary_profile, build_graph, check_hunt,
+                           check_symmetrizable)
+    from shuntline.symmetry import _measure_from
+
+    stages = (boundary_profile, build_graph, check_hunt, check_symmetrizable,
+              _measure_from)
+    path = _fresh_spec_file(tmp_path, "bm", "bm-dirichlet-once")
+    with derivations(*stages) as runs:
+        code, doc = run_cli(tmp_path, "dirichlet", "--spec", path,
+                            "--rel-tol", "1e-8")
+    assert code == 0 and doc["dirichlet"]["adapted"]["ok"] is True
+    assert runs == {stage.__name__: 1 for stage in stages}

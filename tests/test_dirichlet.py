@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from shuntline import (MembershipError, NotSymmetrizableError, get_example,
-                       parse_spec)
+from shuntline import (MembershipError, NotSymmetrizableError,
+                       example_document, get_example, parse_spec)
 from shuntline import dirichlet as dl
 
 
@@ -154,6 +154,10 @@ def test_adapted_and_membership_read_scale_limits_from_the_profile(monkeypatch):
     bm = get_example('bm')
     bm_form = dl.make_form(bm)
     ar_form = dl.make_form(get_example('absorb-reflect'))
+    # a form keeps its tolerance: on a spec analysed only at 1e-8, reading
+    # the profile at the default would derive it again
+    tight = parse_spec(dict(example_document('bm'), name='bm-form-1e-8'))
+    tight_form = dl.make_form(tight, 1e-8)
 
     def probe_again(*args):
         raise AssertionError("scale_limit probed after the profile was built")
@@ -163,6 +167,7 @@ def test_adapted_and_membership_read_scale_limits_from_the_profile(monkeypatch):
     assert dl.check_adapted(bm).ok
     bump = tf(0, dl.linear_profile([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
     assert dl.membership(bm_form, bump).ok
+    assert dl.membership(tight_form, bump).ok
     # absorb-reflect has an exit endpoint, whose limit must vanish
     good = tf(0, dl.linear_profile([0.0, 0.5, 1.5], [0.0, 1.0, 0.0]))
     assert dl.membership(ar_form, good).ok
