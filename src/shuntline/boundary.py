@@ -43,13 +43,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import EvalError, UndeterminedVerdict
 from .expr import evaluate
-from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, TRAP, DiffusionSpec,
-                    Piece)
+from .model import REGULAR, RIGHT_SHUNT, TRAP, DiffusionSpec, Piece, ext
 from .quadrature import FINITE, INFINITE, improper_integral
 
 __all__ = [
@@ -216,10 +216,8 @@ class EndpointAnalysis:
         return {
             "piece_index": self.piece_index,
             "side": self.side,
-            "endpoint": self.endpoint if math.isfinite(self.endpoint)
-            else ("+inf" if self.endpoint > 0 else "-inf"),
-            "scale_limit": self.scale_limit if math.isfinite(self.scale_limit)
-            else ("+inf" if self.scale_limit > 0 else "-inf"),
+            "endpoint": ext(self.endpoint),
+            "scale_limit": ext(self.scale_limit),
             "approachable": self.approachable,
             "role": self.role,
             "boundary_integral": self.boundary_integral
@@ -233,15 +231,12 @@ def _role(spec, index, side, app):
     e = piece.endpoint(side)
     if math.isinf(e):
         return EXIT if app == YES else NATURAL, ""
-    adj = spec.neighbor(index, side)
-    cls = adj.point_class
-    into = RIGHT_SHUNT if side == "a" else LEFT_SHUNT  # shunt pointing into the piece
-    away = LEFT_SHUNT if side == "a" else RIGHT_SHUNT
-    if cls == into:
+    cls = spec.neighbor(index, side).point_class
+    if cls == TRAP:
+        return (EXIT if app == YES else NATURAL), cls
+    if (cls == RIGHT_SHUNT) == (side == "a"):  # a shunt pointing into the piece
         return (INCLUDED_SHUNT if app == YES else ENTRANCE_UNREACHABLE), cls
-    if cls == away:
-        return (GLUE_TO_NEIGHBOR if app == YES else NATURAL), cls
-    return (EXIT if app == YES else NATURAL), cls
+    return (GLUE_TO_NEIGHBOR if app == YES else NATURAL), cls
 
 
 def endpoint_role(spec: DiffusionSpec, piece_index: int, side: str,
@@ -303,9 +298,8 @@ def _memo(stage):
 @_memo
 def boundary_profile(spec: DiffusionSpec, rel_tol: float = 1e-6):
     """EndpointAnalysis for both ends of every regular piece, keyed
-    (piece_index, side).  Derived once per (spec, rel_tol), a refusal too."""
-    out = {}
-    for i in spec.regular_indices():
-        for side in ("a", "b"):
-            out[(i, side)] = endpoint_role(spec, i, side, rel_tol=rel_tol)
-    return out
+    (piece_index, side), as a read-only mapping.  Derived once per
+    (spec, rel_tol), a refusal too."""
+    return MappingProxyType({
+        (i, side): endpoint_role(spec, i, side, rel_tol=rel_tol)
+        for i in spec.regular_indices() for side in ("a", "b")})

@@ -4,15 +4,16 @@ Every finite point is regular (diffuses both ways), a one-directional
 shunt (left or right), or a trap.  The derived sets follow the usual
 identities: right-singular = right shunts plus traps, left-singular =
 left shunts plus traps, the regular set is the complement of their
-union, and traps are their intersection.
+union, and traps are their intersection.  All points of one piece share
+the class its ``Piece.cls`` property names; ``classify_point`` and the
+sets read it from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT, TRAP,
-                    TRAP_SEGMENT, DiffusionSpec)
+from .model import LEFT_SHUNT, REGULAR, RIGHT_SHUNT, TRAP, DiffusionSpec
 from .sets import RealSet
 
 __all__ = ["PointClass", "classify_point", "regular_decomposition", "lambda_sets"]
@@ -27,14 +28,7 @@ class PointClass:
 
 def classify_point(spec: DiffusionSpec, x: float) -> str:
     """Class of a finite point."""
-    _, piece = spec.piece_at(x)
-    if piece.kind == REGULAR:
-        return PointClass.REGULAR
-    if piece.kind == TRAP_SEGMENT:
-        return PointClass.TRAP
-    if piece.kind == SHUNT_SEGMENT:
-        return RIGHT_SHUNT if piece.direction == "right" else LEFT_SHUNT
-    return piece.point_class
+    return spec.piece_at(x)[1].cls
 
 
 def regular_decomposition(spec: DiffusionSpec) -> tuple:
@@ -68,26 +62,9 @@ class LambdaSets:
 
 def lambda_sets(spec: DiffusionSpec) -> LambdaSets:
     """The six class sets as exact finite unions of intervals and points."""
-    reg, pl, pr, tr = (RealSet.empty() for _ in range(4))
-    for p in spec.pieces:
-        if p.kind == REGULAR:
-            reg = reg.union(RealSet.interval(p.a, p.b))
-        elif p.kind == TRAP_SEGMENT:
-            tr = tr.union(RealSet.interval(p.a, p.b))
-        elif p.kind == SHUNT_SEGMENT:
-            seg = RealSet.interval(p.a, p.b)
-            if p.direction == "right":
-                pr = pr.union(seg)
-            else:
-                pl = pl.union(seg)
-        else:
-            pt = RealSet.point(p.x)
-            if p.point_class == TRAP:
-                tr = tr.union(pt)
-            elif p.point_class == RIGHT_SHUNT:
-                pr = pr.union(pt)
-            else:
-                pl = pl.union(pt)
+    pl, pr, tr = (RealSet.from_intervals((p.lo, p.hi, p.is_point, p.is_point)
+                                         for p in spec.pieces if p.cls == cls)
+                  for cls in (LEFT_SHUNT, RIGHT_SHUNT, TRAP))
     lam_r = pr.union(tr)
     lam_l = pl.union(tr)
     return LambdaSets(

@@ -29,7 +29,7 @@ from .boundary import boundary_profile
 from .errors import (DomainError, MembershipError, NotSymmetrizableError,
                      UndeterminedVerdict)
 from .expr import evaluate
-from .graph import ext
+from .model import ext
 from .quadrature import FINITE, INFINITE, UNDETERMINED, cell_quad, improper_integral
 from .symmetry import SymmetryReport, check_symmetrizable
 
@@ -314,7 +314,7 @@ def require_member(form: FormDescriptor, tf: TestFunction,
 # unit contraction
 
 
-def _real_roots_in(coeffs, lo, hi, shift=0.0):
+def _real_roots_in(coeffs, lo, hi, shift):
     """Real roots of the cubic (shifted by -shift) strictly inside (lo, hi)."""
     c0, c1, c2, c3 = coeffs
     poly = [c3, c2, c1, c0 - shift]

@@ -26,16 +26,14 @@ from dataclasses import dataclass
 
 from .boundary import YES, _memo, boundary_profile
 from .errors import DomainError, GraphBuildError, UndeterminedVerdict
-from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT, TRAP,
-                    TRAP_SEGMENT, DiffusionSpec)
+from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT,
+                    SINGULAR_POINT, TRAP, TRAP_SEGMENT, DiffusionSpec, ext)
 
 __all__ = ["Atom", "CommunicationGraph", "CommunicationClasses",
            "build_graph", "reaches", "communication_classes", "ring_interior"]
 
-
-def ext(v: float):
-    """v as a report value: infinities become "+inf" and "-inf"."""
-    return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
+_ATOM_KIND = {REGULAR: "regular", SHUNT_SEGMENT: "shunt",
+              TRAP_SEGMENT: "trap_seg", SINGULAR_POINT: "point"}
 
 
 @dataclass(frozen=True)
@@ -97,28 +95,17 @@ def build_graph(spec: DiffusionSpec, rel_tol: float = 1e-6) -> CommunicationGrap
     atoms = [Atom("cemetery", -math.inf, -math.inf)]
     index_of_piece_atoms = {}
     for i, p in enumerate(spec.pieces):
-        if p.kind == REGULAR:
-            atoms.append(Atom("regular", p.a, p.b, i))
+        bar = p.partial_barrier()
+        if bar is None:
+            atoms.append(Atom(_ATOM_KIND[p.kind], p.lo, p.hi, i,
+                              p.direction or "", p.point_class or ""))
             index_of_piece_atoms[i] = [len(atoms) - 1]
-        elif p.kind == TRAP_SEGMENT:
-            atoms.append(Atom("trap_seg", p.a, p.b, i))
-            index_of_piece_atoms[i] = [len(atoms) - 1]
-        elif p.kind == SHUNT_SEGMENT:
-            bar = p.partial_barrier()
-            if bar is None:
-                atoms.append(Atom("shunt", p.a, p.b, i, p.direction))
-                index_of_piece_atoms[i] = [len(atoms) - 1]
-            elif p.direction == "right":
-                atoms.append(Atom("shunt", p.a, bar, i, p.direction, blocked=True))
-                atoms.append(Atom("shunt", bar, p.b, i, p.direction))
-                index_of_piece_atoms[i] = [len(atoms) - 2, len(atoms) - 1]
-            else:
-                atoms.append(Atom("shunt", p.a, bar, i, p.direction))
-                atoms.append(Atom("shunt", bar, p.b, i, p.direction, blocked=True))
-                index_of_piece_atoms[i] = [len(atoms) - 2, len(atoms) - 1]
         else:
-            atoms.append(Atom("point", p.x, p.x, i, point_class=p.point_class))
-            index_of_piece_atoms[i] = [len(atoms) - 1]
+            atoms.append(Atom("shunt", p.a, bar, i, p.direction,
+                              blocked=p.direction == "right"))
+            atoms.append(Atom("shunt", bar, p.b, i, p.direction,
+                              blocked=p.direction == "left"))
+            index_of_piece_atoms[i] = [len(atoms) - 2, len(atoms) - 1]
     atoms.append(Atom("cemetery", math.inf, math.inf))
     plus_inf = len(atoms) - 1
     minus_inf = 0
@@ -143,22 +130,12 @@ def build_graph(spec: DiffusionSpec, rel_tol: float = 1e-6) -> CommunicationGrap
                 edges.add((me, left_of(i)))
             if profile[(i, "b")].approachable == YES:
                 edges.add((me, right_of(i)))
-        elif p.kind == SHUNT_SEGMENT:
-            for k in mine:
-                if atoms[k].blocked:
-                    continue
-                if p.direction == "right":
-                    target = right_of(i) if atoms[k].hi == p.b else None
-                else:
-                    target = left_of(i) if atoms[k].lo == p.a else None
-                if target is not None and atoms[target].kind != "cemetery":
-                    edges.add((k, target))
-        elif p.is_point:
-            me = mine[0]
-            if p.point_class == RIGHT_SHUNT:
-                edges.add((me, right_of(i)))
-            elif p.point_class == LEFT_SHUNT:
-                edges.add((me, left_of(i)))
+        # a shunt's downstream atom, the one a split segment leaves unblocked,
+        # feeds the next piece; the segment at an infinite end feeds nothing
+        elif p.cls == RIGHT_SHUNT and right_of(i) != plus_inf:
+            edges.add((mine[-1], right_of(i)))
+        elif p.cls == LEFT_SHUNT and left_of(i) != minus_inf:
+            edges.add((mine[0], left_of(i)))
     return CommunicationGraph(spec, tuple(atoms), frozenset(edges))
 
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boundary import YES, _memo, boundary_profile
-from .graph import build_graph, communication_classes, ext, reaches
+from .graph import build_graph, communication_classes, reaches
 from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT, TRAP,
-                    DiffusionSpec)
+                    DiffusionSpec, ext)
 
 __all__ = ["Witness", "HuntReport", "check_hunt", "singleton_status",
            "lambda_ap", "POLAR", "THIN_NOT_POLAR", "NOT_THIN"]
@@ -111,9 +111,7 @@ def check_hunt(spec: DiffusionSpec, rel_tol: float = 1e-6) -> HuntReport:
                 "r1", p.a, p.b,
                 "segment of one-way points inside its communication class"))
             continue
-        if not p.is_point or p.point_class not in (LEFT_SHUNT, RIGHT_SHUNT):
-            continue
-        if not classes.ring_contains(p.x):
+        if p.cls not in (LEFT_SHUNT, RIGHT_SHUNT) or not classes.ring_contains(p.x):
             continue
         j, nb, back_side = _open_side_neighbor(spec, i)
         if nb.kind == REGULAR:

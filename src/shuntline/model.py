@@ -52,6 +52,10 @@ TRAP = "trap"
 LEFT_SHUNT = "left_shunt"
 RIGHT_SHUNT = "right_shunt"
 _CLASSES = (TRAP, LEFT_SHUNT, RIGHT_SHUNT)
+# the right- and left-singular sets are closed: a point at an end of their
+# material belongs to them
+_RIGHT_SINGULAR = (RIGHT_SHUNT, TRAP)
+_LEFT_SINGULAR = (LEFT_SHUNT, TRAP)
 
 _HINTS = ("finite", "infinite", "unknown")
 
@@ -148,6 +152,18 @@ class Piece:
         return self.kind == SINGULAR_POINT
 
     @property
+    def cls(self) -> str:
+        """Class of every point of the piece: regular, trap, left_shunt or
+        right_shunt."""
+        if self.kind == REGULAR:
+            return "regular"
+        if self.kind == TRAP_SEGMENT:
+            return TRAP
+        if self.kind == SHUNT_SEGMENT:
+            return RIGHT_SHUNT if self.direction == "right" else LEFT_SHUNT
+        return self.point_class
+
+    @property
     def lo(self) -> float:
         return self.x if self.is_point else self.a
 
@@ -175,7 +191,7 @@ class Piece:
     def to_dict(self) -> dict:
         if self.kind == SINGULAR_POINT:
             return {"kind": self.kind, "x": self.x, "class": self.point_class}
-        out = {"kind": self.kind, "a": _dump_ext(self.a), "b": _dump_ext(self.b)}
+        out = {"kind": self.kind, "a": ext(self.a), "b": ext(self.b)}
         if self.kind == SHUNT_SEGMENT:
             out["direction"] = self.direction
             if self.reach != "full":
@@ -239,12 +255,9 @@ def _load_ext(v, where):
     raise SpecParseError(f'{where}: expected a number or "-inf"/"+inf", got {v!r}')
 
 
-def _dump_ext(v: float):
-    if v == -math.inf:
-        return "-inf"
-    if v == math.inf:
-        return "+inf"
-    return v
+def ext(v: float):
+    """v as a document or report value: infinities become "+inf" and "-inf"."""
+    return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
 
 
 def _parse_piece(d: dict, i: int) -> Piece:
@@ -466,23 +479,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _material_class(piece: Piece) -> Optional[str]:
-    """Point class shared by the interior of a non-regular interval piece."""
-    if piece.kind == TRAP_SEGMENT:
-        return TRAP
-    if piece.kind == SHUNT_SEGMENT:
-        return RIGHT_SHUNT if piece.direction == "right" else LEFT_SHUNT
-    return None
-
-
-def _in_lambda_r(cls: str) -> bool:
-    return cls in (RIGHT_SHUNT, TRAP)
-
-
-def _in_lambda_l(cls: str) -> bool:
-    return cls in (LEFT_SHUNT, TRAP)
-
-
 def validate(spec: DiffusionSpec) -> ValidationReport:
     """Audit semantic invariants; empty report means valid."""
     out = []
@@ -529,16 +525,12 @@ def validate(spec: DiffusionSpec) -> ValidationReport:
                     out.append(Violation("atom_weight", where,
                                          f"atom at {at} has non-positive weight {w}"))
         if p.is_point:
-            left = spec.pieces[i - 1]
-            right = spec.pieces[i + 1]
-            lcls = _material_class(left)
-            rcls = _material_class(right)
-            if lcls is not None and _in_lambda_r(lcls) and not _in_lambda_r(p.point_class):
+            if spec.pieces[i - 1].cls in _RIGHT_SINGULAR and p.cls not in _RIGHT_SINGULAR:
                 out.append(Violation(
                     "closedness", where,
                     f"upward limit of right-singular material at {p.x} forces class "
                     f"right_shunt or trap, got {p.point_class}"))
-            if rcls is not None and _in_lambda_l(rcls) and not _in_lambda_l(p.point_class):
+            if spec.pieces[i + 1].cls in _LEFT_SINGULAR and p.cls not in _LEFT_SINGULAR:
                 out.append(Violation(
                     "closedness", where,
                     f"downward limit of left-singular material at {p.x} forces class "

@@ -401,7 +401,7 @@ def _gl_nodes(order):
     return nodes, weights
 
 
-def gauss_cells(fvec, edges, order=16):
+def gauss_cells(fvec, edges, order):
     """Fixed-order Gauss-Legendre integral of fvec on each cell.
 
     fvec maps a flat numpy array of positions to values; edges is an

@@ -23,19 +23,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary import EXIT, YES, _memo, boundary_profile
+from .boundary import (ENTRANCE_UNREACHABLE, EXIT, INCLUDED_SHUNT, _memo,
+                       boundary_profile)
 from .classify import lambda_sets
 from .errors import DomainError, EvalError, NotSymmetrizableError, QuadratureError
 from .expr import evaluate, parse_expr
-from .graph import build_graph, ext
+from .graph import build_graph
 from .hunt import check_hunt, lambda_ap
-from .model import LEFT_SHUNT, RIGHT_SHUNT, TRAP, TRAP_SEGMENT, DiffusionSpec
+from .model import TRAP, TRAP_SEGMENT, DiffusionSpec, ext
 from .quadrature import FINITE, INFINITE, UNDETERMINED, span_integral
 from .sets import RealSet
 
 __all__ = ["lambda_ap", "lambda_at", "Component", "MeasureEntry", "Measure",
            "SymmetryReport", "check_symmetrizable", "canonical_measure",
            "measure_family"]
+
+# the roles of an endpoint whose adjacent point is a shunt into the piece
+_SHUNT_INTO = (INCLUDED_SHUNT, ENTRANCE_UNREACHABLE)
 
 
 def lambda_at(spec: DiffusionSpec, rel_tol: float = 1e-6) -> tuple:
@@ -176,18 +180,12 @@ def _components(spec: DiffusionSpec, profile) -> tuple:
     out = []
     for n, i in enumerate(spec.regular_indices()):
         p = spec.pieces[i]
-        flags = {}
-        exits = []
-        for side, matching in (("a", RIGHT_SHUNT), ("b", LEFT_SHUNT)):
-            ana = profile[(i, side)]
-            adj = spec.neighbor(i, side)
-            tilde = adj is not None and adj.is_point and adj.point_class == matching
-            flags[side] = (tilde, tilde and ana.approachable == YES)
-            if ana.role == EXIT:
-                exits.append(side)
-        out.append(Component(n, i, p.a, p.b,
-                             flags["a"][1], flags["b"][1],
-                             flags["a"][0], flags["b"][0], tuple(exits)))
+        roles = {side: profile[(i, side)].role for side in ("a", "b")}
+        out.append(Component(
+            n, i, p.a, p.b,
+            roles["a"] == INCLUDED_SHUNT, roles["b"] == INCLUDED_SHUNT,
+            roles["a"] in _SHUNT_INTO, roles["b"] in _SHUNT_INTO,
+            tuple(side for side, role in roles.items() if role == EXIT)))
     return tuple(out)
 
 

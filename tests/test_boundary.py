@@ -155,6 +155,23 @@ def test_default_and_explicit_tolerance_share_one_profile():
     assert runs == {"endpoint_role": 2}
 
 
+def test_profile_is_a_read_only_view():
+    """A caller cannot change the memo's profile under the later stages."""
+    from shuntline import build_graph, check_hunt, example_document
+
+    # a fresh copy of bm, so its profile is derived here
+    spec = parse_spec(dict(example_document("bm"), name="bm-read-only"))
+    profile = boundary_profile(spec)
+    with pytest.raises(TypeError):
+        profile[(0, "a")] = None
+    assert not hasattr(profile, "clear")
+    assert boundary_profile(spec) is profile
+    bm = get_example("bm")
+    graph, graph_bm = build_graph(spec), build_graph(bm)
+    assert (graph.atoms, graph.edges) == (graph_bm.atoms, graph_bm.edges)
+    assert check_hunt(spec).as_dict() == check_hunt(bm).as_dict()
+
+
 def test_tight_verdict_stack_builds_one_profile():
     """Every layer reads the profile at the caller's tolerance."""
     from shuntline import check_symmetrizable, lambda_at, lambda_ap
