@@ -15,9 +15,9 @@ the class out on their own.  One digest covers one spec:
 
 with floats written as ``float.hex`` and a call that raises recorded by
 its exception type and message.  The specs are the built-in examples,
-the twenty random specs of c03, the partial-reach segment of
-``test_graph.py`` and a closedness grid: every point class between every
-pair of flanking materials, valid or not.
+the twenty random specs of c03, four fixtures and a closedness grid:
+every point class between every pair of flanking materials, valid or
+not.
 """
 
 import hashlib
@@ -41,12 +41,32 @@ MATERIALS = {
 }
 CLASSES = ("trap", "left_shunt", "right_shunt")
 
-PARTIAL_REACH = [
-    {"kind": "shunt_segment", "a": "-inf", "b": "0",
-     "direction": "right", "reach": "partial:-1"},
-    {"kind": "singular_point", "x": "0", "class": "right_shunt"},
-    {"kind": "regular_interval", "a": "0", "b": "inf",
-     "scale": "x/2", "speed": {"density": "2"}}]
+# the partial-reach segment of test_graph.py and its mirror image, and a
+# shunt into a regular interval that never approaches it from either side
+FIXTURES = {
+    "partial-reach": [
+        {"kind": "shunt_segment", "a": "-inf", "b": "0",
+         "direction": "right", "reach": "partial:-1"},
+        {"kind": "singular_point", "x": "0", "class": "right_shunt"},
+        {"kind": "regular_interval", "a": "0", "b": "inf",
+         "scale": "x/2", "speed": {"density": "2"}}],
+    "partial-reach-left": [
+        {"kind": "regular_interval", "a": "-inf", "b": "0",
+         "scale": "x/2", "speed": {"density": "2"}},
+        {"kind": "singular_point", "x": "0", "class": "left_shunt"},
+        {"kind": "shunt_segment", "a": "0", "b": "inf",
+         "direction": "left", "reach": "partial:1"}],
+    "entrance-a": [
+        {"kind": "trap_segment", "a": "-inf", "b": "0"},
+        {"kind": "singular_point", "x": "0", "class": "right_shunt"},
+        {"kind": "regular_interval", "a": "0", "b": "inf",
+         "scale": "-1/x", "speed": {"density": "2"}}],
+    "entrance-b": [
+        {"kind": "regular_interval", "a": "-inf", "b": "0",
+         "scale": "-1/x", "speed": {"density": "2"}},
+        {"kind": "singular_point", "x": "0", "class": "left_shunt"},
+        {"kind": "trap_segment", "a": "0", "b": "inf"}],
+}
 
 
 def grid_spec(left, cls, right):
@@ -62,14 +82,14 @@ def case_spec(case):
         return get_example(rest)
     if family == "random":
         return parse_spec(random_spec_doc(int(rest)))
-    if family == "partial":
-        return spec_from(PARTIAL_REACH, name="partial-reach")
+    if family == "fixture":
+        return spec_from(FIXTURES[rest], name=rest)
     return grid_spec(*rest.split("/"))
 
 
 CASES = ([f"example:{n}" for n in list_examples()]
          + [f"random:{seed}" for seed in range(20)]
-         + ["partial:reach"]
+         + [f"fixture:{name}" for name in FIXTURES]
          + [f"grid:{l}/{c}/{r}" for l, c, r in
             itertools.product(MATERIALS, CLASSES, MATERIALS)])
 
@@ -169,8 +189,14 @@ DIGESTS = {
         "0b15abb77a8d5625a34f8178a08e2cf0a035423b10157ef3aefbe486c9b29db4",
     "random:19":
         "430dc65322b2437c25b8ae4f7b885c325e5dc0059d30601ddc17c8a5f724d138",
-    "partial:reach":
+    "fixture:partial-reach":
         "23213268ab768778a7de7d5fbe5e2dc52a2be772f4c4c13989ce3cde40105055",
+    "fixture:partial-reach-left":
+        "91b94e0197593e387f4c842b42dbd017ba1c6b08f7c4b548657c32c2cf6b07a7",
+    "fixture:entrance-a":
+        "093f58a522f5e3e1c083a8a6dc9e2d997ca3fe4f97852a855b641f418e3805ff",
+    "fixture:entrance-b":
+        "38e2cbafba86798a371801a48bcf89cf9840a97a21048783cd3e7e770f074bc4",
     "grid:regular/trap/regular":
         "f3ae60b592d6ba499ee5997ba542aca9efea2fb1b1e0465c24781e84239eab39",
     "grid:regular/trap/trap":
@@ -270,7 +296,7 @@ DIGESTS = {
 }
 
 def test_every_case_is_pinned():
-    assert len(CASES) == 8 + 20 + 1 + 48
+    assert len(CASES) == 8 + 20 + 4 + 48
     assert sorted(DIGESTS) == sorted(CASES)
 
 
