@@ -26,9 +26,9 @@ from .dirichlet import (AdaptedReport, FormDescriptor, MembershipReport,
                         indicator_profile, linear_profile, make_form,
                         membership, ramp_profile, require_member)
 from .errors import (ChainBuildError, DomainError, EvalError, ExprError,
-                     GraphBuildError, MembershipError, NotSymmetrizableError,
-                     QuadratureError, ShuntlineError, SpecParseError,
-                     UndeterminedVerdict)
+                     GraphBuildError, InvalidSpecError, MembershipError,
+                     NotSymmetrizableError, QuadratureError, ShuntlineError,
+                     SpecParseError, UndeterminedVerdict)
 from .examples import example_document, get_example, list_examples
 from .graph import (CommunicationClasses, CommunicationGraph, build_graph,
                     communication_classes, reaches, ring_interior)
@@ -79,7 +79,7 @@ __all__ = [
     "get_example", "example_document", "list_examples",
     # errors
     "ShuntlineError", "ExprError", "EvalError", "SpecParseError",
-    "DomainError", "UndeterminedVerdict", "GraphBuildError",
-    "NotSymmetrizableError", "MembershipError", "ChainBuildError",
-    "QuadratureError",
+    "InvalidSpecError", "DomainError", "UndeterminedVerdict",
+    "GraphBuildError", "NotSymmetrizableError", "MembershipError",
+    "ChainBuildError", "QuadratureError",
 ]

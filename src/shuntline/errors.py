@@ -18,6 +18,11 @@ class SpecParseError(ShuntlineError):
     """Spec document is syntactically or structurally invalid."""
 
 
+class InvalidSpecError(ShuntlineError):
+    """A parsed spec breaks a rule that ``validate`` audits, and the
+    answer asked for depends on that rule."""
+
+
 class DomainError(ShuntlineError):
     """A point or interval lies outside the piece it was evaluated on."""
 

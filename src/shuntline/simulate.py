@@ -16,7 +16,14 @@ beside it.  The engine is one loop over the replications still running;
 each pass moves them through a block of steps, positions first, then
 clocks by a running sum (one add per row on a block much wider than
 long, one accumulate on the others; terminal nodes lead to themselves),
-and it compacts the set only after a block in which one of them ended;
+and it compacts the set only after a block in which one of them ended.
+A block of at least 16 steps (at most 512 replications running) reads
+its coins in words of 8: every walk node's right probability lies in
+[p_lo, p_hi], a span of a few times 1e-15 on a grid uniform in scale,
+so a uniform outside it is the same coin at every node, and one
+``take`` of a precomposed table moves a replication 8 steps; a
+replication with a uniform inside the span takes that block one step
+at a time.
 ``simulate_path`` traces one replication through the same loop;
 ``n_jobs`` is accepted for compatibility and changes nothing.  Holding
 times are deterministic by default; ``exponential_holding=True`` draws
@@ -59,6 +66,16 @@ _BLOCK = 8192  # engine uniforms drawn per block of steps (length: see _walk)
 # clocks add by rows once the active set is this many times the block
 # length (measured on numpy 2.4.6: the two sums cost the same at 4-8 times)
 _ROWS_FROM = 8
+# a block of at least _WORD_FROM steps reads its coins _WORD at a time,
+# through tables of 2 ** _WORD * (_WORD + 1) * n_nodes entries, built only
+# for chains of at most _WORD_NODES nodes (see _walk).  Measured on numpy
+# 2.4.6, 16 steps over 512 replications move in half the time by words,
+# while calls whose blocks are all shorter (thousands of replications)
+# took the same time with words from 2, 4, 8 or 16 steps on
+_WORD = 8
+_WORD_FROM = 16
+_WORD_NODES = 2048
+_WORD_BITS = (1 << np.arange(_WORD)).astype(np.uint8)
 _GAUSS_ORDER = 16  # Gauss-Legendre order of the holding-time cell integrals
 _CHECK_ORDER = 8   # lower order they are audited against
 _Z95 = 1.959963984540054  # two-sided 95 % normal quantile of the intervals
@@ -509,6 +526,46 @@ def _sum_clocks(clock):
         np.add.accumulate(clock, axis=0, out=clock)
 
 
+def _step_rows(go, p_right, path, coins):
+    """Fill rows 1.. of ``path`` (rows of 2 * node) one coin row at a time."""
+    for c, nxt, u in zip(path[:-1], path[1:], coins):
+        go.take(c + (u < p_right.take(c)), out=nxt)
+
+
+def _word_tables(go, n_nodes):
+    """The tables of the long blocks of one engine call.  ``fill[i, w, c]``
+    is 2 * the node that the first i + 1 coins of the word w (bit j the
+    coin of step j, 1 right) lead to from node c, and ``jump[w, c]`` the
+    node that all _WORD of them lead to."""
+    bits = np.unpackbits(np.arange(1 << _WORD, dtype=np.uint8)[:, None],
+                         axis=1, count=_WORD, bitorder="little")
+    fill = np.empty((_WORD, 1 << _WORD, n_nodes), dtype=go.dtype)
+    at = np.arange(0, 2 * n_nodes, 2, dtype=go.dtype)
+    for i in range(_WORD):
+        go.take(at + bits[:, i, None], out=fill[i])
+        at = fill[i]
+    return fill, at >> 1
+
+
+def _word_rows(fill, jump, path, right, start):
+    """Fill rows 1.. of ``path`` (rows of 2 * node) from the nodes
+    ``start`` and the coins ``right`` (1 right; one row per step, padded
+    with left coins to whole words), one ``take`` per word of _WORD."""
+    n_words, active = len(right) // _WORD, right.shape[1]
+    # at[j] becomes the entry of word j and of the node it starts from
+    at = np.einsum("i,jik->jk", _WORD_BITS,
+                   right.reshape(n_words, _WORD, active)).astype(np.intp)
+    at *= jump.shape[1]
+    head = start
+    for row in at[:-1]:
+        row += head
+        head = jump.take(row)
+    at[-1] += head
+    layers = np.arange(0, fill.size, jump.size)[:, None]
+    fill.take((at[:, None] + layers).reshape(-1, active)[:len(path) - 1],
+              out=path[1:])
+
+
 def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
           trace=None):
     """The engine: replication r starts at starts[r] and reads the counter
@@ -520,6 +577,20 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     replication ends at the first step whose clock reaches t_max; the
     rest of its block is discarded.  The active set is compacted only
     after a block in which a replication ended.
+
+    A block of at least _WORD_FROM steps, on a chain of at most
+    _WORD_NODES nodes, moves by words instead (``_word_rows``).  A
+    uniform below p_lo, the least right probability of a walk node that
+    moves, is a right coin at every such node, and one at or above p_hi,
+    the greatest, a left coin; every other node leads to one place on
+    both sides.  So the block's coins pack into words of _WORD, the
+    first long block of the call builds ``_word_tables`` (2 ** _WORD *
+    (_WORD + 1) * n_nodes entries in the node dtype: 232 704 int16, about
+    0.45 MiB, for the 101 nodes of bm at h = 0.01), one ``take`` per word
+    moves every replication _WORD steps, and one more fills all rows of
+    the block.  A replication holding a uniform in [p_lo, p_hi) takes
+    that block again one step at a time (``_step_rows``, the loop of the
+    shorter blocks), so positions are those of the one-step walk.
 
     With a trace (an empty list) and one start, the list receives two
     arrays: the times and the positions of that replication at its start,
@@ -557,6 +628,11 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     # coin (0 left, 1 right) gives the entry of both tables below
     go = (2 * go.T.ravel()).astype(node_type)
     p_right = np.repeat(np.where(det, 2.0, chain.p_right), 2)  # DET: no coin
+    # the coin of a uniform outside [p_lo, p_hi) is the same at every node
+    coin_p = chain.p_right[moves & (kind == WALK)]
+    p_lo, p_hi = (coin_p.min(), coin_p.max()) if coin_p.size else (0.0, 0.0)
+    by_words = chain.n_nodes <= _WORD_NODES
+    tables = None  # _word_tables, built by the first long block
     cap = _step_cap(chain, t_max, exponential_holding)
 
     final_node = np.empty(n_rep, dtype=np.int64)
@@ -593,8 +669,24 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
         uniforms = _keyed_uniform(
             key, np.arange(2 * k, 2 * (k + n_block), 2 // per_step)[:, None])
         np.multiply(cur, 2, out=path[0])
-        for c, nxt, u in zip(path[:-1], path[1:], uniforms[::per_step]):
-            go.take(c + (u < p_right.take(c)), out=nxt)
+        coins = uniforms[::per_step]
+        if n_block < _WORD_FROM or not by_words:
+            _step_rows(go, p_right, path, coins)
+        else:
+            if tables is None:
+                tables = _word_tables(go, chain.n_nodes)
+            right = np.zeros((-(-n_block // _WORD) * _WORD, active),
+                             dtype=np.uint8)  # whole words: pads are left coins
+            np.less(coins, p_lo, out=right[:n_block])
+            _word_rows(*tables, path, right, cur)
+            # a column holding a uniform in [p_lo, p_hi) takes its steps
+            # one at a time
+            below = coins < p_hi
+            if np.count_nonzero(below) > np.count_nonzero(right):
+                cols = (below != right[:n_block]).any(axis=0).nonzero()[0]
+                sub = path[:, cols]
+                _step_rows(go, p_right, sub, coins[:, cols])
+                path[:, cols] = sub
         path >>= 1
         clock[0] = t
         tau_of.take(path[:-1], out=clock[1:])

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from .boundary import (ENTRANCE_UNREACHABLE, EXIT, INCLUDED_SHUNT, _memo,
                        boundary_profile)
 from .classify import lambda_sets
-from .errors import DomainError, EvalError, NotSymmetrizableError, QuadratureError
+from .errors import (DomainError, EvalError, InvalidSpecError,
+                     NotSymmetrizableError, QuadratureError)
 from .expr import evaluate, parse_expr
 from .graph import build_graph
 from .hunt import check_hunt, lambda_ap
@@ -189,13 +190,18 @@ def _components(spec: DiffusionSpec, profile) -> tuple:
     return tuple(out)
 
 
-def _assert_component_union(spec: DiffusionSpec, components: tuple) -> None:
+def _check_component_union(spec: DiffusionSpec, components: tuple) -> None:
+    """Refuse a spec whose component closures do not tile the non-trap
+    set.  A spec that breaks ``validate``'s closedness rule gets here,
+    since the library, unlike the CLI, does not validate first."""
     closure = RealSet.from_intervals(
         (c.lo, c.hi, c.tilde_lo_closed, c.tilde_hi_closed) for c in components)
     expected = lambda_sets(spec).lambda_t.complement()
-    assert closure == expected, (
-        f"component closures {closure!r} must tile the complement of the "
-        f"trap set {expected!r}")
+    if closure != expected:
+        raise InvalidSpecError(
+            f"spec breaks the closedness rule (see validate): component "
+            f"closures {closure!r} do not tile the complement of the trap "
+            f"set {expected!r}")
 
 
 def _measure_from(spec: DiffusionSpec, components: tuple, coeffs) -> Measure:
@@ -246,7 +252,7 @@ def check_symmetrizable(spec: DiffusionSpec, rel_tol: float = 1e-6) -> SymmetryR
     measure = None
     if killed:
         components = _components(spec, boundary_profile(spec, rel_tol))
-        _assert_component_union(spec, components)
+        _check_component_union(spec, components)
         measure = _measure_from(spec, components, None)
     return SymmetryReport(hunt.holds, killed, full, lam_ap, lam_at,
                           components, reason, measure)

@@ -382,8 +382,10 @@ class _CountingAdd:
 
 class _CountingNumpy:
     """numpy as the engine module sees it, counting the row adds and the
-    accumulates of its clock sums and the ``flatnonzero`` calls of its
-    compactions."""
+    accumulates of its clock sums, the ``flatnonzero`` calls of its
+    compactions, the ``einsum`` that packs the coins of each block walked
+    by words and the ``unpackbits`` that starts each build of the word
+    tables."""
 
     def __init__(self):
         self.calls = collections.Counter()
@@ -392,6 +394,14 @@ class _CountingNumpy:
     def flatnonzero(self, a):
         self.calls["compaction"] += 1
         return np.flatnonzero(a)
+
+    def einsum(self, *args, **kw):
+        self.calls["word block"] += 1
+        return np.einsum(*args, **kw)
+
+    def unpackbits(self, *args, **kw):
+        self.calls["word table"] += 1
+        return np.unpackbits(*args, **kw)
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -444,6 +454,131 @@ def test_clock_sums_and_block_ends_equal_the_reference_walker(
             assert blocks[0][:2] == first_block and counting.calls[sums]
             assert compacted == ended and any(ended), (mode, expo)
             assert expo or not ended[0], mode
+
+
+def _redrawn_chain(p_lo, p_hi):
+    """MIXED on (-0.5, 3) at h = 0.02, its walk nodes' right probabilities
+    redrawn from U(p_lo, p_hi): a coin whose uniform falls in between
+    depends on the node, so its column takes the one-step fallback."""
+    ch = build_chain(spec_from(MIXED), (-0.5, 3.0), 0.02)
+    walk = ch.kind == simulate.WALK
+    ch.p_right[walk] = np.random.default_rng(5).uniform(p_lo, p_hi,
+                                                        walk.sum())
+    return ch
+
+
+def _block_spies(monkeypatch):
+    """Count numpy calls and record, per block, its steps, its columns
+    and how many of them the one-step loop walked."""
+    counting = _CountingNumpy()
+    blocks, stepped = [], []
+    step_rows, sum_clocks = simulate._step_rows, simulate._sum_clocks
+
+    def rows_spy(go, p_right, path, coins):
+        stepped.append(path.shape[1])
+        step_rows(go, p_right, path, coins)
+
+    def clocks_spy(clock):
+        sum_clocks(clock)
+        blocks.append((len(clock) - 1, clock.shape[1], sum(stepped)))
+        del stepped[:]
+
+    monkeypatch.setattr(simulate, "np", counting)
+    monkeypatch.setattr(simulate, "_step_rows", rows_spy)
+    monkeypatch.setattr(simulate, "_sum_clocks", clocks_spy)
+    return counting, blocks
+
+
+# 6 replications walk blocks of 256 steps, or one of 102 under a step cap
+# of 101: twelve whole words and a partial one.  Coins from U(0.3, 0.7)
+# send almost every column to the fallback, coins from U(0.499, 0.501)
+# some columns of a block and not others.
+@pytest.mark.parametrize("p_range", [(0.3, 0.7), (0.499, 0.501)],
+                         ids=["spread", "tight"])
+@pytest.mark.parametrize("cap", [None, 101])
+def test_word_blocks_and_their_fallback_equal_the_reference_walker(
+        monkeypatch, p_range, cap):
+    """Blocks walked a word of coins at a time, with the columns whose
+    coins depend on the node redone one step at a time, give ``run`` and
+    ``simulate_path`` the arrays and traces of the one-step walker byte for
+    byte, with and without a target and exponential holding; each call
+    builds its word tables once."""
+    ch = _redrawn_chain(*p_range)
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_step_cap", lambda *args: cap)
+    counting, blocks = _block_spies(monkeypatch)
+    starts = np.full(6, ch.node_at(0.5))
+    t_max, calls, ends = 0.4, 0, collections.Counter()
+    for expo in (False, True):
+        for target in (None, 1.0):
+            target_node = -1 if target is None else ch.node_at(target)
+            want, walks = _reference_run(ch, starts, 2, t_max, MODE_KILLED,
+                                         expo, target_node)
+            capped = sum(w[4] for w in walks)
+            assert (capped > 0) == (cap is not None)
+            out, caught = _recorded(
+                run, ch, starts=starts, t_max=t_max, seed=2, mode=MODE_KILLED,
+                exponential_holding=expo, target=target)
+            assert len(caught) == (capped > 0)
+            for key in ENGINE_KEYS:
+                assert out[key].tobytes() == want[key].tobytes(), (
+                    expo, target, key)
+            calls += 1
+            ends.update(STATUS_NAMES[s] for s in want["status"])
+            ends["hit"] += int(want["hit"].sum())
+        for rep in range(3):
+            node, t_end, status, _, capped, times, nodes = reference_walk(
+                ch, starts[rep], simulate._rep_key(2, rep), t_max,
+                MODE_KILLED, expo, -1, simulate._step_cap(ch, t_max, expo))
+            if t_end > times[-1]:
+                times, nodes = times + [t_end], nodes + [node]
+            path, caught = _recorded(simulate_path, ch, 0.5, t_max, seed=2,
+                                     rep=rep, mode=MODE_KILLED,
+                                     exponential_holding=expo)
+            assert len(caught) == capped
+            assert path.status == STATUS_NAMES[status]
+            assert path.times.tobytes() == np.array(times).tobytes()
+            assert path.positions.tobytes() == ch.x[nodes].tobytes()
+            calls += 1
+    n_block = 256 if cap is None else cap + 1
+    assert {n for n, _, _ in blocks} == {n_block}
+    assert n_block >= simulate._WORD_FROM
+    assert counting.calls["word block"] == len(blocks)
+    assert counting.calls["word table"] == calls
+    assert any(redone for *_, redone in blocks)  # the fallback ran
+    if p_range[1] - p_range[0] < 0.01:  # some blocks redo part of their columns
+        assert any(0 < redone < active for _, active, redone in blocks)
+    if cap is None:  # a terminal node, the target and the horizon end paths
+        assert ends["hit"] and {"alive", "killed_at_window",
+                                "absorbed_at_trap"} <= set(ends)
+
+
+def test_wide_blocks_and_large_chains_walk_one_step_at_a_time(monkeypatch):
+    """A block of 4 096 replications, and a chain with more nodes than
+    the word tables take, walk their blocks one coin at a time and never
+    build the tables; both still equal the one-step walker."""
+    counting, blocks = _block_spies(monkeypatch)
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    starts = np.full(4096, ch.node_at(0.5))
+    # a deterministic clock reaches the horizon within 13 steps, so every
+    # path ends while the blocks are wide
+    want, _ = _reference_run(ch, starts, 11, 0.03, MODE_FULL, False, -1)
+    out = run(ch, starts=starts, t_max=0.03, seed=11)
+    for key in ENGINE_KEYS:
+        assert out[key].tobytes() == want[key].tobytes(), key
+    assert blocks[0][:2] == (4, 4096)
+    assert all(n < simulate._WORD_FROM for n, _, _ in blocks)
+    del blocks[:]
+    ch = _redrawn_chain(0.499, 0.501)
+    monkeypatch.setattr(simulate, "_WORD_NODES", ch.n_nodes - 1)
+    starts = np.full(6, ch.node_at(0.5))
+    want, _ = _reference_run(ch, starts, 2, 0.4, MODE_KILLED, False, -1)
+    out = run(ch, starts=starts, t_max=0.4, seed=2, mode=MODE_KILLED)
+    for key in ENGINE_KEYS:
+        assert out[key].tobytes() == want[key].tobytes(), key
+    assert all(n >= simulate._WORD_FROM and redone == active
+               for n, active, redone in blocks)
+    assert not (counting.calls["word block"] or counting.calls["word table"])
 
 
 def test_jobs_below_one_are_refused():

@@ -216,7 +216,7 @@ DIGESTS = {
     "grid:regular/right_shunt/regular":
         "c9cb62e5d60244f698da8827df2f32fcbeb58ea1f71e66c0f238d2ab1395ca99",
     "grid:regular/right_shunt/trap":
-        "51ae229bce2b3f5d653f1d5fa7efe00709f6ac3c225b76dfba9d072f5863f229",
+        "f56f81ee3f00b0444716438f806d508f1b728ef6a32f4ad0da9ddf21f596b493",
     "grid:regular/right_shunt/left":
         "b4ab7a552688eaad6b38981a099b2a51cf0faff885209348783b744a09e4304d",
     "grid:regular/right_shunt/right":
@@ -230,9 +230,9 @@ DIGESTS = {
     "grid:trap/trap/right":
         "c1e6236e2a0e92b82cab575bf64c5dc27cfea8f6f489b3f004457077fc3cac56",
     "grid:trap/left_shunt/regular":
-        "efd0974d197272f5fab47659d628eaf496c305eafc2e476aace3d92834de31db",
+        "4581deddd6859fa2c0be3f344009e5a10a457ab2d161225e6d21576679b5d884",
     "grid:trap/left_shunt/trap":
-        "00da172e2836d06582248b57c2e2cf2cea8fe1326b94257784423e0e6af2c78c",
+        "54837a249545f36a84f6ebbf6457770b9784ac62b8f79ad340ab9550c1abb32f",
     "grid:trap/left_shunt/left":
         "f749dcdfebcea847d3c8e8c89184414675ab6589d3a0872404fbf2bfce445b97",
     "grid:trap/left_shunt/right":
@@ -240,7 +240,7 @@ DIGESTS = {
     "grid:trap/right_shunt/regular":
         "6209545145a40bc0c9583435271029977de57e02effb013708e22999a5589f83",
     "grid:trap/right_shunt/trap":
-        "286ec81f2c1a29c27e0c02d2a5dcd98b4622b3f88383295b202fae97170d7cf1",
+        "4e94cf370eb3d0734557690013598a48348d7a11c4f8c2e7d1b0e7cc5ad49b1a",
     "grid:trap/right_shunt/left":
         "cae356dfe9f6c0b8d0f07128be7abb429d6eef1a15a5c97e8746b12cc4b970e9",
     "grid:trap/right_shunt/right":

@@ -1,11 +1,15 @@
 """Symmetrizing measures: verdicts, component geometry, measure family."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from shuntline import (DomainError, NotSymmetrizableError, check_symmetrizable,
-                       get_example, list_examples, parse_spec)
+                       get_example, list_examples, parse_spec, validate)
 from shuntline.symmetry import (canonical_measure, lambda_ap, lambda_at,
                                 measure_family)
 
@@ -158,3 +162,38 @@ def test_verdicts_invariant_under_mirror():
             continue
         assert rep.killed is killed, name
         assert rep.full is full, name
+
+
+# A trap segment, a left shunt at 0, then a regular interval: the upward
+# limit of the trap forces class right_shunt or trap at 0, so the point
+# breaks closedness.
+CLOSEDNESS_BREAK = {"name": "closedness-break", "pieces": [
+    {"kind": "trap_segment", "a": "-inf", "b": "0"},
+    {"kind": "singular_point", "x": "0", "class": "left_shunt"},
+    {"kind": "regular_interval", "a": "0", "b": "inf",
+     "scale": "x", "speed": {"density": "2"}}]}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_spec_that_breaks_closedness_is_refused(flags):
+    """The library does not validate first, so ``check_symmetrizable``
+    meets the broken point itself; it refuses with an InvalidSpecError
+    that names the rule, also under ``python -O``, which strips asserts."""
+    assert [v.code for v in validate(parse_spec(CLOSEDNESS_BREAK))
+            .violations] == ["closedness"]
+    code = ("from shuntline import InvalidSpecError, check_symmetrizable, "
+            "parse_spec\n"
+            f"spec = parse_spec({CLOSEDNESS_BREAK!r})\n"
+            "try:\n"
+            "    print('answered', check_symmetrizable(spec).as_dict())\n"
+            "except InvalidSpecError as exc:\n"
+            "    print('refused:', exc)\n")
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "refused: spec breaks the closedness rule (see validate): component "
+        "closures RealSet((0.0, inf)) do not tile the complement of the trap "
+        "set RealSet([0.0, inf))\n")
