@@ -17,13 +17,18 @@ each pass moves them through a block of steps, positions first, then
 clocks by a running sum (one add per row on a block much wider than
 long, one accumulate on the others; terminal nodes lead to themselves),
 and it compacts the set only after a block in which one of them ended.
-A block of at least 16 steps (at most 512 replications running) reads
-its coins in words of 8: every walk node's right probability lies in
-[p_lo, p_hi], a span of a few times 1e-15 on a grid uniform in scale,
-so a uniform outside it is the same coin at every node, and one
-``take`` of a precomposed table moves a replication 8 steps; a
-replication with a uniform inside the span takes that block one step
-at a time.
+Coins are read on the raw 64-bit hashes: a uniform (z >> 11) * 2 ** -53
+is below p exactly when z is below the integer ceil(p * 2 ** 53) *
+2 ** 11, and the last xorshift of the hash keeps its top 31 bits, so
+one compare of the block's hashes before that xorshift gives every
+coin.  Every walk node's right probability lies in [p_lo, p_hi], a span
+of a few times 1e-15 on a grid uniform in scale, so a hash is the same
+coin at every node unless its top 31 bits fall between those of the
+two thresholds (about 2 ** -31 per coin); a replication holding such a
+hash finishes it and takes that block again one step at a time.  A
+block of at least 64 steps (at most 256 replications running) packs
+its coins into words of 8, and one ``take`` of a precomposed table
+moves a replication 8 steps.
 ``simulate_path`` traces one replication through the same loop;
 ``n_jobs`` is accepted for compatibility and changes nothing.  Holding
 times are deterministic by default; ``exponential_holding=True`` draws
@@ -62,20 +67,27 @@ MODE_PART = "part_on_window"
 _MODES = (MODE_FULL, MODE_KILLED, MODE_PART)
 
 _STEP_START = 1 << 62  # counter slot reserved for start-node sampling
-_BLOCK = 8192  # engine uniforms drawn per block of steps (length: see _walk)
+# engine hashes drawn per block of steps (length: see _walk); on numpy
+# 2.4.6 the benchmark's defect calls ran faster at 16384 than at 8192 or
+# 32768, and its hitting calls as fast as at 32768
+_BLOCK = 16384
 # clocks add by rows once the active set is this many times the block
 # length (measured on numpy 2.4.6: the two sums cost the same at 4-8 times)
 _ROWS_FROM = 8
 # a block of at least _WORD_FROM steps reads its coins _WORD at a time,
 # through tables of 2 ** _WORD * (_WORD + 1) * n_nodes entries, built only
 # for chains of at most _WORD_NODES nodes (see _walk).  Measured on numpy
-# 2.4.6, 16 steps over 512 replications move in half the time by words,
-# while calls whose blocks are all shorter (thousands of replications)
-# took the same time with words from 2, 4, 8 or 16 steps on
+# 2.4.6, words move 256 steps over 64 replications in 0.4 of the time of
+# one row per coin and 64 over 256 in 0.85, while at 32 steps and fewer
+# one row per coin is as fast or faster
 _WORD = 8
-_WORD_FROM = 16
+_WORD_FROM = 64
 _WORD_NODES = 2048
 _WORD_BITS = (1 << np.arange(_WORD)).astype(np.uint8)
+# the last xorshift of the hash keeps its top 31 bits and can change the
+# low 33 (see _coin_bounds)
+_LOW33 = (1 << 33) - 1
+_TOP = (1 << 64) - 1
 _GAUSS_ORDER = 16  # Gauss-Legendre order of the holding-time cell integrals
 _CHECK_ORDER = 8   # lower order they are audited against
 _Z95 = 1.959963984540054  # two-sided 95 % normal quantile of the intervals
@@ -91,11 +103,15 @@ _C_REP = np.uint64(0xD1342543DE82EF95)
 _C_STEP = np.uint64(0xAF251AF3B0F025B5)
 
 
-def _mix(z):  # in place on an array
+def _premix(z):  # in place: the mix up to its last xorshift
     z ^= z >> np.uint64(30)
     z *= _M1
     z ^= z >> np.uint64(27)
     z *= _M2
+    return z
+
+
+def _finish(z):  # in place: the last xorshift of the mix
     z ^= z >> np.uint64(31)
     return z
 
@@ -107,16 +123,26 @@ def _rep_key(seed, rep):
             ^ (np.asarray(rep, dtype=np.uint64) * _C_REP)
 
 
-def _keyed_uniform(key, step):
-    """U[0,1) from replication keys and steps; arrays broadcast."""
+def _keyed_hash(key, step):
+    """The 64-bit hash behind ``_keyed_uniform``, before the last
+    xorshift of its second mix (``_finish``); arrays broadcast."""
     with np.errstate(over="ignore"):
         z = key ^ (np.asarray(step, dtype=np.uint64) * _C_STEP)
         z += _PHI
-        z = _mix(_mix(z))
+        return _premix(_finish(_premix(z)))
+
+
+def _to_uniform(z):
+    """U[0,1) from finished hashes (shifted in place): their top 53 bits."""
     z >>= np.uint64(11)
     u = z.astype(np.float64)
     u *= 2.0 ** -53
     return u
+
+
+def _keyed_uniform(key, step):
+    """U[0,1) from replication keys and steps; arrays broadcast."""
+    return _to_uniform(_finish(_keyed_hash(key, step)))
 
 
 def _uniform(seed, rep, step):
@@ -526,10 +552,47 @@ def _sum_clocks(clock):
         np.add.accumulate(clock, axis=0, out=clock)
 
 
-def _step_rows(go, p_right, path, coins):
-    """Fill rows 1.. of ``path`` (rows of 2 * node) one coin row at a time."""
-    for c, nxt, u in zip(path[:-1], path[1:], coins):
-        go.take(c + (u < p_right.take(c)), out=nxt)
+def _coin_limit(p):
+    """ceil(p * 2 ** 53) as uint64; p may be an array.  A finished hash z
+    gives the uniform (z >> 11) * 2 ** -53, exact, so it is a right coin
+    at right probability p exactly when (z >> 11) < ceil(p * 2 ** 53),
+    that is when z < ceil(p * 2 ** 53) * 2 ** 11."""
+    scaled = np.asarray(p, dtype=np.float64) * 2.0 ** 53
+    return np.ceil(scaled).astype(np.uint64)
+
+
+def _coin_bounds(p_lo, p_hi):
+    """Bounds on hashes taken before the last xorshift (``_keyed_hash``)
+    for right probabilities in [p_lo, p_hi]: ``low`` and ``span`` with a
+    hash z a right coin at every such probability when z < low, a left
+    coin at every one when (z - low) mod 2 ** 64 > span, and undecided
+    otherwise.  That xorshift keeps the top 31 bits and can change the
+    low 33, so low is the ``_coin_limit`` threshold of p_lo with its low
+    33 bits cleared and low + span that of p_hi with them set; either
+    saturates at 2 ** 64 - 1."""
+    low = min((int(_coin_limit(p_lo)) << 11) & ~_LOW33, _TOP)
+    high = min((int(_coin_limit(p_hi)) << 11) | _LOW33, _TOP)
+    return np.uint64(low), np.uint64(high - low)
+
+
+def _move_rows(go, path):
+    """Turn rows 1.. of ``path``, the coins of a block (1 right, 0 left),
+    into its positions (rows of 2 * node), one row at a time."""
+    for c, nxt in zip(path[:-1], path[1:]):
+        nxt += c
+        # every entry is in range; unlike "raise", "wrap" writes straight
+        # into out, where "raise" fills a copy of it first
+        go.take(nxt, out=nxt, mode="wrap")
+
+
+def _step_rows(go, limit, path, hashes):
+    """Fill rows 1.. of ``path`` (rows of 2 * node) one coin row at a
+    time from the hashes of ``_keyed_hash`` (finished here, in place):
+    the top 53 bits of each against the ``_coin_limit`` of the node its
+    coin is tossed at."""
+    for c, nxt, m in zip(path[:-1], path[1:],
+                         _finish(hashes) >> np.uint64(11)):
+        go.take(c + (m < limit.take(c)), out=nxt, mode="wrap")
 
 
 def _word_tables(go, n_nodes):
@@ -547,23 +610,23 @@ def _word_tables(go, n_nodes):
     return fill, at >> 1
 
 
-def _word_rows(fill, jump, path, right, start):
-    """Fill rows 1.. of ``path`` (rows of 2 * node) from the nodes
-    ``start`` and the coins ``right`` (1 right; one row per step, padded
-    with left coins to whole words), one ``take`` per word of _WORD."""
+def _word_rows(fill, jump, path, right):
+    """Fill rows 1.. of ``path`` (rows of 2 * node) from the coins
+    ``right`` (1 right; one row per step, padded with left coins to whole
+    words), one ``take`` per word of _WORD."""
     n_words, active = len(right) // _WORD, right.shape[1]
     # at[j] becomes the entry of word j and of the node it starts from
     at = np.einsum("i,jik->jk", _WORD_BITS,
                    right.reshape(n_words, _WORD, active)).astype(np.intp)
     at *= jump.shape[1]
-    head = start
+    head = path[0] >> 1
     for row in at[:-1]:
         row += head
         head = jump.take(row)
     at[-1] += head
     layers = np.arange(0, fill.size, jump.size)[:, None]
     fill.take((at[:, None] + layers).reshape(-1, active)[:len(path) - 1],
-              out=path[1:])
+              out=path[1:], mode="wrap")
 
 
 def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
@@ -576,21 +639,32 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     running sum of the holding times along them (``_sum_clocks``).  A
     replication ends at the first step whose clock reaches t_max; the
     rest of its block is discarded.  The active set is compacted only
-    after a block in which a replication ended.
+    after a block in which a replication ended, and the status, kept
+    clock and hit of every replication are read from its final node once,
+    after the loop.
 
-    A block of at least _WORD_FROM steps, on a chain of at most
-    _WORD_NODES nodes, moves by words instead (``_word_rows``).  A
-    uniform below p_lo, the least right probability of a walk node that
-    moves, is a right coin at every such node, and one at or above p_hi,
-    the greatest, a left coin; every other node leads to one place on
-    both sides.  So the block's coins pack into words of _WORD, the
+    Coins are read on the raw 64-bit hashes of ``_keyed_hash``, with no
+    uniform made for them.  A uniform below p is exactly a finished hash
+    below an integer threshold (``_coin_limit``), and the last xorshift
+    of the hash leaves its top 31 bits alone.  So one compare of the
+    block's hashes with the ``low`` bound of ``_coin_bounds`` for [p_lo,
+    p_hi], the least and greatest right probabilities of the walk nodes
+    that move, gives every coin, right below it and left above: the same
+    coin at every such node unless the hash is undecided, at most
+    ``span`` above low (about 2 ** -31 per coin on a grid uniform in
+    scale, where p_hi - p_lo is a few times 1e-15).  Every other node
+    leads to one place on both sides.  A column holding an undecided hash
+    finishes its hashes and takes its block again one step at a time,
+    against the threshold of each node (``_step_rows``), so positions
+    are those of the one-step walk on the uniforms.
+
+    A block of fewer than _WORD_FROM steps moves one row per coin
+    (``_move_rows``).  A longer one, on a chain of at most _WORD_NODES
+    nodes, packs its coins into words of _WORD (``_word_rows``): the
     first long block of the call builds ``_word_tables`` (2 ** _WORD *
-    (_WORD + 1) * n_nodes entries in the node dtype: 232 704 int16, about
-    0.45 MiB, for the 101 nodes of bm at h = 0.01), one ``take`` per word
-    moves every replication _WORD steps, and one more fills all rows of
-    the block.  A replication holding a uniform in [p_lo, p_hi) takes
-    that block again one step at a time (``_step_rows``, the loop of the
-    shorter blocks), so positions are those of the one-step walk.
+    (_WORD + 1) * n_nodes positions: 1.9 MB for the 101 nodes of bm at
+    h = 0.01, 38 MB at _WORD_NODES), one ``take`` per word moves every
+    replication _WORD steps, and one more fills all rows of the block.
 
     With a trace (an empty list) and one start, the list receives two
     arrays: the times and the positions of that replication at its start,
@@ -600,11 +674,11 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
         raise DomainError(f"mode must be one of {_MODES}")
     n_rep = len(starts)
     # per-node tables, so the loop body does not branch on node kinds:
-    # the status a replication ends with at a node (RUNNING to move on),
-    # whether it keeps its clock there, its holding time (inf where it
-    # ends, so the horizon test catches it) and where each coin side leads
-    # (back to the node itself where it ends, so a path that ends inside a
-    # block stays in the table)
+    # the status a replication ends with at a node (ALIVE where it moves
+    # on), whether it keeps its clock there, its holding time (inf where
+    # it ends, so the horizon test catches it) and where each coin side
+    # leads (back to the node itself where it ends, so a path that ends
+    # inside a block stays in the table)
     kind = chain.kind
     end_code = np.zeros(chain.n_nodes, dtype=np.int8)
     end_code[kind == TRAP_NODE] = ABSORBED_TRAP
@@ -617,40 +691,41 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
         end_code[target_node] = ALIVE
         keeps_time[target_node] = True
     moves = end_code == RUNNING
-    tau_of = np.where(moves, chain.tau, np.inf)
-    # the exponential factor stays 1.0 where tau is inf: inf * 0 is nan
-    random_tau = moves & (kind == WALK) & exponential_holding
-    det = kind == DET
-    node_type = np.min_scalar_type(-2 * chain.n_nodes)  # holds 2 * node + 1
-    go = np.where(det, chain.det_target, [chain.nbr_left, chain.nbr_right])
+    end_status = np.where(moves, ALIVE, end_code).astype(np.int8)
+    go = np.where(kind == DET, chain.det_target,
+                  [chain.nbr_left, chain.nbr_right])
     go = np.where(moves, go, np.arange(chain.n_nodes))
     # while a block moves, its rows hold 2 * node, so one addition of the
-    # coin (0 left, 1 right) gives the entry of both tables below
-    go = (2 * go.T.ravel()).astype(node_type)
-    p_right = np.repeat(np.where(det, 2.0, chain.p_right), 2)  # DET: no coin
-    # the coin of a uniform outside [p_lo, p_hi) is the same at every node
+    # coin (0 left, 1 right) gives the entry of go; the holding-time
+    # tables below take the same entries
+    go = (2 * go.T.ravel()).astype(np.intp)
+    tau_of = np.repeat(np.where(moves, chain.tau, np.inf), 2)
+    # the exponential factor stays 1.0 where tau is inf: inf * 0 is nan
+    random_tau = np.repeat(moves & (kind == WALK) & exponential_holding, 2)
+    limit = np.repeat(_coin_limit(chain.p_right), 2)
     coin_p = chain.p_right[moves & (kind == WALK)]
-    p_lo, p_hi = (coin_p.min(), coin_p.max()) if coin_p.size else (0.0, 0.0)
+    low, span = _coin_bounds(
+        *((coin_p.min(), coin_p.max()) if coin_p.size else (0.0, 0.0)))
     by_words = chain.n_nodes <= _WORD_NODES
     tables = None  # _word_tables, built by the first long block
     cap = _step_cap(chain, t_max, exponential_holding)
 
+    # 2 * the node and the clock where each replication ended
     final_node = np.empty(n_rep, dtype=np.int64)
     final_time = np.empty(n_rep)
-    status = np.empty(n_rep, dtype=np.int8)
-    hit = np.zeros(n_rep, dtype=bool)
-    # the active set: output index, counter key, node and clock of every
-    # replication still running; each has taken exactly k steps.  Step k
-    # reads counter 2k for its coin and 2k+1 for its exponential holding
-    # time.  A block of n steps fills rows 1..n of the (n + 1, active)
-    # arrays of positions and clocks; row 0 is where the block starts.
+    # the active set: output index, counter key, 2 * node and clock of
+    # every replication still running; each has taken exactly k steps.
+    # Step k reads counter 2k for its coin and 2k+1 for its exponential
+    # holding time.  A block of n steps fills rows 1..n of the
+    # (n + 1, active) arrays of positions and clocks; row 0 is where the
+    # block starts.
     idx = np.arange(n_rep)
     key = keys
-    cur = np.asarray(starts, dtype=node_type)
+    cur = 2 * np.asarray(starts, dtype=np.intp)
     t = np.zeros(n_rep)
-    path_buf, clock_buf = np.empty(0, dtype=node_type), np.empty(0)
+    path_buf, clock_buf = np.empty(0, dtype=np.intp), np.empty(0)
     if trace is not None:  # grown by half when full, with one slot to spare
-        path_t, path_x = np.zeros(256), np.full(256, chain.x[cur[0]])
+        path_t, path_x = np.zeros(256), np.full(256, chain.x[starts[0]])
         n_path = 1
     per_step = 2 if exponential_holding else 1
     k = 0
@@ -662,37 +737,38 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
                       256, cap + 1 - k)
         rows = (n_block + 1) * active
         if rows > path_buf.size:
-            path_buf = np.empty(rows, dtype=node_type)
+            path_buf = np.empty(rows, dtype=np.intp)
             clock_buf = np.empty(rows)
         path = path_buf[:rows].reshape(n_block + 1, active)
         clock = clock_buf[:rows].reshape(n_block + 1, active)
-        uniforms = _keyed_uniform(
+        hashes = _keyed_hash(
             key, np.arange(2 * k, 2 * (k + n_block), 2 // per_step)[:, None])
-        np.multiply(cur, 2, out=path[0])
-        coins = uniforms[::per_step]
+        coins = hashes[::per_step]
+        path[0] = cur
         if n_block < _WORD_FROM or not by_words:
-            _step_rows(go, p_right, path, coins)
+            np.less(coins, low, out=path[1:])
+            _move_rows(go, path)
         else:
             if tables is None:
                 tables = _word_tables(go, chain.n_nodes)
-            right = np.zeros((-(-n_block // _WORD) * _WORD, active),
+            words = np.zeros((-(-n_block // _WORD) * _WORD, active),
                              dtype=np.uint8)  # whole words: pads are left coins
-            np.less(coins, p_lo, out=right[:n_block])
-            _word_rows(*tables, path, right, cur)
-            # a column holding a uniform in [p_lo, p_hi) takes its steps
-            # one at a time
-            below = coins < p_hi
-            if np.count_nonzero(below) > np.count_nonzero(right):
-                cols = (below != right[:n_block]).any(axis=0).nonzero()[0]
-                sub = path[:, cols]
-                _step_rows(go, p_right, sub, coins[:, cols])
-                path[:, cols] = sub
-        path >>= 1
+            np.less(coins, low, out=words[:n_block])
+            _word_rows(*tables, path, words)
+        # a column holding an undecided hash takes its steps again one at
+        # a time
+        undecided = coins - low <= span
+        if undecided.any():
+            cols = undecided.any(axis=0).nonzero()[0]
+            sub = path[:, cols]
+            _step_rows(go, limit, sub, coins[:, cols])
+            path[:, cols] = sub
         clock[0] = t
-        tau_of.take(path[:-1], out=clock[1:])
+        tau_of.take(path[:-1], out=clock[1:], mode="wrap")
         if exponential_holding:
-            clock[1:] *= np.where(random_tau.take(path[:-1]),
-                                  -np.log1p(-uniforms[1::2]), 1.0)
+            u = _to_uniform(_finish(hashes[1::2]))
+            clock[1:] *= np.where(random_tau.take(path[:-1]), -np.log1p(-u),
+                                  1.0)
         _sum_clocks(clock)
         k += n_block
         if trace is not None:
@@ -702,7 +778,7 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
                 path_t.resize(grown, refcheck=False)
                 path_x.resize(grown, refcheck=False)
             path_t[n_path:n_path + m] = clock[1:m + 1, 0]
-            chain.x.take(path[1:m + 1, 0], out=path_x[n_path:n_path + m])
+            chain.x.take(path[1:m + 1, 0] >> 1, out=path_x[n_path:n_path + m])
             n_path += m
         # holding times are >= 0, so clocks never decrease along a block
         # and a replication ends in it exactly when its last clock reaches
@@ -711,13 +787,9 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
         if ended.any():
             ends = np.flatnonzero(ended)
             step = n_block - np.count_nonzero(clock[1:, ends] >= t_max, axis=0)
-            sel, ce = idx[ends], path[step, ends]
-            code = end_code[ce]
-            final_node[sel] = ce
-            final_time[sel] = np.where(keeps_time[ce], clock[step, ends],
-                                       t_max)
-            status[sel] = np.where(code == RUNNING, ALIVE, code)
-            hit[sel] = ce == target_node
+            sel = idx[ends]
+            final_node[sel] = path[step, ends]
+            final_time[sel] = clock[step, ends]
             keep = np.flatnonzero(~ended)  # take is cheaper than a mask
             idx, key = idx.take(keep), key.take(keep)
             cur, t = path[-1].take(keep), clock[-1].take(keep)
@@ -725,10 +797,14 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
             cur, t = path[-1].copy(), clock[-1].copy()
         if k > cap and idx.size:
             final_node[idx] = cur
-            final_time[idx] = t_max
-            status[idx] = ALIVE
             _warn_capped(idx.size, cap)
             break
+    final_node >>= 1
+    status = end_status.take(final_node)
+    final_time = np.where(keeps_time.take(final_node), final_time, t_max)
+    hit = final_node == target_node
+    if idx.size:  # stopped by the step cap, maybe on a node that ends paths
+        status[idx], final_time[idx], hit[idx] = ALIVE, t_max, False
     if trace is not None:
         if final_time[0] > path_t[n_path - 1]:  # held after the last move
             path_t[n_path] = final_time[0]

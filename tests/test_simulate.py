@@ -1,11 +1,13 @@
 """Embedded-chain simulator: geometry, statuses, estimators, determinism."""
 
 import collections
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shuntline import ChainBuildError, DomainError, get_example, parse_spec
 from shuntline import simulate
@@ -469,14 +471,14 @@ def _redrawn_chain(p_lo, p_hi):
 
 def _block_spies(monkeypatch):
     """Count numpy calls and record, per block, its steps, its columns
-    and how many of them the one-step loop walked."""
+    and how many of them the one-step fallback walked."""
     counting = _CountingNumpy()
     blocks, stepped = [], []
     step_rows, sum_clocks = simulate._step_rows, simulate._sum_clocks
 
-    def rows_spy(go, p_right, path, coins):
+    def rows_spy(go, limit, path, hashes):
         stepped.append(path.shape[1])
-        step_rows(go, p_right, path, coins)
+        step_rows(go, limit, path, hashes)
 
     def clocks_spy(clock):
         sum_clocks(clock)
@@ -555,8 +557,10 @@ def test_word_blocks_and_their_fallback_equal_the_reference_walker(
 
 def test_wide_blocks_and_large_chains_walk_one_step_at_a_time(monkeypatch):
     """A block of 4 096 replications, and a chain with more nodes than
-    the word tables take, walk their blocks one coin at a time and never
-    build the tables; both still equal the one-step walker."""
+    the word tables take, move one row per coin and never build the
+    tables; on the large chain only the columns holding an undecided
+    hash take the one-step fallback; both still equal the one-step
+    walker."""
     counting, blocks = _block_spies(monkeypatch)
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
     starts = np.full(4096, ch.node_at(0.5))
@@ -566,7 +570,7 @@ def test_wide_blocks_and_large_chains_walk_one_step_at_a_time(monkeypatch):
     out = run(ch, starts=starts, t_max=0.03, seed=11)
     for key in ENGINE_KEYS:
         assert out[key].tobytes() == want[key].tobytes(), key
-    assert blocks[0][:2] == (4, 4096)
+    assert blocks[0][:2] == (8, 4096)
     assert all(n < simulate._WORD_FROM for n, _, _ in blocks)
     del blocks[:]
     ch = _redrawn_chain(0.499, 0.501)
@@ -576,9 +580,222 @@ def test_wide_blocks_and_large_chains_walk_one_step_at_a_time(monkeypatch):
     out = run(ch, starts=starts, t_max=0.4, seed=2, mode=MODE_KILLED)
     for key in ENGINE_KEYS:
         assert out[key].tobytes() == want[key].tobytes(), key
-    assert all(n >= simulate._WORD_FROM and redone == active
-               for n, active, redone in blocks)
+    assert all(n >= simulate._WORD_FROM for n, _, _ in blocks)
+    assert any(0 < redone < active for _, active, redone in blocks)
     assert not (counting.calls["word block"] or counting.calls["word table"])
+
+
+def test_wide_blocks_redo_only_their_undecided_columns(monkeypatch):
+    """4 096 replications on a chain whose coins depend on the node for
+    uniforms in a span of about 0.002 walk blocks of 8 steps, one row per
+    coin; the columns holding an undecided hash take their block again
+    through the one-step fallback, and ``run`` equals the one-step walker
+    byte for byte with deterministic and exponential holding."""
+    ch = _redrawn_chain(0.499, 0.501)
+    _, blocks = _block_spies(monkeypatch)
+    # the walk nodes on (0, 1) hold about 4e-4 each: some ten steps
+    inner = np.flatnonzero((ch.kind == simulate.WALK) & (ch.x < 1.0))
+    starts = inner[np.arange(4096) % inner.size]
+    for expo in (False, True):
+        del blocks[:]
+        want, _ = _reference_run(ch, starts, 7, 0.004, MODE_KILLED, expo, -1)
+        out = run(ch, starts=starts, t_max=0.004, seed=7, mode=MODE_KILLED,
+                  exponential_holding=expo)
+        for key in ENGINE_KEYS:
+            assert out[key].tobytes() == want[key].tobytes(), (expo, key)
+        assert blocks[0][:2] == (8, 4096)
+        assert any(n < simulate._WORD_FROM and 0 < redone < active
+                   for n, active, redone in blocks), expo
+
+
+# The coin decision on raw hashes.  A finished hash z gives the uniform
+# (z >> 11) * 2 ** -53; the engine reads its coin as z < T(p), T(p) =
+# _coin_limit(p) * 2 ** 11, and before the last xorshift against the
+# bounds of _coin_bounds.
+_U64 = st.integers(0, 2 ** 64 - 1)
+
+
+def _uniform_of(z):
+    return float(simulate._to_uniform(np.array([z], dtype=np.uint64))[0])
+
+
+def _finished(y):
+    return int(simulate._finish(np.array([y], dtype=np.uint64))[0])
+
+
+def _threshold(p):
+    return int(simulate._coin_limit(p)) << 11
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_probabilities():
+    """The right probabilities of the walk nodes of some of the
+    benchmark's chains, one tuple per chain."""
+    return tuple(
+        tuple(ch.p_right[ch.kind == simulate.WALK].tolist())
+        for ch in (build_chain(get_example(name), window, h)
+                   for name, window, h in (("bm", (0.0, 1.0), 0.02),
+                                           ("bm", (0.0, 1.0), 0.01),
+                                           ("exa1", (-2.5, 2.5), 0.05),
+                                           ("exa2", (-1.0, 3.0), 0.02))))
+
+
+def _ulps_from(p, k):
+    """p moved by k ulps, down when k < 0."""
+    for _ in range(abs(k)):
+        p = np.nextafter(p, math.copysign(math.inf, k))
+    return float(p)
+
+
+_probabilities = st.deferred(lambda: st.one_of(
+    st.integers(-4, 4).map(lambda k: _ulps_from(0.5, k)),
+    st.sampled_from(sum(_chain_probabilities(), ())),
+    st.sampled_from([0.0, 1.0, 2.0 ** -60, _ulps_from(1.0, -1)]),
+    st.floats(0.0, 1.0)))
+
+
+@st.composite
+def _probability_and_hash(draw):
+    p = draw(_probabilities)
+    t = _threshold(p)
+    z = draw(st.one_of(_U64, st.integers(t - 1, t + 1).filter(
+        lambda z: 0 <= z < 2 ** 64)))
+    return p, z
+
+
+@settings(deadline=None, database=None)
+@given(_probability_and_hash())
+def test_integer_threshold_is_the_coin_of_the_uniform(case):
+    """z < T(p) exactly when the uniform of z is below p, also at z = T - 1,
+    T and T + 1; the fallback's (z >> 11) < _coin_limit(p) agrees."""
+    p, z = case
+    right = _uniform_of(z) < p
+    assert (z < _threshold(p)) == right
+    assert ((z >> 11) < int(simulate._coin_limit(p))) == right
+
+
+@st.composite
+def _bounds_and_prefinal_hash(draw):
+    p_lo = draw(_probabilities)
+    p_hi = draw(st.one_of(
+        st.just(p_lo), st.just(1.0), st.floats(p_lo, 1.0),
+        st.integers(1, 4).map(lambda k: min(_ulps_from(p_lo, k), 1.0))))
+    low, span = map(int, simulate._coin_bounds(p_lo, p_hi))
+    edge = draw(st.sampled_from([low, low + span]))
+    y = draw(st.one_of(_U64, st.integers(edge - 3, edge + 3).filter(
+        lambda y: 0 <= y < 2 ** 64)))
+    return p_lo, p_hi, y
+
+
+@settings(deadline=None, database=None)
+@given(_bounds_and_prefinal_hash())
+def test_prefinal_hash_decides_the_coin_or_falls_back(case):
+    """A hash taken before the last xorshift, at either edge of the
+    undecided window or anywhere, is right at every probability in
+    [p_lo, p_hi] when the engine's compare says right, left at every one
+    when it says left, and otherwise undecided (the fallback reads the
+    finished hash)."""
+    p_lo, p_hi, y = case
+    low, span = simulate._coin_bounds(p_lo, p_hi)
+    hashes = np.array([y], dtype=np.uint64)
+    right = bool((hashes < low)[0])
+    undecided = bool((hashes - low <= span)[0])
+    assert not (right and undecided)
+    if undecided:  # the fallback reads the finished hash
+        return
+    u = _uniform_of(_finished(y))
+    for p in (p_lo, 0.5 * (p_lo + p_hi), p_hi):
+        assert (u < p) == right, p
+
+
+def test_undecided_window_is_a_few_high_values_and_saturates():
+    """On the benchmark's chains the window of undecided hashes holds at
+    most 2 ** 34 of the 2 ** 64 values (2 ** -30 per coin); bounds past
+    2 ** 64 - 1 saturate, so p = 1 never reads a left coin."""
+    for ps in _chain_probabilities():
+        for p in ps:
+            low, span = map(int, simulate._coin_bounds(p, p))
+            assert span == 2 ** 33 - 1 and low % 2 ** 33 == 0
+        assert int(simulate._coin_bounds(min(ps), max(ps))[1]) < 2 ** 34
+    top = 2 ** 64 - 1
+    low, span = map(int, simulate._coin_bounds(0.5, 1.0))
+    assert low + span == top
+    low, span = map(int, simulate._coin_bounds(1.0, 1.0))
+    assert (low, span) == (top, 0)
+    # the one hash that saturation leaves undecided is right at p = 1
+    assert _uniform_of(_finished(top)) < 1.0
+    assert (_finished(top) >> 11) < int(simulate._coin_limit(1.0))
+
+
+def _key_of(hash_):
+    """The counter key whose step-0 hash before the last xorshift
+    (``_keyed_hash``) is ``hash_``: every stage of the hash inverted."""
+    mod = 2 ** 64
+
+    def unshift(z, s):  # the inverse of z ^= z >> s
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    def unpremix(z):
+        z = unshift(z * pow(int(simulate._M2), -1, mod) % mod, 27)
+        return unshift(z * pow(int(simulate._M1), -1, mod) % mod, 30)
+
+    return (unpremix(unshift(unpremix(hash_), 31)) - int(simulate._PHI)) % mod
+
+
+@pytest.mark.parametrize("block", [64, None], ids=["rows", "words"])
+def test_crafted_hashes_at_the_coin_edges_equal_the_reference_walker(
+        monkeypatch, block):
+    """Keys crafted so that the first coin's hash sits at a node's own
+    threshold, at the edges of the undecided window, or at the top 31
+    bits of a threshold, where only the finished hash decides: ``_walk``
+    equals the one-step walker byte for byte, walking blocks of 2 steps
+    one row per coin and blocks of 256 by words."""
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    ch = _redrawn_chain(0.499, 0.501)
+    walk = np.flatnonzero(ch.kind == simulate.WALK)
+    inner = walk[ch.x[walk] < 1.0]
+    # the greatest right probability, chosen so that the top of the
+    # undecided window is a right coin at its node: with bit 32 of the
+    # threshold set and bit 63 too (p > 0.5), the finished hash clears
+    # bit 32 and stays below the threshold
+    top, edge_node = 2 ** 64 - 1, inner[0]
+    k = int(simulate._coin_limit(ch.p_right[walk].max())) | 1 << 21
+    high = (k << 11) | simulate._LOW33
+    ch.p_right[edge_node] = k * 2.0 ** -53
+    low, span = map(int, simulate._coin_bounds(ch.p_right[walk].min(),
+                                               ch.p_right[walk].max()))
+    assert low + span == high
+    starts, hashes = [], []
+    for node in inner[::6]:
+        t = _threshold(ch.p_right[node])
+        for y in (t - 1, t, t + 1, t & ~simulate._LOW33,
+                  t | simulate._LOW33, t ^ 0x1F0F0F0F):
+            starts.append(node)
+            hashes.append(y)
+    for y in (low - 1, low, low + 1, high - 1, high, high + 1):
+        starts.append(edge_node)
+        hashes.append(min(y, top))
+    keys = np.array([_key_of(y) for y in hashes], dtype=np.uint64)
+    assert simulate._keyed_hash(keys, 0).tolist() == hashes
+    # the finished hash and the raw one give different coins at some
+    assert any((y < _threshold(ch.p_right[s]))
+               != (_finished(y) < _threshold(ch.p_right[s]))
+               for s, y in zip(starts, hashes))
+    assert _finished(high) < _threshold(ch.p_right[edge_node])
+    starts = np.array(starts)
+    for expo in (False, True):
+        cap = simulate._step_cap(ch, 0.004, expo)
+        walks = [reference_walk(ch, s, key, 0.004, MODE_KILLED, expo, -1, cap)
+                 for s, key in zip(starts, keys)]
+        out = simulate._walk(ch, starts, keys, 0.004, MODE_KILLED, expo, -1)
+        dtypes = (np.int64, np.float64, np.int8, bool)
+        for i, (key, dtype) in enumerate(zip(ENGINE_KEYS, dtypes)):
+            want = np.array([w[i] for w in walks], dtype=dtype)
+            assert out[key].tobytes() == want.tobytes(), (expo, key)
 
 
 def test_jobs_below_one_are_refused():
