@@ -171,6 +171,8 @@ def _simulate(spec, args) -> dict:
         raise _UsageError("--jobs must be at least 1")
     if args.n_rep < 1:
         raise _UsageError("--n-rep must be at least 1")
+    if not 0.0 <= args.t_max < math.inf:
+        raise _UsageError("--t-max must be finite and non-negative")
     chain = build_chain(spec, window, args.h)
     mode = args.mode
     sim = {"window": list(window), "h": args.h, "n_nodes": chain.n_nodes,

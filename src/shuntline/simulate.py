@@ -29,6 +29,16 @@ hash finishes it and takes that block again one step at a time.  A
 block of at least 64 steps (at most 256 replications running) packs
 its coins into words of 8, and one ``take`` of a precomposed table
 moves a replication 8 steps.
+``estimate_hitting`` reads only each replication's status and hit, so
+with deterministic holding times it decides them with a positions-only
+loop that keeps no path or clock: 8 coins per ``take`` of a table of
+word moves, and a running sum S of the holding times each replication
+has left, from a second table.  After k steps the engine's clock lies
+within k * 2 ** -50 * S of S, so a replication at a terminal node with
+S * (1 + k * 2 ** -50) below t_max was absorbed before the horizon, and
+one with S * (1 - k * 2 ** -50) at or past t_max is alive at it; the
+rare one at a terminal node in between is replayed through the engine
+with its own counter stream.
 ``simulate_path`` traces one replication through the same loop;
 ``n_jobs`` is accepted for compatibility and changes nothing.  Holding
 times are deterministic by default; ``exponential_holding=True`` draws
@@ -84,6 +94,12 @@ _WORD = 8
 _WORD_FROM = 64
 _WORD_NODES = 2048
 _WORD_BITS = (1 << np.arange(_WORD)).astype(np.uint8)
+# hashes per block of the positions-only loop of estimate_hitting
+# (_first_passage).  Measured on numpy 2.4.6 over 12 alternating cycles
+# of the benchmark's deterministic hitting calls: 91.7 ms (median) at
+# twice _BLOCK, 99.1 ms at _BLOCK (slower in 8 of the 12), 120 ms at four
+# times _BLOCK
+_PASSAGE_BLOCK = 2 * _BLOCK
 # the last xorshift of the hash keeps its top 31 bits and can change the
 # low 33 (see _coin_bounds)
 _LOW33 = (1 << 33) - 1
@@ -522,6 +538,11 @@ def build_chain(spec: DiffusionSpec, window, h: float) -> ChainModel:
 # the engine
 
 
+def _check_t_max(t_max):
+    if not 0.0 <= t_max < math.inf:
+        raise DomainError(f"t_max must be finite and non-negative, got {t_max}")
+
+
 def _step_cap(chain, t_max, exponential):
     """Steps after which a replication stops as if the horizon had come.
     Deterministic holding times add at least min_tau per step, so their
@@ -629,6 +650,40 @@ def _word_rows(fill, jump, path, right):
               out=path[1:], mode="wrap")
 
 
+def _node_rules(chain, mode, target_node):
+    """Per-node tables of one engine call, so no loop branches on node
+    kinds: ``moves`` (a replication goes on from the node), the status it
+    ends with there (ALIVE where it moves on), whether it keeps its clock
+    there, ``go`` (2 * the node each coin side leads to, at entry 2 * node
+    + coin, back to the node itself where paths end, so a path that ends
+    inside a block stays there), the ``_coin_limit`` of each entry and the
+    ``_coin_bounds`` of the walk nodes that move."""
+    if mode not in _MODES:
+        raise DomainError(f"mode must be one of {_MODES}")
+    kind = chain.kind
+    end_code = np.zeros(chain.n_nodes, dtype=np.int8)
+    end_code[kind == TRAP_NODE] = ABSORBED_TRAP
+    end_code[kind == KILL_WINDOW] = KILLED_WINDOW
+    end_code[kind == KILL_INF] = DEAD_INF
+    keeps_time = end_code != RUNNING
+    if mode != MODE_KILLED:
+        keeps_time &= kind != TRAP_NODE
+    if target_node >= 0:
+        end_code[target_node] = ALIVE
+        keeps_time[target_node] = True
+    moves = end_code == RUNNING
+    end_status = np.where(moves, ALIVE, end_code).astype(np.int8)
+    go = np.where(kind == DET, chain.det_target,
+                  [chain.nbr_left, chain.nbr_right])
+    go = np.where(moves, go, np.arange(chain.n_nodes))
+    go = (2 * go.T.ravel()).astype(np.intp)
+    limit = np.repeat(_coin_limit(chain.p_right), 2)
+    coin_p = chain.p_right[moves & (kind == WALK)]
+    low, span = _coin_bounds(
+        *((coin_p.min(), coin_p.max()) if coin_p.size else (0.0, 0.0)))
+    return moves, end_status, keeps_time, go, limit, low, span
+
+
 def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
           trace=None):
     """The engine: replication r starts at starts[r] and reads the counter
@@ -670,42 +725,17 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     arrays: the times and the positions of that replication at its start,
     after each of its moves, and at its end when that comes later.
     """
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}")
     n_rep = len(starts)
-    # per-node tables, so the loop body does not branch on node kinds:
-    # the status a replication ends with at a node (ALIVE where it moves
-    # on), whether it keeps its clock there, its holding time (inf where
-    # it ends, so the horizon test catches it) and where each coin side
-    # leads (back to the node itself where it ends, so a path that ends
-    # inside a block stays in the table)
-    kind = chain.kind
-    end_code = np.zeros(chain.n_nodes, dtype=np.int8)
-    end_code[kind == TRAP_NODE] = ABSORBED_TRAP
-    end_code[kind == KILL_WINDOW] = KILLED_WINDOW
-    end_code[kind == KILL_INF] = DEAD_INF
-    keeps_time = end_code != RUNNING
-    if mode != MODE_KILLED:
-        keeps_time &= kind != TRAP_NODE
-    if target_node >= 0:
-        end_code[target_node] = ALIVE
-        keeps_time[target_node] = True
-    moves = end_code == RUNNING
-    end_status = np.where(moves, ALIVE, end_code).astype(np.int8)
-    go = np.where(kind == DET, chain.det_target,
-                  [chain.nbr_left, chain.nbr_right])
-    go = np.where(moves, go, np.arange(chain.n_nodes))
+    moves, end_status, keeps_time, go, limit, low, span = _node_rules(
+        chain, mode, target_node)
     # while a block moves, its rows hold 2 * node, so one addition of the
     # coin (0 left, 1 right) gives the entry of go; the holding-time
-    # tables below take the same entries
-    go = (2 * go.T.ravel()).astype(np.intp)
+    # tables below take the same entries.  Holding times are inf where
+    # paths end, so the horizon test catches them
     tau_of = np.repeat(np.where(moves, chain.tau, np.inf), 2)
     # the exponential factor stays 1.0 where tau is inf: inf * 0 is nan
-    random_tau = np.repeat(moves & (kind == WALK) & exponential_holding, 2)
-    limit = np.repeat(_coin_limit(chain.p_right), 2)
-    coin_p = chain.p_right[moves & (kind == WALK)]
-    low, span = _coin_bounds(
-        *((coin_p.min(), coin_p.max()) if coin_p.size else (0.0, 0.0)))
+    random_tau = np.repeat(moves & (chain.kind == WALK) & exponential_holding,
+                           2)
     by_words = chain.n_nodes <= _WORD_NODES
     tables = None  # _word_tables, built by the first long block
     cap = _step_cap(chain, t_max, exponential_holding)
@@ -815,6 +845,133 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
             "status": status, "hit": hit}
 
 
+def _passage_tables(go, hold):
+    """The tables of one ``_first_passage`` call: ``jump[w, c]`` is the
+    node that the _WORD coins of the word w (bit j the coin of step j, 1
+    right) lead to from node c, and ``wsum[w, c]`` the sum, left to right,
+    of ``hold`` over the nodes that those coins depart from.  ``go`` is
+    the table of ``_node_rules``."""
+    n_nodes = hold.size
+    bits = np.unpackbits(np.arange(1 << _WORD, dtype=np.uint8)[:, None],
+                         axis=1, count=_WORD, bitorder="little")
+    at = np.broadcast_to(np.arange(0, 2 * n_nodes, 2, dtype=go.dtype),
+                         (1 << _WORD, n_nodes))
+    wsum = np.zeros((1 << _WORD, n_nodes))
+    for i in range(_WORD):
+        wsum += hold.take(at >> 1)
+        at = go.take(at + bits[:, i, None])
+    return at >> 1, wsum
+
+
+def _bracket(total, k, tau_max, t_max):
+    """Masks of the sums S = ``total`` after k steps whose clocks are
+    surely below t_max and surely at or past it (see ``_first_passage``),
+    or None while k * tau_max, and so every clock, is below t_max."""
+    delta = k * 2.0 ** -50
+    if k * tau_max * (1.0 + delta) < t_max:
+        return None
+    return total * (1.0 + delta) < t_max, total * (1.0 - delta) >= t_max
+
+
+def _first_passage(chain, start, keys, t_max, mode, target_node):
+    """Status and hit of replications that start at node ``start``, each
+    reading its counter stream keys[r], with deterministic holding times:
+    those of ``_walk``, from positions alone.
+
+    Each pass moves the replications still running through a block of
+    whole words of _WORD coins, read and packed as in ``_walk``, and
+    keeps no path or clock: one ``take`` of ``jump`` per word moves every
+    replication _WORD steps, and one ``take`` of ``wsum`` for the block's
+    words adds the holding times of the nodes each left to its sum S.
+    Nodes where paths end lead to themselves and hold 0, so S stays the
+    time a replication reached such a node.  A column holding an
+    undecided hash takes its block again through ``_step_rows``, and its
+    S adds the holding times of its rows.
+
+    ``_walk``'s clock after k steps is a left-to-right sum of k
+    non-negative terms, and S sums the same terms in another order, so
+    the two differ by at most delta * S, delta = k * 2 ** -50 (four
+    times the bound on their rounding).  After each block a replication
+    at a node where paths end with S * (1 + delta) < t_max reached it
+    before the horizon, and ends with that node's status; one with
+    S * (1 - delta) >= t_max had not reached one by the horizon (it would
+    have stayed there), so it is alive with no hit; one at such a node in
+    between is replayed through ``_walk`` after the loop.  While k times
+    the largest holding time stays below t_max, no clock can reach the
+    horizon and these tests are skipped.
+    """
+    moves, end_status, _, go, limit, low, span = _node_rules(
+        chain, mode, target_node)
+    high = low + span  # at most 2 ** 64 - 1
+    n_rep = len(keys)
+    if not moves[start]:  # a path that starts where paths end stays there
+        return (np.full(n_rep, end_status[start]),
+                np.full(n_rep, start == target_node))
+    hold = np.where(moves, chain.tau, 0.0)
+    jump, wsum = _passage_tables(go, hold)
+    hold_of = np.repeat(hold, 2)  # by entry 2 * node, for the fallback
+    tau_max = float(hold.max())
+    status = np.empty(n_rep, dtype=np.int8)
+    hit = np.zeros(n_rep, dtype=bool)
+    replays = []
+    # the active set: output index, counter key, node and S of every
+    # replication still running; each has taken exactly k steps
+    idx = np.arange(n_rep)
+    key = keys
+    cur = np.full(n_rep, start, dtype=np.intp)
+    total = np.zeros(n_rep)
+    k = 0
+    while idx.size:
+        active = idx.size
+        n_block = _WORD * max(_PASSAGE_BLOCK // (_WORD * active), 1)
+        hashes = _keyed_hash(key, np.arange(2 * k, 2 * (k + n_block),
+                                            2)[:, None])
+        right = np.less(hashes, low)
+        # right coins, and the undecided hashes: those up to low + span
+        maybe = np.less_equal(hashes, high)
+        redo = np.count_nonzero(maybe) > np.count_nonzero(right)
+        words = np.einsum("i,jik->jk", _WORD_BITS,
+                          right.view(np.uint8).reshape(-1, _WORD, active))
+        words = words.astype(np.intp)
+        words *= chain.n_nodes
+        if redo:
+            cols = (maybe ^ right).any(axis=0).nonzero()[0]
+            sub = np.empty((n_block + 1, cols.size), dtype=np.intp)
+            sub[0] = 2 * cur[cols]
+            _step_rows(go, limit, sub, hashes[:, cols])
+            redone = total[cols] + hold_of.take(sub[:-1]).sum(axis=0)
+        for row in words:  # each row becomes the entries its word takes
+            row += cur
+            cur = jump.take(row)
+        total += wsum.take(words).sum(axis=0)
+        if redo:
+            cur[cols], total[cols] = sub[-1] >> 1, redone
+        k += n_block
+        ends = ~moves.take(cur)
+        bracket = _bracket(total, k, tau_max, t_max)
+        if bracket is None:
+            before, gone = ends, ends
+        else:
+            below, past = bracket
+            before = ends & below
+            replays.append(idx[ends & ~below & ~past])
+            status[idx[past]] = ALIVE
+            gone = ends | past
+        node = cur[before]
+        status[idx[before]] = end_status.take(node)
+        hit[idx[before]] = node == target_node
+        if gone.any():
+            keep = np.flatnonzero(~gone)
+            idx, key = idx.take(keep), key.take(keep)
+            cur, total = cur.take(keep), total.take(keep)
+    replay = np.concatenate(replays) if replays else idx
+    if replay.size:
+        out = _walk(chain, np.full(replay.size, start), keys[replay], t_max,
+                    mode, False, target_node)
+        status[replay], hit[replay] = out["status"], out["hit"]
+    return status, hit
+
+
 def _check_n_rep(n_rep):
     if n_rep < 1:
         raise DomainError(f"n_rep must be at least 1, got {n_rep}")
@@ -844,6 +1001,7 @@ def run(chain: ChainModel, x0=None, t_max: float = 1.0, n_rep: int = 1000,
     """
     if n_jobs < 1:
         raise DomainError("n_jobs must be at least 1")
+    _check_t_max(t_max)
     if starts is None:
         if x0 is None:
             raise DomainError("provide x0 or starts")
@@ -881,6 +1039,7 @@ def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
     time 0, one (time, position) per move, and the final time and
     position when the path ends after its last move (at the horizon, held
     at a trap, or at the step cap)."""
+    _check_t_max(t_max)
     trace = []
     out = _walk(chain, [chain.node_at(float(x0))], _rep_key(seed, [rep]),
                 t_max, mode, exponential_holding, -1, trace)
@@ -905,13 +1064,38 @@ def estimate_hitting(chain: ChainModel, x0: float, target: float,
                      n_jobs: int = 1, mode: str = MODE_KILLED,
                      exponential_holding: bool = False) -> dict:
     """Probability of visiting the target position before the horizon,
-    from n_rep >= 1 replications."""
-    res = run(chain, x0=x0, t_max=t_max, n_rep=n_rep, seed=seed,
-              n_jobs=n_jobs, mode=mode,
-              exponential_holding=exponential_holding, target=target)
-    hits = int(res["hit"].sum())
+    from n_rep >= 1 replications: the hits and statuses of ``run`` with
+    the same arguments, replication for replication.
+
+    With deterministic holding times, on a chain of at most _WORD_NODES
+    nodes, replications are decided by positions alone
+    (``_first_passage``): no path or clock is kept, every replication
+    moves a word of _WORD coins per ``take``, and a running sum S of the
+    holding times it has left brackets its clock.  After k steps the
+    clock lies within k * 2 ** -50 * S of S, so a replication at a node
+    where paths end with S below t_max by more than that reached it
+    before the horizon, and one with S above t_max by more than that is
+    alive at the horizon with no hit.  The rare replication at such a
+    node whose S is too close to t_max to decide is replayed through
+    ``run``'s engine with its own counter stream.  Exponential holding
+    times, and larger chains, take ``run``'s engine."""
+    if n_jobs < 1:
+        raise DomainError("n_jobs must be at least 1")
+    _check_t_max(t_max)
+    _check_n_rep(n_rep)
+    start = chain.node_at(float(x0))
+    target_node = chain.node_at(float(target))
+    keys = _rep_key(seed, np.arange(n_rep))
+    if exponential_holding or chain.n_nodes > _WORD_NODES:
+        res = _walk(chain, np.full(n_rep, start), keys, t_max, mode,
+                    exponential_holding, target_node)
+        status, hit = res["status"], res["hit"]
+    else:
+        status, hit = _first_passage(chain, start, keys, t_max, mode,
+                                     target_node)
+    hits = int(hit.sum())
     p, lo, hi = _wilson(hits, n_rep)
-    counts = {name: int((res["status"] == code).sum())
+    counts = {name: int((status == code).sum())
               for code, name in STATUS_NAMES.items()}
     return {"estimate": p, "ci_low": lo, "ci_high": hi, "hits": hits,
             "n_rep": n_rep, "x0": x0, "target": target, "t_max": t_max,

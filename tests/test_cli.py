@@ -226,6 +226,11 @@ SPEC_COMMANDS = ("validate", "classify", "check-hunt", "check-symmetry",
     (["measure", "--example", "split-bm", "--coefficients", "3"], 1),
     (["simulate", "--example", "bm", *SIM, "--x0", "0.3", "--n-rep", "-3"], 3),
     (["simulate", "--example", "bm", *SIM, "--x0", "0.3", "--n-rep", "0"], 3),
+    (["simulate", "--example", "bm", *SIM, "--x0", "0.3", "--t-max", "-1"], 3),
+    (["simulate", "--example", "bm", *SIM, "--x0", "0.3", "--target", "1.0",
+      "--t-max", "nan"], 3),
+    (["simulate", "--example", "bm", *SIM, "--defect", "0.2,0.4,0.6,0.8",
+      "--t-max", "inf"], 3),
 ])
 def test_gates_and_usage_errors(tmp_path, capsys, argv, code):
     """An invalid spec gets only its validation report, exit 1; a usage
@@ -246,6 +251,17 @@ def test_gates_and_usage_errors(tmp_path, capsys, argv, code):
     else:
         assert not out.exists()
         assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("t_max", ["-1", "nan", "inf"])
+def test_horizon_that_is_negative_or_not_finite_is_a_usage_error(capsys,
+                                                                 t_max):
+    args = ["simulate", "--example", "bm", "--window", "0,1", "--h", "0.05",
+            "--t-max", t_max, "--x0", "0.3"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == ("shuntline simulate: error: --t-max must be finite and "
+                   "non-negative\n")
 
 
 def test_example_listing_and_round_trip(tmp_path, capsys):

@@ -798,6 +798,224 @@ def test_crafted_hashes_at_the_coin_edges_equal_the_reference_walker(
             assert out[key].tobytes() == want.tobytes(), (expo, key)
 
 
+# The positions-only loop of estimate_hitting (_first_passage) gives
+# every replication the status and hit of ``run`` with a target.  The
+# chains of the benchmark's hitting calls and the trap chains, each as
+# built (a grid uniform in scale: almost every coin decided) and with its
+# walk coins redrawn from U(0.45, 0.55) (most blocks take the one-step
+# fallback); (spec, window, x0, target).
+CUBIC = {"name": "cubic", "pieces": [
+    {"kind": "regular_interval", "a": "-inf", "b": "inf",
+     "scale": "x^3", "speed": {"density": "2"}}]}
+PASSAGE_CHAINS = {
+    "bm": ("bm", (0.0, 1.0), 0.3, 1.0),
+    "cubic": (CUBIC, (0.0, 1.0), 0.5, 1.0),
+    "exa1": ("exa1", (-2.5, 2.5), -1.0, 1.0),
+    "exa2": ("exa2", (-1.0, 3.0), 1.0, 2.0),
+    "absorb-reflect": ("absorb-reflect", (-0.5, 2.0), 0.5, 0.9)}
+PASSAGE_HORIZONS = (0.0, 0.01, 0.1, 0.5, 2.0, 50.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _passage_chain(name, redrawn=False):
+    spec, window, _, _ = PASSAGE_CHAINS[name]
+    ch = build_chain(get_example(spec) if isinstance(spec, str)
+                     else parse_spec(spec), window, 0.05)
+    if redrawn:
+        walk = ch.kind == simulate.WALK
+        ch.p_right[walk] = np.random.default_rng(3).uniform(0.45, 0.55,
+                                                            walk.sum())
+    return ch
+
+
+def _passage_spies(monkeypatch):
+    """The (status, hit) of every ``_first_passage`` call, and a count
+    of the replications it replays through ``_walk`` and of the columns
+    its own blocks send to the one-step fallback."""
+    outs, seen, where = [], collections.Counter(), []
+    first_passage, walk = simulate._first_passage, simulate._walk
+    step_rows = simulate._step_rows
+
+    def passage_spy(*args):
+        where.append("loop")
+        outs.append(first_passage(*args))
+        where.pop()
+        return outs[-1]
+
+    def walk_spy(chain, starts, *args, **kw):
+        if where == ["loop"]:
+            seen["replayed"] += len(starts)
+        where.append("walk")
+        try:
+            return walk(chain, starts, *args, **kw)
+        finally:
+            where.pop()
+
+    def rows_spy(go, limit, path, hashes):
+        if where == ["loop"]:
+            seen["fallback"] += path.shape[1]
+        step_rows(go, limit, path, hashes)
+
+    monkeypatch.setattr(simulate, "_first_passage", passage_spy)
+    monkeypatch.setattr(simulate, "_walk", walk_spy)
+    monkeypatch.setattr(simulate, "_step_rows", rows_spy)
+    return outs, seen
+
+
+def _assert_hitting_equals_run(outs, ch, x0, target, t_max, n_rep, seed,
+                               mode):
+    """estimate_hitting against run, replication for replication; returns
+    the status and hit arrays."""
+    want = run(ch, x0=x0, t_max=t_max, n_rep=n_rep, seed=seed, mode=mode,
+               target=target)
+    del outs[:]
+    est = estimate_hitting(ch, x0, target, t_max, n_rep, seed=seed,
+                           mode=mode)
+    (status, hit), = outs
+    assert status.tobytes() == want["status"].tobytes(), (t_max, mode)
+    assert hit.tobytes() == want["hit"].tobytes(), (t_max, mode)
+    assert est["hits"] == int(want["hit"].sum())
+    assert est["status_counts"] == {
+        name: int((want["status"] == code).sum())
+        for code, name in STATUS_NAMES.items()}
+    return status, hit
+
+
+@pytest.mark.parametrize("redrawn", [False, True], ids=["built", "redrawn"])
+@pytest.mark.parametrize("name", PASSAGE_CHAINS)
+def test_hitting_loop_equals_run_per_replication(monkeypatch, name, redrawn):
+    """At every horizon, from 0 to 50, in two modes, the positions-only
+    loop gives each replication the status and hit of ``run``: absorbed
+    before the horizon and alive at it everywhere, through the one-step
+    fallback on the redrawn chains, and through replays on bm, whose
+    holding times are all h ** 2, so clocks land on the horizon."""
+    ch = _passage_chain(name, redrawn)
+    _, _, x0, target = PASSAGE_CHAINS[name]
+    outs, seen = _passage_spies(monkeypatch)
+    for t_max in PASSAGE_HORIZONS:
+        for mode in (MODE_KILLED, MODE_FULL):
+            status, hit = _assert_hitting_equals_run(
+                outs, ch, x0, target, t_max, 300, 4, mode)
+            alive = (status == simulate.ALIVE) & ~hit
+            seen["absorbed"] += int((~alive).sum())
+            seen["alive"] += int(alive.sum())
+    assert seen["absorbed"] and seen["alive"]
+    assert bool(seen["fallback"]) == redrawn
+    assert bool(seen["replayed"]) == (name == "bm")
+
+
+@pytest.mark.parametrize("t_max", [0.0, 0.5])
+def test_hitting_from_the_target_or_a_window_edge_ends_there(monkeypatch,
+                                                             t_max):
+    """A replication that starts on the target, or on a window edge, ends
+    there at once, as in ``run``, also at t_max = 0."""
+    ch = _passage_chain("bm")
+    outs, _ = _passage_spies(monkeypatch)
+    for x0, target, status in ((1.0, 1.0, "alive"), (0.0, 1.0,
+                                                     "killed_at_window"),
+                               (1.0, 0.3, "killed_at_window")):
+        _, hit = _assert_hitting_equals_run(outs, ch, x0, target, t_max, 40,
+                                            6, MODE_KILLED)
+        est = estimate_hitting(ch, x0, target, t_max, 40, seed=6)
+        assert est["status_counts"][status] == 40
+        assert hit.all() == (x0 == target)
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(name=st.sampled_from(["bm", "exa2", "absorb-reflect"]),
+       steps=st.one_of(st.floats(0.0, 400.0), st.integers(0, 400)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hitting_loop_equals_run_at_any_horizon_and_seed(name, steps, seed):
+    """Horizons anywhere, and on the lattice of whole holding times where
+    clocks land on them, with any seed."""
+    ch = _passage_chain(name)
+    _, _, x0, target = PASSAGE_CHAINS[name]
+    t_max = steps * float(ch.tau[ch.kind == simulate.WALK].max())
+    with pytest.MonkeyPatch.context() as mp:
+        outs, _ = _passage_spies(mp)
+        _assert_hitting_equals_run(outs, ch, x0, target, t_max, 64, seed,
+                                   MODE_KILLED)
+
+
+@pytest.mark.parametrize("name, t_max", [
+    ("bm", 0.5), ("bm", 50.0), ("cubic", 0.5), ("cubic", 50.0),
+    ("exa1", 2.0), ("exa1", 50.0)])
+def test_hitting_bracket_holds_the_clock_of_every_absorbed_replication(
+        monkeypatch, name, t_max):
+    """For every replication the loop finds absorbed, its sum S after k
+    steps is within k * 2 ** -50 * S of the clock ``run`` ends it with.
+    The spy on the bracket never skips it, and pairs each sum with its
+    replication through the counter keys of the block."""
+    ch = _passage_chain(name)
+    _, _, x0, target = PASSAGE_CHAINS[name]
+    keys = simulate._rep_key(8, np.arange(500))
+    rep_of = {int(key): r for r, key in enumerate(keys)}
+    last = {}  # replication -> (S, k) of its last block
+    block_keys = []
+    keyed_hash, bracket = simulate._keyed_hash, simulate._bracket
+
+    def hash_spy(key, step):
+        block_keys.append(key)
+        return keyed_hash(key, step)
+
+    def bracket_spy(total, k, tau_max, t_max):
+        for key, s in zip(block_keys[-1], total):
+            last[rep_of[int(key)]] = (float(s), k)
+        return bracket(total, k, math.inf, t_max)
+
+    monkeypatch.setattr(simulate, "_keyed_hash", hash_spy)
+    monkeypatch.setattr(simulate, "_bracket", bracket_spy)
+    status, hit = simulate._first_passage(
+        ch, ch.node_at(x0), keys, t_max, MODE_KILLED, ch.node_at(target))
+    monkeypatch.undo()
+    want = run(ch, x0=x0, t_max=t_max, n_rep=500, seed=8, mode=MODE_KILLED,
+               target=target)
+    assert status.tobytes() == want["status"].tobytes()
+    assert hit.tobytes() == want["hit"].tobytes()
+    absorbed = np.flatnonzero((status != simulate.ALIVE) | hit)
+    assert absorbed.size > 100
+    for r in absorbed:
+        s, k = last[r]
+        assert abs(s - want["final_time"][r]) <= k * 2.0 ** -50 * s, r
+
+
+def test_hitting_with_exponential_holding_or_a_large_chain_takes_the_engine(
+        monkeypatch):
+    """Exponential holding times, and a chain with more nodes than the
+    word tables take, are estimated through ``run``'s engine, with its
+    numbers."""
+    ch = _passage_chain("exa2")
+    _, _, x0, target = PASSAGE_CHAINS["exa2"]
+    outs, _ = _passage_spies(monkeypatch)
+    for expo, word_nodes in ((True, simulate._WORD_NODES),
+                             (False, ch.n_nodes - 1)):
+        monkeypatch.setattr(simulate, "_WORD_NODES", word_nodes)
+        want = run(ch, x0=x0, t_max=0.5, n_rep=200, seed=2, target=target,
+                   exponential_holding=expo)
+        est = estimate_hitting(ch, x0, target, 0.5, 200, seed=2,
+                               exponential_holding=expo)
+        assert not outs
+        assert est["hits"] == int(want["hit"].sum())
+        assert est["status_counts"] == {
+            name: int((want["status"] == code).sum())
+            for code, name in STATUS_NAMES.items()}
+
+
+def test_horizons_that_are_negative_or_not_finite_are_refused():
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    for t_max in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        for call in (lambda: run(ch, x0=0.3, t_max=t_max, n_rep=4),
+                     lambda: simulate_path(ch, 0.3, t_max),
+                     lambda: estimate_hitting(ch, 0.3, 1.0, t_max, 4),
+                     lambda: estimate_hitting(ch, 0.3, 1.0, t_max, 4,
+                                              exponential_holding=True),
+                     lambda: estimate_symmetry_defect(
+                         ch, lambda x: x, lambda x: 1.0, t_max, 4)):
+            with pytest.raises(DomainError,
+                               match="t_max must be finite and non-negative"):
+                call()
+
+
 def test_jobs_below_one_are_refused():
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
     for n_jobs in (0, -1):
