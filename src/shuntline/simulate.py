@@ -12,33 +12,47 @@ window edges kill.
 
 Randomness is a stateless counter hash of (seed, replication, step), so
 a replication's path does not depend on which other replications run
-beside it.  The engine is one loop over the replications still running;
-each pass moves them through a block of steps, positions first, then
-clocks by a running sum (one add per row on a block much wider than
-long, one accumulate on the others; terminal nodes lead to themselves),
-and it compacts the set only after a block in which one of them ended.
-Coins are read on the raw 64-bit hashes: a uniform (z >> 11) * 2 ** -53
-is below p exactly when z is below the integer ceil(p * 2 ** 53) *
-2 ** 11, and the last xorshift of the hash keeps its top 31 bits, so
-one compare of the block's hashes before that xorshift gives every
-coin.  Every walk node's right probability lies in [p_lo, p_hi], a span
-of a few times 1e-15 on a grid uniform in scale, so a hash is the same
-coin at every node unless its top 31 bits fall between those of the
-two thresholds (about 2 ** -31 per coin); a replication holding such a
-hash finishes it and takes that block again one step at a time.  A
-block of at least 64 steps (at most 256 replications running) packs
-its coins into words of 8, and one ``take`` of a precomposed table
-moves a replication 8 steps.
+beside it.  The engine (``_walk``) is one loop over the replications
+still running; each pass moves them through a block of steps, positions
+first, then clocks by a running sum (one add per row on a block much
+wider than long, one accumulate on the others; terminal nodes lead to
+themselves), and it compacts the set only after a block in which one of
+them ended.
+
+Both loops read their coins through one coin layer.  A uniform
+(z >> 11) * 2 ** -53 is below p exactly when the finished hash z is
+below the integer ceil(p * 2 ** 53) * 2 ** 11, and the last xorshift of
+the hash keeps its top 31 bits, so the hashes taken before it are
+compared with two bounds (``_coin_bounds``): below ``low`` a hash is a
+right coin at every walk node, above ``high`` a left coin at every one.
+Every walk node's right probability lies in [p_lo, p_hi], a span of a
+few times 1e-15 on a grid uniform in scale, so a hash falls in between,
+and is undecided, about 2 ** -31 per coin; ``_coins`` reads the coins
+and names the columns that hold one.  ``_walk`` takes such a column's
+block again one step at a time against each node's own threshold
+(``_step_rows``); the hitting loop replays such a replication through
+``_walk``.  Every block of the hitting loop, and every block of
+``_walk`` of at least 64 steps (so at most 256 replications running),
+packs its coins into words of 8 and walks every replication a word per
+``take`` (``_pack_words``), through tables of word moves built by
+stepping the node table ``go`` once per coin (``_word_moves``):
+``_walk`` keeps every step of a word, to fill the rows of its block
+with one more ``take``, and the hitting loop only where a word leads
+and the holding times it adds (``_passage_moves``).
+
 ``estimate_hitting`` reads only each replication's status and hit, so
 with deterministic holding times it decides them with a positions-only
-loop that keeps no path or clock: 8 coins per ``take`` of a table of
-word moves, and a running sum S of the holding times each replication
-has left, from a second table.  After k steps the engine's clock lies
-within k * 2 ** -50 * S of S, so a replication at a terminal node with
+loop (``_first_passage``) that keeps no path or clock, only a running
+sum S of the holding times each replication has left.  Terminal nodes
+lead to themselves and hold 0, so S stays the time one was reached.
+After k steps the engine's clock lies within k * 2 ** -50 * S of S
+(four times the bound on their rounding: both sum the same non-negative
+terms, in other orders), so a replication at a terminal node with
 S * (1 + k * 2 ** -50) below t_max was absorbed before the horizon, and
-one with S * (1 - k * 2 ** -50) at or past t_max is alive at it; the
-rare one at a terminal node in between is replayed through the engine
-with its own counter stream.
+one with S * (1 - k * 2 ** -50) at or past t_max is alive at it
+(``_bracket``); the rare one at a terminal node in between is replayed
+through ``_walk`` with its own counter stream.
+
 ``simulate_path`` traces one replication through the same loop;
 ``n_jobs`` is accepted for compatibility and changes nothing.  Holding
 times are deterministic by default; ``exponential_holding=True`` draws
@@ -133,7 +147,12 @@ def _finish(z):  # in place: the last xorshift of the mix
 
 
 def _rep_key(seed, rep):
-    """The (seed, rep) part of the counter; rep may be an array."""
+    """The (seed, rep) part of the counter; rep may be an array.  A seed,
+    or a replication given as one number, outside [0, 2 ** 64) is
+    refused."""
+    for name, value in (("seed", seed), ("rep", rep)):
+        if np.ndim(value) == 0 and not 0 <= value < 2 ** 64:
+            raise DomainError(f"{name} must lie in [0, 2 ** 64), got {value}")
     with np.errstate(over="ignore"):
         return (np.uint64(seed) * _PHI) \
             ^ (np.asarray(rep, dtype=np.uint64) * _C_REP)
@@ -200,6 +219,9 @@ class ChainModel:
         """Nearest node to x0; refuses points far from every node."""
         if not self.n_nodes:
             raise DomainError("empty chain")
+        if math.isnan(x0):
+            raise DomainError("a start or target position must be a number, "
+                              "got nan")
         if math.isinf(x0):
             cand = np.nonzero((self.kind == KILL_INF)
                               & (np.sign(self.x) == np.sign(x0)))[0]
@@ -583,17 +605,28 @@ def _coin_limit(p):
 
 
 def _coin_bounds(p_lo, p_hi):
-    """Bounds on hashes taken before the last xorshift (``_keyed_hash``)
-    for right probabilities in [p_lo, p_hi]: ``low`` and ``span`` with a
-    hash z a right coin at every such probability when z < low, a left
-    coin at every one when (z - low) mod 2 ** 64 > span, and undecided
-    otherwise.  That xorshift keeps the top 31 bits and can change the
-    low 33, so low is the ``_coin_limit`` threshold of p_lo with its low
-    33 bits cleared and low + span that of p_hi with them set; either
-    saturates at 2 ** 64 - 1."""
+    """Bounds ``(low, high)`` on hashes taken before the last xorshift
+    (``_keyed_hash``) for right probabilities in [p_lo, p_hi]: a hash z
+    is a right coin at every such probability when z < low, a left coin
+    at every one when z > high, and undecided otherwise.  That xorshift
+    keeps the top 31 bits and can change the low 33, so low is the
+    ``_coin_limit`` threshold of p_lo with its low 33 bits cleared and
+    high that of p_hi with them set; either saturates at 2 ** 64 - 1."""
     low = min((int(_coin_limit(p_lo)) << 11) & ~_LOW33, _TOP)
     high = min((int(_coin_limit(p_hi)) << 11) | _LOW33, _TOP)
-    return np.uint64(low), np.uint64(high - low)
+    return np.uint64(low), np.uint64(high)
+
+
+def _coins(hashes, low, high, out=None):
+    """The coins of ``hashes`` (``_keyed_hash``, rows of steps; 1 right),
+    written into ``out`` when given, and the columns that hold an
+    undecided hash: the hashes up to ``high`` are counted against the
+    right coins, so a block with none makes no other temporary."""
+    right = np.less(hashes, low, out=out)
+    maybe = np.less_equal(hashes, high)
+    if np.count_nonzero(maybe) == np.count_nonzero(right):
+        return right, np.empty(0, dtype=np.intp)
+    return right, (maybe ^ right).any(axis=0).nonzero()[0]
 
 
 def _move_rows(go, path):
@@ -616,38 +649,48 @@ def _step_rows(go, limit, path, hashes):
         go.take(c + (m < limit.take(c)), out=nxt, mode="wrap")
 
 
-def _word_tables(go, n_nodes):
-    """The tables of the long blocks of one engine call.  ``fill[i, w, c]``
-    is 2 * the node that the first i + 1 coins of the word w (bit j the
-    coin of step j, 1 right) lead to from node c, and ``jump[w, c]`` the
-    node that all _WORD of them lead to."""
+def _word_moves(go, fill=None):
+    """Yields, for i = 1, .., _WORD, the entries 2 * the node that the
+    first i coins of the word w (bit j the coin of step j, 1 right) lead
+    to from node c, at [w, c]: ``go`` stepped once per coin, into
+    fill[i - 1] when ``fill`` is given."""
     bits = np.unpackbits(np.arange(1 << _WORD, dtype=np.uint8)[:, None],
                          axis=1, count=_WORD, bitorder="little")
-    fill = np.empty((_WORD, 1 << _WORD, n_nodes), dtype=go.dtype)
-    at = np.arange(0, 2 * n_nodes, 2, dtype=go.dtype)
-    for i in range(_WORD):
-        go.take(at + bits[:, i, None], out=fill[i])
-        at = fill[i]
-    return fill, at >> 1
+    at = np.arange(0, go.size, 2, dtype=go.dtype)
+    for i in range(_WORD):  # "wrap" writes straight into fill (_move_rows)
+        at = go.take(at + bits[:, i, None],
+                     out=None if fill is None else fill[i], mode="wrap")
+        yield at
 
 
-def _word_rows(fill, jump, path, right):
-    """Fill rows 1.. of ``path`` (rows of 2 * node) from the coins
-    ``right`` (1 right; one row per step, padded with left coins to whole
-    words), one ``take`` per word of _WORD."""
+def _passage_moves(go, hold):
+    """The word moves of ``_first_passage``: ``jump[w, c]``, the node that
+    the _WORD coins of the word w lead to from node c, and ``wsum[w, c]``,
+    the sum, left to right, of ``hold`` (by entry 2 * node + coin) over
+    the nodes they depart from."""
+    wsum = np.zeros((1 << _WORD, go.size // 2))
+    at = np.arange(0, go.size, 2)
+    for nxt in _word_moves(go):
+        wsum += hold.take(at)
+        at = nxt
+    return at >> 1, wsum
+
+
+def _pack_words(right, head, jump):
+    """Pack the coins ``right`` (rows of steps, 1 right, whole words of
+    _WORD) into words and walk them from the nodes ``head``, one ``take``
+    of ``jump`` (``jump[w, c]`` the node the word w leads to from node c)
+    per word.  Returns the entries w * n_nodes + c of each word and the
+    node it starts from, one row per word, and the nodes that all the
+    words lead to."""
     n_words, active = len(right) // _WORD, right.shape[1]
-    # at[j] becomes the entry of word j and of the node it starts from
-    at = np.einsum("i,jik->jk", _WORD_BITS,
-                   right.reshape(n_words, _WORD, active)).astype(np.intp)
+    at = np.einsum("i,jik->jk", _WORD_BITS, right.view(np.uint8).reshape(
+        n_words, _WORD, active)).astype(np.intp)
     at *= jump.shape[1]
-    head = path[0] >> 1
-    for row in at[:-1]:
+    for row in at:
         row += head
         head = jump.take(row)
-    at[-1] += head
-    layers = np.arange(0, fill.size, jump.size)[:, None]
-    fill.take((at[:, None] + layers).reshape(-1, active)[:len(path) - 1],
-              out=path[1:], mode="wrap")
+    return at, head
 
 
 def _node_rules(chain, mode, target_node):
@@ -679,9 +722,9 @@ def _node_rules(chain, mode, target_node):
     go = (2 * go.T.ravel()).astype(np.intp)
     limit = np.repeat(_coin_limit(chain.p_right), 2)
     coin_p = chain.p_right[moves & (kind == WALK)]
-    low, span = _coin_bounds(
+    low, high = _coin_bounds(
         *((coin_p.min(), coin_p.max()) if coin_p.size else (0.0, 0.0)))
-    return moves, end_status, keeps_time, go, limit, low, span
+    return moves, end_status, keeps_time, go, limit, low, high
 
 
 def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
@@ -690,43 +733,18 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     stream keys[r].  Returns arrays final_node, final_time, status, hit.
 
     Each pass walks the replications still running through a block of
-    steps: positions first, one coin per step, then the clocks, by a
-    running sum of the holding times along them (``_sum_clocks``).  A
-    replication ends at the first step whose clock reaches t_max; the
-    rest of its block is discarded.  The active set is compacted only
-    after a block in which a replication ended, and the status, kept
-    clock and hit of every replication are read from its final node once,
-    after the loop.
-
-    Coins are read on the raw 64-bit hashes of ``_keyed_hash``, with no
-    uniform made for them.  A uniform below p is exactly a finished hash
-    below an integer threshold (``_coin_limit``), and the last xorshift
-    of the hash leaves its top 31 bits alone.  So one compare of the
-    block's hashes with the ``low`` bound of ``_coin_bounds`` for [p_lo,
-    p_hi], the least and greatest right probabilities of the walk nodes
-    that move, gives every coin, right below it and left above: the same
-    coin at every such node unless the hash is undecided, at most
-    ``span`` above low (about 2 ** -31 per coin on a grid uniform in
-    scale, where p_hi - p_lo is a few times 1e-15).  Every other node
-    leads to one place on both sides.  A column holding an undecided hash
-    finishes its hashes and takes its block again one step at a time,
-    against the threshold of each node (``_step_rows``), so positions
-    are those of the one-step walk on the uniforms.
-
-    A block of fewer than _WORD_FROM steps moves one row per coin
-    (``_move_rows``).  A longer one, on a chain of at most _WORD_NODES
-    nodes, packs its coins into words of _WORD (``_word_rows``): the
-    first long block of the call builds ``_word_tables`` (2 ** _WORD *
-    (_WORD + 1) * n_nodes positions: 1.9 MB for the 101 nodes of bm at
-    h = 0.01, 38 MB at _WORD_NODES), one ``take`` per word moves every
-    replication _WORD steps, and one more fills all rows of the block.
+    steps: positions first, one coin per step (see the module docstring),
+    then the clocks, by a running sum of the holding times along them
+    (``_sum_clocks``).  A replication ends at the first step whose clock
+    reaches t_max; the rest of its block is discarded.  Its status, kept
+    clock and hit are read from its final node once, after the loop.
 
     With a trace (an empty list) and one start, the list receives two
     arrays: the times and the positions of that replication at its start,
     after each of its moves, and at its end when that comes later.
     """
     n_rep = len(starts)
-    moves, end_status, keeps_time, go, limit, low, span = _node_rules(
+    moves, end_status, keeps_time, go, limit, low, high = _node_rules(
         chain, mode, target_node)
     # while a block moves, its rows hold 2 * node, so one addition of the
     # coin (0 left, 1 right) gives the entry of go; the holding-time
@@ -737,7 +755,7 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     random_tau = np.repeat(moves & (chain.kind == WALK) & exponential_holding,
                            2)
     by_words = chain.n_nodes <= _WORD_NODES
-    tables = None  # _word_tables, built by the first long block
+    fill = None  # the word moves, built by the first long block
     cap = _step_cap(chain, t_max, exponential_holding)
 
     # 2 * the node and the clock where each replication ended
@@ -776,20 +794,24 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
         coins = hashes[::per_step]
         path[0] = cur
         if n_block < _WORD_FROM or not by_words:
-            np.less(coins, low, out=path[1:])
+            _, cols = _coins(coins, low, high, path[1:])
             _move_rows(go, path)
         else:
-            if tables is None:
-                tables = _word_tables(go, chain.n_nodes)
+            if fill is None:
+                fill = np.empty((_WORD, 1 << _WORD, chain.n_nodes),
+                                dtype=go.dtype)
+                for jump in _word_moves(go, fill):
+                    pass
+                jump = jump >> 1
+                layers = np.arange(0, fill.size, jump.size)[:, None]
             words = np.zeros((-(-n_block // _WORD) * _WORD, active),
                              dtype=np.uint8)  # whole words: pads are left coins
-            np.less(coins, low, out=words[:n_block])
-            _word_rows(*tables, path, words)
-        # a column holding an undecided hash takes its steps again one at
-        # a time
-        undecided = coins - low <= span
-        if undecided.any():
-            cols = undecided.any(axis=0).nonzero()[0]
+            _, cols = _coins(coins, low, high, words[:n_block])
+            at, _ = _pack_words(words, path[0] >> 1, jump)
+            # one take fills every row: layer i of word j is row 8j + i + 1
+            fill.take((at[:, None] + layers).reshape(-1, active)[:n_block],
+                      out=path[1:], mode="wrap")
+        if cols.size:  # these columns take their block again step by step
             sub = path[:, cols]
             _step_rows(go, limit, sub, coins[:, cols])
             path[:, cols] = sub
@@ -845,72 +867,27 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
             "status": status, "hit": hit}
 
 
-def _passage_tables(go, hold):
-    """The tables of one ``_first_passage`` call: ``jump[w, c]`` is the
-    node that the _WORD coins of the word w (bit j the coin of step j, 1
-    right) lead to from node c, and ``wsum[w, c]`` the sum, left to right,
-    of ``hold`` over the nodes that those coins depart from.  ``go`` is
-    the table of ``_node_rules``."""
-    n_nodes = hold.size
-    bits = np.unpackbits(np.arange(1 << _WORD, dtype=np.uint8)[:, None],
-                         axis=1, count=_WORD, bitorder="little")
-    at = np.broadcast_to(np.arange(0, 2 * n_nodes, 2, dtype=go.dtype),
-                         (1 << _WORD, n_nodes))
-    wsum = np.zeros((1 << _WORD, n_nodes))
-    for i in range(_WORD):
-        wsum += hold.take(at >> 1)
-        at = go.take(at + bits[:, i, None])
-    return at >> 1, wsum
-
-
-def _bracket(total, k, tau_max, t_max):
+def _bracket(total, k, t_max):
     """Masks of the sums S = ``total`` after k steps whose clocks are
-    surely below t_max and surely at or past it (see ``_first_passage``),
-    or None while k * tau_max, and so every clock, is below t_max."""
+    surely below t_max and surely at or past it (see the module
+    docstring)."""
     delta = k * 2.0 ** -50
-    if k * tau_max * (1.0 + delta) < t_max:
-        return None
     return total * (1.0 + delta) < t_max, total * (1.0 - delta) >= t_max
 
 
 def _first_passage(chain, start, keys, t_max, mode, target_node):
     """Status and hit of replications that start at node ``start``, each
     reading its counter stream keys[r], with deterministic holding times:
-    those of ``_walk``, from positions alone.
-
-    Each pass moves the replications still running through a block of
-    whole words of _WORD coins, read and packed as in ``_walk``, and
-    keeps no path or clock: one ``take`` of ``jump`` per word moves every
-    replication _WORD steps, and one ``take`` of ``wsum`` for the block's
-    words adds the holding times of the nodes each left to its sum S.
-    Nodes where paths end lead to themselves and hold 0, so S stays the
-    time a replication reached such a node.  A column holding an
-    undecided hash takes its block again through ``_step_rows``, and its
-    S adds the holding times of its rows.
-
-    ``_walk``'s clock after k steps is a left-to-right sum of k
-    non-negative terms, and S sums the same terms in another order, so
-    the two differ by at most delta * S, delta = k * 2 ** -50 (four
-    times the bound on their rounding).  After each block a replication
-    at a node where paths end with S * (1 + delta) < t_max reached it
-    before the horizon, and ends with that node's status; one with
-    S * (1 - delta) >= t_max had not reached one by the horizon (it would
-    have stayed there), so it is alive with no hit; one at such a node in
-    between is replayed through ``_walk`` after the loop.  While k times
-    the largest holding time stays below t_max, no clock can reach the
-    horizon and these tests are skipped.
-    """
-    moves, end_status, _, go, limit, low, span = _node_rules(
+    those of ``_walk``, from positions and sums of holding times alone
+    (see the module docstring)."""
+    moves, end_status, _, go, _, low, high = _node_rules(
         chain, mode, target_node)
-    high = low + span  # at most 2 ** 64 - 1
     n_rep = len(keys)
     if not moves[start]:  # a path that starts where paths end stays there
         return (np.full(n_rep, end_status[start]),
                 np.full(n_rep, start == target_node))
-    hold = np.where(moves, chain.tau, 0.0)
-    jump, wsum = _passage_tables(go, hold)
-    hold_of = np.repeat(hold, 2)  # by entry 2 * node, for the fallback
-    tau_max = float(hold.max())
+    jump, wsum = _passage_moves(go, np.repeat(np.where(moves, chain.tau, 0.0),
+                                              2))
     status = np.empty(n_rep, dtype=np.int8)
     hit = np.zeros(n_rep, dtype=bool)
     replays = []
@@ -926,42 +903,30 @@ def _first_passage(chain, start, keys, t_max, mode, target_node):
         n_block = _WORD * max(_PASSAGE_BLOCK // (_WORD * active), 1)
         hashes = _keyed_hash(key, np.arange(2 * k, 2 * (k + n_block),
                                             2)[:, None])
-        right = np.less(hashes, low)
-        # right coins, and the undecided hashes: those up to low + span
-        maybe = np.less_equal(hashes, high)
-        redo = np.count_nonzero(maybe) > np.count_nonzero(right)
-        words = np.einsum("i,jik->jk", _WORD_BITS,
-                          right.view(np.uint8).reshape(-1, _WORD, active))
-        words = words.astype(np.intp)
-        words *= chain.n_nodes
-        if redo:
-            cols = (maybe ^ right).any(axis=0).nonzero()[0]
-            sub = np.empty((n_block + 1, cols.size), dtype=np.intp)
-            sub[0] = 2 * cur[cols]
-            _step_rows(go, limit, sub, hashes[:, cols])
-            redone = total[cols] + hold_of.take(sub[:-1]).sum(axis=0)
-        for row in words:  # each row becomes the entries its word takes
-            row += cur
-            cur = jump.take(row)
-        total += wsum.take(words).sum(axis=0)
-        if redo:
-            cur[cols], total[cols] = sub[-1] >> 1, redone
+        right, cols = _coins(hashes, low, high)
+        at, cur = _pack_words(right, cur, jump)
+        total += wsum.take(at).sum(axis=0)
         k += n_block
         ends = ~moves.take(cur)
-        bracket = _bracket(total, k, tau_max, t_max)
-        if bracket is None:
-            before, gone = ends, ends
-        else:
-            below, past = bracket
-            before = ends & below
-            replays.append(idx[ends & ~below & ~past])
-            status[idx[past]] = ALIVE
-            gone = ends | past
-        node = cur[before]
-        status[idx[before]] = end_status.take(node)
-        hit[idx[before]] = node == target_node
-        if gone.any():
-            keep = np.flatnonzero(~gone)
+        below, past = _bracket(total, k, t_max)
+        # a column holding an undecided hash is replayed, as is one at a
+        # node where paths end whose clock is too close to t_max to tell
+        ends[cols], below[cols], past[cols] = True, False, False
+        # masks combine in place, and replays are counted before they are
+        # looked for: numpy keeps up to 7 freed buffers of each size below
+        # 1 KiB, so each extra temporary of the size of the shrinking
+        # active set holds memory for the rest of the process
+        below &= ends  # reached a node where paths end before the horizon
+        node = cur[below]
+        status[idx[below]] = end_status.take(node)
+        hit[idx[below]] = node == target_node
+        status[idx[past]] = ALIVE
+        gone = np.logical_or(ends, past, out=ends)
+        n_gone = np.count_nonzero(gone)
+        if n_gone > np.count_nonzero(below) + np.count_nonzero(past):
+            replays.append(idx[gone ^ below ^ past])  # neither below nor past
+        if n_gone:
+            keep = np.flatnonzero(np.logical_not(gone, out=gone))
             idx, key = idx.take(keep), key.take(keep)
             cur, total = cur.take(keep), total.take(keep)
     replay = np.concatenate(replays) if replays else idx
@@ -1041,8 +1006,9 @@ def simulate_path(chain: ChainModel, x0: float, t_max: float, seed: int = 0,
     at a trap, or at the step cap)."""
     _check_t_max(t_max)
     trace = []
-    out = _walk(chain, [chain.node_at(float(x0))], _rep_key(seed, [rep]),
-                t_max, mode, exponential_holding, -1, trace)
+    out = _walk(chain, [chain.node_at(float(x0))],
+                _rep_key(seed, rep).reshape(1), t_max, mode,
+                exponential_holding, -1, trace)
     return PathResult(*trace, STATUS_NAMES[int(out["status"][0])])
 
 
@@ -1065,20 +1031,11 @@ def estimate_hitting(chain: ChainModel, x0: float, target: float,
                      exponential_holding: bool = False) -> dict:
     """Probability of visiting the target position before the horizon,
     from n_rep >= 1 replications: the hits and statuses of ``run`` with
-    the same arguments, replication for replication.
-
-    With deterministic holding times, on a chain of at most _WORD_NODES
-    nodes, replications are decided by positions alone
-    (``_first_passage``): no path or clock is kept, every replication
-    moves a word of _WORD coins per ``take``, and a running sum S of the
-    holding times it has left brackets its clock.  After k steps the
-    clock lies within k * 2 ** -50 * S of S, so a replication at a node
-    where paths end with S below t_max by more than that reached it
-    before the horizon, and one with S above t_max by more than that is
-    alive at the horizon with no hit.  The rare replication at such a
-    node whose S is too close to t_max to decide is replayed through
-    ``run``'s engine with its own counter stream.  Exponential holding
-    times, and larger chains, take ``run``'s engine."""
+    the same arguments, replication for replication.  With deterministic
+    holding times, on a chain of at most _WORD_NODES nodes, they are
+    decided by positions alone (``_first_passage``, see the module
+    docstring); exponential holding times, and larger chains, take
+    ``run``'s engine."""
     if n_jobs < 1:
         raise DomainError("n_jobs must be at least 1")
     _check_t_max(t_max)

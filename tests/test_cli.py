@@ -264,6 +264,32 @@ def test_horizon_that_is_negative_or_not_finite_is_a_usage_error(capsys,
                    "non-negative\n")
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--x0", "nan", "--target", "1.0"],
+     "a start or target position must be a number, got nan"),
+    (["--x0", "0.3", "--target", "nan"],
+     "a start or target position must be a number, got nan"),
+    (["--x0", "nan"], "a start or target position must be a number, got nan"),
+    (["--x0", "0.3", "--seed=-1"], "seed must lie in [0, 2 ** 64), got -1"),
+    (["--defect", "0.2,0.4,0.6,0.8", "--seed", "18446744073709551616"],
+     "seed must lie in [0, 2 ** 64), got 18446744073709551616"),
+], ids=["nan-start", "nan-target", "nan-run", "seed-below", "seed-above"])
+def test_simulate_refuses_a_nan_position_or_a_seed_out_of_range(capsys, extra,
+                                                                message):
+    args = ["simulate", "--example", "bm", "--window", "0,1", "--h", "0.05",
+            "--t-max", "1", "--n-rep", "10", *extra]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"shuntline simulate: error: "
+                                       f"{message}\n")
+
+
+def test_simulate_accepts_the_largest_seed(tmp_path):
+    code, doc = run_cli(tmp_path, "simulate", "--example", "bm", *SIM,
+                        "--x0", "0.3", "--seed", "18446744073709551615")
+    assert code == 0
+    assert doc["simulation"]["seed"] == 2 ** 64 - 1
+
+
 def test_example_listing_and_round_trip(tmp_path, capsys):
     assert main(["example", "--list"]) == 0
     names = capsys.readouterr().out.split()

@@ -680,8 +680,8 @@ def _bounds_and_prefinal_hash(draw):
     p_hi = draw(st.one_of(
         st.just(p_lo), st.just(1.0), st.floats(p_lo, 1.0),
         st.integers(1, 4).map(lambda k: min(_ulps_from(p_lo, k), 1.0))))
-    low, span = map(int, simulate._coin_bounds(p_lo, p_hi))
-    edge = draw(st.sampled_from([low, low + span]))
+    edge = draw(st.sampled_from(list(map(int, simulate._coin_bounds(
+        p_lo, p_hi)))))
     y = draw(st.one_of(_U64, st.integers(edge - 3, edge + 3).filter(
         lambda y: 0 <= y < 2 ** 64)))
     return p_lo, p_hi, y
@@ -692,16 +692,18 @@ def _bounds_and_prefinal_hash(draw):
 def test_prefinal_hash_decides_the_coin_or_falls_back(case):
     """A hash taken before the last xorshift, at either edge of the
     undecided window or anywhere, is right at every probability in
-    [p_lo, p_hi] when the engine's compare says right, left at every one
-    when it says left, and otherwise undecided (the fallback reads the
-    finished hash)."""
+    [p_lo, p_hi] when ``_coins`` reads a right coin, left at every one
+    when it reads a left coin and names no undecided column, and
+    otherwise undecided (its column reads the finished hash); the
+    undecided ones are exactly those from low to high."""
     p_lo, p_hi, y = case
-    low, span = simulate._coin_bounds(p_lo, p_hi)
-    hashes = np.array([y], dtype=np.uint64)
-    right = bool((hashes < low)[0])
-    undecided = bool((hashes - low <= span)[0])
+    low, high = simulate._coin_bounds(p_lo, p_hi)
+    right, cols = simulate._coins(np.array([[y]], dtype=np.uint64), low,
+                                  high)
+    right, undecided = bool(right[0, 0]), bool(cols.size)
     assert not (right and undecided)
-    if undecided:  # the fallback reads the finished hash
+    assert undecided == (int(low) <= y <= int(high))
+    if undecided:  # its column reads the finished hash
         return
     u = _uniform_of(_finished(y))
     for p in (p_lo, 0.5 * (p_lo + p_hi), p_hi):
@@ -714,15 +716,18 @@ def test_undecided_window_is_a_few_high_values_and_saturates():
     2 ** 64 - 1 saturate, so p = 1 never reads a left coin."""
     for ps in _chain_probabilities():
         for p in ps:
-            low, span = map(int, simulate._coin_bounds(p, p))
-            assert span == 2 ** 33 - 1 and low % 2 ** 33 == 0
-        assert int(simulate._coin_bounds(min(ps), max(ps))[1]) < 2 ** 34
+            low, high = map(int, simulate._coin_bounds(p, p))
+            assert high - low == 2 ** 33 - 1 and low % 2 ** 33 == 0
+        low, high = map(int, simulate._coin_bounds(min(ps), max(ps)))
+        assert high - low < 2 ** 34
     top = 2 ** 64 - 1
-    low, span = map(int, simulate._coin_bounds(0.5, 1.0))
-    assert low + span == top
-    low, span = map(int, simulate._coin_bounds(1.0, 1.0))
-    assert (low, span) == (top, 0)
+    assert int(simulate._coin_bounds(0.5, 1.0)[1]) == top
+    bounds = simulate._coin_bounds(1.0, 1.0)
+    assert tuple(map(int, bounds)) == (top, top)
     # the one hash that saturation leaves undecided is right at p = 1
+    hashes = np.array([[top - 1, top]], dtype=np.uint64)
+    right, cols = simulate._coins(hashes, *bounds)
+    assert right.tolist() == [[True, False]] and cols.tolist() == [1]
     assert _uniform_of(_finished(top)) < 1.0
     assert (_finished(top) >> 11) < int(simulate._coin_limit(1.0))
 
@@ -766,9 +771,9 @@ def test_crafted_hashes_at_the_coin_edges_equal_the_reference_walker(
     k = int(simulate._coin_limit(ch.p_right[walk].max())) | 1 << 21
     high = (k << 11) | simulate._LOW33
     ch.p_right[edge_node] = k * 2.0 ** -53
-    low, span = map(int, simulate._coin_bounds(ch.p_right[walk].min(),
-                                               ch.p_right[walk].max()))
-    assert low + span == high
+    low, bound = map(int, simulate._coin_bounds(ch.p_right[walk].min(),
+                                                ch.p_right[walk].max()))
+    assert bound == high
     starts, hashes = [], []
     for node in inner[::6]:
         t = _threshold(ch.p_right[node])
@@ -802,8 +807,8 @@ def test_crafted_hashes_at_the_coin_edges_equal_the_reference_walker(
 # every replication the status and hit of ``run`` with a target.  The
 # chains of the benchmark's hitting calls and the trap chains, each as
 # built (a grid uniform in scale: almost every coin decided) and with its
-# walk coins redrawn from U(0.45, 0.55) (most blocks take the one-step
-# fallback); (spec, window, x0, target).
+# walk coins redrawn from U(0.45, 0.55) (most blocks hold an undecided
+# hash, whose replication is replayed); (spec, window, x0, target).
 CUBIC = {"name": "cubic", "pieces": [
     {"kind": "regular_interval", "a": "-inf", "b": "inf",
      "scale": "x^3", "speed": {"density": "2"}}]}
@@ -828,13 +833,39 @@ def _passage_chain(name, redrawn=False):
     return ch
 
 
+@pytest.mark.parametrize("name", PASSAGE_CHAINS)
+def test_word_moves_step_the_node_table_by_the_bits_of_each_word(name):
+    """The tables of both loops, on a chain whose target leads to itself:
+    ``fill[i, w, c]`` is 2 * the node that stepping ``go`` from node c by
+    the first i + 1 bits of w (bit j the coin of step j) leads to,
+    ``jump[w, c]`` the node after all _WORD of them, and ``wsum[w, c]``
+    the sum, left to right, of the holding times at the nodes those steps
+    depart from."""
+    ch = _passage_chain(name)
+    target = ch.node_at(PASSAGE_CHAINS[name][3])
+    moves, _, _, go, *_ = simulate._node_rules(ch, MODE_KILLED, target)
+    n, word = ch.n_nodes, simulate._WORD
+    fill = np.empty((word, 1 << word, n), dtype=go.dtype)
+    for _ in simulate._word_moves(go, fill):
+        pass
+    hold = np.where(moves, ch.tau, 0.0)
+    jump, wsum = simulate._passage_moves(go, np.repeat(hold, 2))
+    assert not moves[target] and np.any(wsum == 0.0) and np.any(wsum > 0.0)
+    for w in range(1 << word):
+        node, held = np.arange(n), np.zeros(n)
+        for i in range(word):
+            held = held + hold[node]
+            node = go[2 * node + (w >> i & 1)] >> 1
+            assert (fill[i, w] == 2 * node).all(), (w, i)
+        assert (jump[w] == node).all(), w
+        assert wsum[w].tobytes() == held.tobytes(), w
+
+
 def _passage_spies(monkeypatch):
     """The (status, hit) of every ``_first_passage`` call, and a count
-    of the replications it replays through ``_walk`` and of the columns
-    its own blocks send to the one-step fallback."""
+    of the replications it replays through ``_walk``."""
     outs, seen, where = [], collections.Counter(), []
     first_passage, walk = simulate._first_passage, simulate._walk
-    step_rows = simulate._step_rows
 
     def passage_spy(*args):
         where.append("loop")
@@ -851,14 +882,8 @@ def _passage_spies(monkeypatch):
         finally:
             where.pop()
 
-    def rows_spy(go, limit, path, hashes):
-        if where == ["loop"]:
-            seen["fallback"] += path.shape[1]
-        step_rows(go, limit, path, hashes)
-
     monkeypatch.setattr(simulate, "_first_passage", passage_spy)
     monkeypatch.setattr(simulate, "_walk", walk_spy)
-    monkeypatch.setattr(simulate, "_step_rows", rows_spy)
     return outs, seen
 
 
@@ -886,9 +911,10 @@ def _assert_hitting_equals_run(outs, ch, x0, target, t_max, n_rep, seed,
 def test_hitting_loop_equals_run_per_replication(monkeypatch, name, redrawn):
     """At every horizon, from 0 to 50, in two modes, the positions-only
     loop gives each replication the status and hit of ``run``: absorbed
-    before the horizon and alive at it everywhere, through the one-step
-    fallback on the redrawn chains, and through replays on bm, whose
-    holding times are all h ** 2, so clocks land on the horizon."""
+    before the horizon and alive at it everywhere, through replays of the
+    replications that hold an undecided hash on the redrawn chains, and
+    through replays on bm, whose holding times are all h ** 2, so clocks
+    land on the horizon."""
     ch = _passage_chain(name, redrawn)
     _, _, x0, target = PASSAGE_CHAINS[name]
     outs, seen = _passage_spies(monkeypatch)
@@ -900,8 +926,7 @@ def test_hitting_loop_equals_run_per_replication(monkeypatch, name, redrawn):
             seen["absorbed"] += int((~alive).sum())
             seen["alive"] += int(alive.sum())
     assert seen["absorbed"] and seen["alive"]
-    assert bool(seen["fallback"]) == redrawn
-    assert bool(seen["replayed"]) == (name == "bm")
+    assert bool(seen["replayed"]) == (redrawn or name == "bm")
 
 
 @pytest.mark.parametrize("t_max", [0.0, 0.5])
@@ -944,8 +969,8 @@ def test_hitting_bracket_holds_the_clock_of_every_absorbed_replication(
         monkeypatch, name, t_max):
     """For every replication the loop finds absorbed, its sum S after k
     steps is within k * 2 ** -50 * S of the clock ``run`` ends it with.
-    The spy on the bracket never skips it, and pairs each sum with its
-    replication through the counter keys of the block."""
+    The spy on the bracket pairs each sum with its replication through
+    the counter keys of the block."""
     ch = _passage_chain(name)
     _, _, x0, target = PASSAGE_CHAINS[name]
     keys = simulate._rep_key(8, np.arange(500))
@@ -958,10 +983,10 @@ def test_hitting_bracket_holds_the_clock_of_every_absorbed_replication(
         block_keys.append(key)
         return keyed_hash(key, step)
 
-    def bracket_spy(total, k, tau_max, t_max):
+    def bracket_spy(total, k, t_max):
         for key, s in zip(block_keys[-1], total):
             last[rep_of[int(key)]] = (float(s), k)
-        return bracket(total, k, math.inf, t_max)
+        return bracket(total, k, t_max)
 
     monkeypatch.setattr(simulate, "_keyed_hash", hash_spy)
     monkeypatch.setattr(simulate, "_bracket", bracket_spy)
@@ -1013,6 +1038,44 @@ def test_horizons_that_are_negative_or_not_finite_are_refused():
                          ch, lambda x: x, lambda x: 1.0, t_max, 4)):
             with pytest.raises(DomainError,
                                match="t_max must be finite and non-negative"):
+                call()
+
+
+def test_positions_that_are_not_numbers_are_refused():
+    """A NaN start or target is refused, not mapped to the window's left
+    edge."""
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    for call in (lambda: run(ch, x0=math.nan, t_max=1.0, n_rep=4),
+                 lambda: run(ch, x0=0.3, t_max=1.0, n_rep=4, target=math.nan),
+                 lambda: simulate_path(ch, math.nan, 1.0),
+                 lambda: estimate_hitting(ch, math.nan, 1.0, 1.0, 4),
+                 lambda: estimate_hitting(ch, 0.3, math.nan, 1.0, 4),
+                 lambda: estimate_hitting(ch, 0.3, math.nan, 1.0, 4,
+                                          exponential_holding=True)):
+        with pytest.raises(DomainError, match="must be a number, got nan"):
+            call()
+
+
+def test_seeds_and_replications_outside_64_bits_are_refused():
+    """0 and 2 ** 64 - 1 are accepted as seeds and as ``simulate_path``'s
+    rep; -1 and 2 ** 64 are refused with a DomainError, not a bare
+    OverflowError."""
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    top = 2 ** 64 - 1
+    for value, refused in ((0, False), (top, False), (-1, True),
+                           (top + 1, True)):
+        for call in (lambda: run(ch, x0=0.3, t_max=0.1, n_rep=4, seed=value),
+                     lambda: estimate_hitting(ch, 0.3, 1.0, 0.1, 4,
+                                              seed=value),
+                     lambda: estimate_symmetry_defect(ch, abs, abs, 0.1, 4,
+                                                      seed=value),
+                     lambda: simulate_path(ch, 0.3, 0.1, seed=value),
+                     lambda: simulate_path(ch, 0.3, 0.1, rep=value)):
+            if refused:
+                with pytest.raises(DomainError,
+                                   match=r"must lie in \[0, 2 \*\* 64\)"):
+                    call()
+            else:
                 call()
 
 
