@@ -41,17 +41,29 @@ with one more ``take``, and the hitting loop only where a word leads
 and the holding times it adds (``_passage_moves``).
 
 ``estimate_hitting`` reads only each replication's status and hit, so
-with deterministic holding times it decides them with a positions-only
-loop (``_first_passage``) that keeps no path or clock, only a running
-sum S of the holding times each replication has left.  Terminal nodes
-lead to themselves and hold 0, so S stays the time one was reached.
-After k steps the engine's clock lies within k * 2 ** -50 * S of S
-(four times the bound on their rounding: both sum the same non-negative
-terms, in other orders), so a replication at a terminal node with
-S * (1 + k * 2 ** -50) below t_max was absorbed before the horizon, and
-one with S * (1 - k * 2 ** -50) at or past t_max is alive at it
-(``_bracket``); the rare one at a terminal node in between is replayed
-through ``_walk`` with its own counter stream.
+it decides them with a positions-only loop (``_first_passage``) that
+keeps no path or clock, only a running sum S of the mean holding times
+of the nodes each replication has left.  Terminal nodes lead to
+themselves and hold 0, so S stops where one was reached.  With
+deterministic holding times the engine's clock after k steps lies
+within k * 2 ** -50 * S of S (four times the bound on their rounding:
+both sum the same non-negative terms, in other orders), so a
+replication at a terminal node with S * (1 + k * 2 ** -50) below t_max
+was absorbed before the horizon, and one with S * (1 - k * 2 ** -50) at
+or past t_max is alive at it (``_bracket``); the rare one at a terminal
+node in between is replayed through ``_walk`` with its own counter
+stream.  An exponential holding time is its mean times -log1p(-u), with
+u <= 1 - 2 ** -53, so that factor lies in [0, 53 ln 2 = 36.74] (DET
+nodes keep factor 1), and the clock lies between 0 and
+37 * S * (1 + k * 2 ** -50) (``_EXP_BOUND``).  A replication at a
+terminal node below that bound is decided absorbed.  With no positive
+lower bound, none is surely past a horizon above 0, so one whose bound
+reaches t_max first is replayed at once, as is every one still running,
+or absorbed, in a block that ends past the step cap.  A call where
+37 * min_tau times the fewest steps from the start to a terminal node
+is at least t_max can decide none, so all of it takes ``_walk`` at once.
+Replays read the same counters, so statuses, hits and step-cap warnings
+are those of ``run``.
 
 ``simulate_path`` traces one replication through the same loop;
 ``n_jobs`` is accepted for compatibility and changes nothing.  Holding
@@ -114,6 +126,10 @@ _WORD_BITS = (1 << np.arange(_WORD)).astype(np.uint8)
 # twice _BLOCK, 99.1 ms at _BLOCK (slower in 8 of the 12), 120 ms at four
 # times _BLOCK
 _PASSAGE_BLOCK = 2 * _BLOCK
+# no exponential factor -log1p(-u) of a uniform u <= 1 - 2 ** -53 exceeds
+# 53 ln 2 = 36.7368..., so this many times the sum of the mean holding
+# times bounds an exponential clock (see _first_passage)
+_EXP_BOUND = 37.0
 # the last xorshift of the hash keeps its top 31 bits and can change the
 # low 33 (see _coin_bounds)
 _LOW33 = (1 << 33) - 1
@@ -148,11 +164,15 @@ def _finish(z):  # in place: the last xorshift of the mix
 
 def _rep_key(seed, rep):
     """The (seed, rep) part of the counter; rep may be an array.  A seed,
-    or a replication given as one number, outside [0, 2 ** 64) is
-    refused."""
+    or a replication given as one number, that is not an integer in
+    [0, 2 ** 64) is refused."""
     for name, value in (("seed", seed), ("rep", rep)):
-        if np.ndim(value) == 0 and not 0 <= value < 2 ** 64:
-            raise DomainError(f"{name} must lie in [0, 2 ** 64), got {value}")
+        if np.ndim(value) == 0:
+            if not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if not 0 <= value < 2 ** 64:
+                raise DomainError(
+                    f"{name} must lie in [0, 2 ** 64), got {value}")
     with np.errstate(over="ignore"):
         return (np.uint64(seed) * _PHI) \
             ^ (np.asarray(rep, dtype=np.uint64) * _C_REP)
@@ -867,25 +887,56 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
             "status": status, "hit": hit}
 
 
-def _bracket(total, k, t_max):
-    """Masks of the sums S = ``total`` after k steps whose clocks are
-    surely below t_max and surely at or past it (see the module
-    docstring)."""
+def _bracket(total, k, t_max, low, high):
+    """Masks of the sums S = ``total`` after k steps whose clocks, which
+    lie between ``low`` * S and ``high`` * S but for rounding, are surely
+    below t_max and surely at or past it (see the module docstring)."""
     delta = k * 2.0 ** -50
-    return total * (1.0 + delta) < t_max, total * (1.0 - delta) >= t_max
+    return (total * (high * (1.0 + delta)) < t_max,
+            total * (low * (1.0 - delta)) >= t_max)
 
 
-def _first_passage(chain, start, keys, t_max, mode, target_node):
+def _ends_within(go, moves, start, t_max, least):
+    """Whether some node where paths end lies a number of steps d from
+    node ``start`` with ``least`` * d below t_max: a breadth-first search
+    of the node table ``go``, only as deep as that bound lets it go."""
+    go, moves = go.tolist(), moves.tolist()
+    seen, front, d = {start}, [start], 0
+    while front and least * d < t_max:
+        if not all(moves[c] for c in front):
+            return True
+        ahead = []
+        for c in front:
+            for nxt in (go[2 * c] >> 1, go[2 * c + 1] >> 1):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    ahead.append(nxt)
+        front, d = ahead, d + 1
+    return False
+
+
+def _first_passage(chain, start, keys, t_max, mode, target_node,
+                   exponential_holding):
     """Status and hit of replications that start at node ``start``, each
-    reading its counter stream keys[r], with deterministic holding times:
-    those of ``_walk``, from positions and sums of holding times alone
-    (see the module docstring)."""
+    reading its counter stream keys[r]: those of ``_walk``, from positions
+    and sums of mean holding times alone (see the module docstring)."""
     moves, end_status, _, go, _, low, high = _node_rules(
         chain, mode, target_node)
     n_rep = len(keys)
     if not moves[start]:  # a path that starts where paths end stays there
         return (np.full(n_rep, end_status[start]),
                 np.full(n_rep, start == target_node))
+    # spread: the clock lies between these multiples of S, but for rounding
+    if exponential_holding:
+        if not _ends_within(go, moves, start, t_max,
+                            _EXP_BOUND * chain.min_tau):
+            # no replication can be decided: all of them take the engine
+            out = _walk(chain, np.full(n_rep, start), keys, t_max, mode,
+                        True, target_node)
+            return out["status"], out["hit"]
+        spread, cap = (0.0, _EXP_BOUND), _step_cap(chain, t_max, True)
+    else:  # the engine never reaches its step cap (_step_cap)
+        spread, cap = (1.0, 1.0), math.inf
     jump, wsum = _passage_moves(go, np.repeat(np.where(moves, chain.tau, 0.0),
                                               2))
     status = np.empty(n_rep, dtype=np.int8)
@@ -901,6 +952,8 @@ def _first_passage(chain, start, keys, t_max, mode, target_node):
     while idx.size:
         active = idx.size
         n_block = _WORD * max(_PASSAGE_BLOCK // (_WORD * active), 1)
+        if k + n_block > cap:
+            break  # the engine stops at the step cap inside this block
         hashes = _keyed_hash(key, np.arange(2 * k, 2 * (k + n_block),
                                             2)[:, None])
         right, cols = _coins(hashes, low, high)
@@ -908,10 +961,13 @@ def _first_passage(chain, start, keys, t_max, mode, target_node):
         total += wsum.take(at).sum(axis=0)
         k += n_block
         ends = ~moves.take(cur)
-        below, past = _bracket(total, k, t_max)
+        below, past = _bracket(total, k, t_max, *spread)
         # a column holding an undecided hash is replayed, as is one at a
         # node where paths end whose clock is too close to t_max to tell
         ends[cols], below[cols], past[cols] = True, False, False
+        if exponential_holding:  # nothing is past, so once its bound
+            # reaches t_max a replication is replayed: ends |= ~below
+            np.less_equal(below, ends, out=ends)
         # masks combine in place, and replays are counted before they are
         # looked for: numpy keeps up to 7 freed buffers of each size below
         # 1 KiB, so each extra temporary of the size of the shrinking
@@ -929,10 +985,10 @@ def _first_passage(chain, start, keys, t_max, mode, target_node):
             keep = np.flatnonzero(np.logical_not(gone, out=gone))
             idx, key = idx.take(keep), key.take(keep)
             cur, total = cur.take(keep), total.take(keep)
-    replay = np.concatenate(replays) if replays else idx
+    replay = np.concatenate(replays + [idx])
     if replay.size:
         out = _walk(chain, np.full(replay.size, start), keys[replay], t_max,
-                    mode, False, target_node)
+                    mode, exponential_holding, target_node)
         status[replay], hit[replay] = out["status"], out["hit"]
     return status, hit
 
@@ -1031,11 +1087,11 @@ def estimate_hitting(chain: ChainModel, x0: float, target: float,
                      exponential_holding: bool = False) -> dict:
     """Probability of visiting the target position before the horizon,
     from n_rep >= 1 replications: the hits and statuses of ``run`` with
-    the same arguments, replication for replication.  With deterministic
-    holding times, on a chain of at most _WORD_NODES nodes, they are
-    decided by positions alone (``_first_passage``, see the module
-    docstring); exponential holding times, and larger chains, take
-    ``run``'s engine."""
+    the same arguments, replication for replication.  On a chain of at
+    most _WORD_NODES nodes they are decided by positions alone, under
+    either holding law, and each replication that cannot be decided so
+    is replayed through ``run``'s engine (``_first_passage``, see the
+    module docstring); larger chains take that engine."""
     if n_jobs < 1:
         raise DomainError("n_jobs must be at least 1")
     _check_t_max(t_max)
@@ -1043,13 +1099,13 @@ def estimate_hitting(chain: ChainModel, x0: float, target: float,
     start = chain.node_at(float(x0))
     target_node = chain.node_at(float(target))
     keys = _rep_key(seed, np.arange(n_rep))
-    if exponential_holding or chain.n_nodes > _WORD_NODES:
+    if chain.n_nodes > _WORD_NODES:
         res = _walk(chain, np.full(n_rep, start), keys, t_max, mode,
                     exponential_holding, target_node)
         status, hit = res["status"], res["hit"]
     else:
         status, hit = _first_passage(chain, start, keys, t_max, mode,
-                                     target_node)
+                                     target_node, exponential_holding)
     hits = int(hit.sum())
     p, lo, hi = _wilson(hits, n_rep)
     counts = {name: int((status == code).sum())

@@ -888,17 +888,18 @@ def _passage_spies(monkeypatch):
 
 
 def _assert_hitting_equals_run(outs, ch, x0, target, t_max, n_rep, seed,
-                               mode):
+                               mode, exponential_holding=False):
     """estimate_hitting against run, replication for replication; returns
     the status and hit arrays."""
     want = run(ch, x0=x0, t_max=t_max, n_rep=n_rep, seed=seed, mode=mode,
-               target=target)
+               target=target, exponential_holding=exponential_holding)
     del outs[:]
     est = estimate_hitting(ch, x0, target, t_max, n_rep, seed=seed,
-                           mode=mode)
+                           mode=mode, exponential_holding=exponential_holding)
     (status, hit), = outs
-    assert status.tobytes() == want["status"].tobytes(), (t_max, mode)
-    assert hit.tobytes() == want["hit"].tobytes(), (t_max, mode)
+    case = (t_max, mode, exponential_holding)
+    assert status.tobytes() == want["status"].tobytes(), case
+    assert hit.tobytes() == want["hit"].tobytes(), case
     assert est["hits"] == int(want["hit"].sum())
     assert est["status_counts"] == {
         name: int((want["status"] == code).sum())
@@ -909,57 +910,116 @@ def _assert_hitting_equals_run(outs, ch, x0, target, t_max, n_rep, seed,
 @pytest.mark.parametrize("redrawn", [False, True], ids=["built", "redrawn"])
 @pytest.mark.parametrize("name", PASSAGE_CHAINS)
 def test_hitting_loop_equals_run_per_replication(monkeypatch, name, redrawn):
-    """At every horizon, from 0 to 50, in two modes, the positions-only
-    loop gives each replication the status and hit of ``run``: absorbed
-    before the horizon and alive at it everywhere, through replays of the
+    """At every horizon, from 0 to 50, in two modes and under both holding
+    laws, the positions-only loop gives each replication the status and
+    hit of ``run``: absorbed before the horizon and alive at it
+    everywhere.  With deterministic holding times it replays the
     replications that hold an undecided hash on the redrawn chains, and
-    through replays on bm, whose holding times are all h ** 2, so clocks
-    land on the horizon."""
+    some on bm, whose holding times are all h ** 2, so clocks land on the
+    horizon.  With exponential ones it also replays every replication
+    whose bound on the clock reaches the horizon first, and every one of
+    a call where none can be decided, but on the built chains it decides
+    some of them."""
     ch = _passage_chain(name, redrawn)
     _, _, x0, target = PASSAGE_CHAINS[name]
     outs, seen = _passage_spies(monkeypatch)
-    for t_max in PASSAGE_HORIZONS:
-        for mode in (MODE_KILLED, MODE_FULL):
-            status, hit = _assert_hitting_equals_run(
-                outs, ch, x0, target, t_max, 300, 4, mode)
-            alive = (status == simulate.ALIVE) & ~hit
-            seen["absorbed"] += int((~alive).sum())
-            seen["alive"] += int(alive.sum())
-    assert seen["absorbed"] and seen["alive"]
-    assert bool(seen["replayed"]) == (redrawn or name == "bm")
+    for expo in (False, True):
+        seen.clear()
+        for t_max in PASSAGE_HORIZONS:
+            for mode in (MODE_KILLED, MODE_FULL):
+                status, hit = _assert_hitting_equals_run(
+                    outs, ch, x0, target, t_max, 300, 4, mode, expo)
+                alive = (status == simulate.ALIVE) & ~hit
+                seen["absorbed"] += int((~alive).sum())
+                seen["alive"] += int(alive.sum())
+        assert seen["absorbed"] and seen["alive"]
+        if expo:  # on the built chains, some replications are decided
+            n_rep = seen["absorbed"] + seen["alive"]
+            assert 0 < seen["replayed"] <= n_rep
+            assert redrawn or seen["replayed"] < n_rep
+        else:
+            assert bool(seen["replayed"]) == (redrawn or name == "bm")
 
 
 @pytest.mark.parametrize("t_max", [0.0, 0.5])
 def test_hitting_from_the_target_or_a_window_edge_ends_there(monkeypatch,
                                                              t_max):
     """A replication that starts on the target, or on a window edge, ends
-    there at once, as in ``run``, also at t_max = 0."""
+    there at once, as in ``run``, also at t_max = 0, under both holding
+    laws."""
     ch = _passage_chain("bm")
     outs, _ = _passage_spies(monkeypatch)
     for x0, target, status in ((1.0, 1.0, "alive"), (0.0, 1.0,
                                                      "killed_at_window"),
                                (1.0, 0.3, "killed_at_window")):
-        _, hit = _assert_hitting_equals_run(outs, ch, x0, target, t_max, 40,
-                                            6, MODE_KILLED)
-        est = estimate_hitting(ch, x0, target, t_max, 40, seed=6)
-        assert est["status_counts"][status] == 40
-        assert hit.all() == (x0 == target)
+        for expo in (False, True):
+            _, hit = _assert_hitting_equals_run(outs, ch, x0, target, t_max,
+                                                40, 6, MODE_KILLED, expo)
+            est = estimate_hitting(ch, x0, target, t_max, 40, seed=6,
+                                   exponential_holding=expo)
+            assert est["status_counts"][status] == 40
+            assert hit.all() == (x0 == target)
 
 
 @settings(deadline=None, database=None, max_examples=40)
 @given(name=st.sampled_from(["bm", "exa2", "absorb-reflect"]),
        steps=st.one_of(st.floats(0.0, 400.0), st.integers(0, 400)),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_hitting_loop_equals_run_at_any_horizon_and_seed(name, steps, seed):
+       seed=st.integers(0, 2 ** 32 - 1), expo=st.booleans())
+def test_hitting_loop_equals_run_at_any_horizon_and_seed(name, steps, seed,
+                                                         expo):
     """Horizons anywhere, and on the lattice of whole holding times where
-    clocks land on them, with any seed."""
+    deterministic clocks land on them, with any seed and either holding
+    law."""
     ch = _passage_chain(name)
     _, _, x0, target = PASSAGE_CHAINS[name]
     t_max = steps * float(ch.tau[ch.kind == simulate.WALK].max())
     with pytest.MonkeyPatch.context() as mp:
         outs, _ = _passage_spies(mp)
         _assert_hitting_equals_run(outs, ch, x0, target, t_max, 64, seed,
-                                   MODE_KILLED)
+                                   MODE_KILLED, expo)
+
+
+def _bracketed_first_passage(monkeypatch, name, t_max, expo):
+    """``_first_passage`` on 500 replications, its statuses and hits
+    checked against ``run``'s.  Returns the replications it finds
+    absorbed, those it replays, the sum S and step count k of each
+    replication's last block (paired with it through the counter keys of
+    the block) and ``run``'s final times."""
+    ch = _passage_chain(name)
+    _, _, x0, target = PASSAGE_CHAINS[name]
+    keys = simulate._rep_key(8, np.arange(500))
+    rep_of = {int(key): r for r, key in enumerate(keys)}
+    last = {}  # replication -> (S, k) of its last block
+    block_keys, replayed = [], set()
+    keyed_hash, bracket = simulate._keyed_hash, simulate._bracket
+    walk = simulate._walk
+
+    def hash_spy(key, step):
+        block_keys.append(key)
+        return keyed_hash(key, step)
+
+    def bracket_spy(total, k, t_max, *spread):
+        for key, s in zip(block_keys[-1], total):
+            last[rep_of[int(key)]] = (float(s), k)
+        return bracket(total, k, t_max, *spread)
+
+    def walk_spy(chain, starts, keys, *args):
+        replayed.update(rep_of[int(key)] for key in keys)
+        return walk(chain, starts, keys, *args)
+
+    monkeypatch.setattr(simulate, "_keyed_hash", hash_spy)
+    monkeypatch.setattr(simulate, "_bracket", bracket_spy)
+    monkeypatch.setattr(simulate, "_walk", walk_spy)
+    status, hit = simulate._first_passage(
+        ch, ch.node_at(x0), keys, t_max, MODE_KILLED, ch.node_at(target),
+        expo)
+    monkeypatch.undo()
+    want = run(ch, x0=x0, t_max=t_max, n_rep=500, seed=8, mode=MODE_KILLED,
+               target=target, exponential_holding=expo)
+    assert status.tobytes() == want["status"].tobytes()
+    assert hit.tobytes() == want["hit"].tobytes()
+    absorbed = np.flatnonzero((status != simulate.ALIVE) | hit)
+    return absorbed, replayed, last, want["final_time"]
 
 
 @pytest.mark.parametrize("name, t_max", [
@@ -968,53 +1028,74 @@ def test_hitting_loop_equals_run_at_any_horizon_and_seed(name, steps, seed):
 def test_hitting_bracket_holds_the_clock_of_every_absorbed_replication(
         monkeypatch, name, t_max):
     """For every replication the loop finds absorbed, its sum S after k
-    steps is within k * 2 ** -50 * S of the clock ``run`` ends it with.
-    The spy on the bracket pairs each sum with its replication through
-    the counter keys of the block."""
-    ch = _passage_chain(name)
-    _, _, x0, target = PASSAGE_CHAINS[name]
-    keys = simulate._rep_key(8, np.arange(500))
-    rep_of = {int(key): r for r, key in enumerate(keys)}
-    last = {}  # replication -> (S, k) of its last block
-    block_keys = []
-    keyed_hash, bracket = simulate._keyed_hash, simulate._bracket
-
-    def hash_spy(key, step):
-        block_keys.append(key)
-        return keyed_hash(key, step)
-
-    def bracket_spy(total, k, t_max):
-        for key, s in zip(block_keys[-1], total):
-            last[rep_of[int(key)]] = (float(s), k)
-        return bracket(total, k, t_max)
-
-    monkeypatch.setattr(simulate, "_keyed_hash", hash_spy)
-    monkeypatch.setattr(simulate, "_bracket", bracket_spy)
-    status, hit = simulate._first_passage(
-        ch, ch.node_at(x0), keys, t_max, MODE_KILLED, ch.node_at(target))
-    monkeypatch.undo()
-    want = run(ch, x0=x0, t_max=t_max, n_rep=500, seed=8, mode=MODE_KILLED,
-               target=target)
-    assert status.tobytes() == want["status"].tobytes()
-    assert hit.tobytes() == want["hit"].tobytes()
-    absorbed = np.flatnonzero((status != simulate.ALIVE) | hit)
+    steps is within k * 2 ** -50 * S of the clock ``run`` ends it with."""
+    absorbed, _, last, final_time = _bracketed_first_passage(
+        monkeypatch, name, t_max, False)
     assert absorbed.size > 100
     for r in absorbed:
         s, k = last[r]
-        assert abs(s - want["final_time"][r]) <= k * 2.0 ** -50 * s, r
+        assert abs(s - final_time[r]) <= k * 2.0 ** -50 * s, r
 
 
-def test_hitting_with_exponential_holding_or_a_large_chain_takes_the_engine(
-        monkeypatch):
-    """Exponential holding times, and a chain with more nodes than the
-    word tables take, are estimated through ``run``'s engine, with its
-    numbers."""
+@pytest.mark.parametrize("name, t_max", [
+    ("bm", 2.0), ("bm", 50.0), ("cubic", 2.0), ("cubic", 50.0),
+    ("exa1", 50.0)])
+def test_exponential_bound_holds_the_clock_of_every_decided_replication(
+        monkeypatch, name, t_max):
+    """With exponential holding times, every replication the loop decides
+    absorbed, without a replay, ends in ``run`` with a clock of at most
+    _EXP_BOUND * S * (1 + k * 2 ** -50), S its sum of mean holding times
+    after k steps."""
+    absorbed, replayed, last, final_time = _bracketed_first_passage(
+        monkeypatch, name, t_max, True)
+    decided = [r for r in absorbed if r not in replayed]
+    assert len(decided) > 50
+    for r in decided:
+        s, k = last[r]
+        assert final_time[r] <= simulate._EXP_BOUND * s * (1 + k * 2.0 ** -50)
+
+
+def test_exponential_bound_exceeds_every_exponential_factor():
+    """The largest uniform, from the hash 2 ** 64 - 1, gives the largest
+    factor -log1p(-u) of an exponential holding time; the bound is at
+    least that."""
+    u = simulate._to_uniform(np.array([2 ** 64 - 1], dtype=np.uint64))
+    assert u[0] == 1.0 - 2.0 ** -53
+    assert simulate._EXP_BOUND >= -np.log1p(-u[0]) > 36.7
+
+
+@pytest.mark.parametrize("cap", [7, 103, 104, 400])
+def test_exponential_hitting_at_a_small_step_cap_equals_run(monkeypatch, cap):
+    """With the step cap inside the first block of 104 steps (every
+    replication is replayed), at its end or after it (some are decided
+    first), exponential ``estimate_hitting`` gives the statuses and hits
+    of ``run`` and warns of as many capped replications."""
+    ch = _passage_chain("bm")
+    _, _, x0, target = PASSAGE_CHAINS["bm"]
+    monkeypatch.setattr(simulate, "_step_cap", lambda *args: cap)
+    outs, seen = _passage_spies(monkeypatch)
+    want, warned = _recorded(run, ch, x0=x0, t_max=50.0, n_rep=300, seed=4,
+                             target=target, mode=MODE_KILLED,
+                             exponential_holding=True)
+    est, caught = _recorded(estimate_hitting, ch, x0, target, 50.0, 300,
+                            seed=4, exponential_holding=True)
+    assert len(warned) == 1 and caught == warned
+    (status, hit), = outs
+    assert status.tobytes() == want["status"].tobytes()
+    assert hit.tobytes() == want["hit"].tobytes()
+    assert est["hits"] == int(want["hit"].sum())
+    assert (seen["replayed"] < 300) == (cap >= 104)
+
+
+def test_hitting_on_a_large_chain_takes_the_engine(monkeypatch):
+    """A chain with more nodes than the word tables take is estimated
+    through ``run``'s engine, with its numbers, under both holding
+    laws."""
     ch = _passage_chain("exa2")
     _, _, x0, target = PASSAGE_CHAINS["exa2"]
     outs, _ = _passage_spies(monkeypatch)
-    for expo, word_nodes in ((True, simulate._WORD_NODES),
-                             (False, ch.n_nodes - 1)):
-        monkeypatch.setattr(simulate, "_WORD_NODES", word_nodes)
+    monkeypatch.setattr(simulate, "_WORD_NODES", ch.n_nodes - 1)
+    for expo in (False, True):
         want = run(ch, x0=x0, t_max=0.5, n_rep=200, seed=2, target=target,
                    exponential_holding=expo)
         est = estimate_hitting(ch, x0, target, 0.5, 200, seed=2,
@@ -1074,6 +1155,31 @@ def test_seeds_and_replications_outside_64_bits_are_refused():
             if refused:
                 with pytest.raises(DomainError,
                                    match=r"must lie in \[0, 2 \*\* 64\)"):
+                    call()
+            else:
+                call()
+
+
+def test_seeds_and_replications_that_are_not_integers_are_refused():
+    """A seed, or ``simulate_path``'s rep, that is not a Python or numpy
+    integer is refused with a DomainError, not truncated: seed 1.9 used to
+    run seed 1 and report 1.9.  numpy integers are accepted."""
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    for value, refused in ((1.9, True), (1.0, True), (np.float64(2.0), True),
+                           ("1", True), (None, True), (np.int64(3), False),
+                           (np.uint64(2 ** 64 - 1), False)):
+        for call in (lambda: run(ch, x0=0.3, t_max=0.1, n_rep=4, seed=value),
+                     lambda: estimate_hitting(ch, 0.3, 1.0, 0.1, 4,
+                                              seed=value),
+                     lambda: estimate_hitting(ch, 0.3, 1.0, 0.1, 4,
+                                              seed=value,
+                                              exponential_holding=True),
+                     lambda: estimate_symmetry_defect(ch, abs, abs, 0.1, 4,
+                                                      seed=value),
+                     lambda: simulate_path(ch, 0.3, 0.1, seed=value),
+                     lambda: simulate_path(ch, 0.3, 0.1, rep=value)):
+            if refused:
+                with pytest.raises(DomainError, match="must be an integer"):
                     call()
             else:
                 call()
