@@ -1,5 +1,5 @@
 """Adaptive Gauss-Kronrod cells and improper integrals with an explicit
-divergence policy.
+divergence policy: the package's one quadrature rule.
 
 ``cell_quad`` integrates over one finite cell with the 21-point Kronrod /
 10-point Gauss pair of QUADPACK (Piessens et al., 1983).  The integrand
@@ -36,14 +36,15 @@ value, a declared divergence and an honest "undetermined":
   cancellation against a truncated limit constant) and any further
   arithmetic would launder noise into a verdict.
 
-The integrand is called once per block of 16 shells, on the first-round
-nodes of all of them.  The block's first rounds are summed in one stacked
-product, one matrix product per row, so each shell gets bit for bit the
-sums of its own ``cell_quad``, and they are accepted together by
-``cell_quad``'s first test.  Only a shell that misses its tolerance there
-goes on to the bisection rounds, one call each.  The policy therefore
-sees the same shell values, and stops at the same shell with the same
-note, as with one ``cell_quad`` per shell.  A block on which the
+``_first_rounds`` sums the first rounds of many cells, from one call of
+the integrand, in one stacked product, one matrix product per cell, so
+each cell gets bit for bit the sums of its own ``cell_quad``.  The chain
+builder's holding-time cells are such first rounds; so is each block of
+16 shells, whose shells are accepted together by ``cell_quad``'s first
+test.  Only a shell that misses its tolerance there goes on to the
+bisection rounds, one call each.  The policy therefore sees the same
+shell values, and stops at the same shell with the same note, as with
+one ``cell_quad`` per shell.  A block on which the
 integrand raises is redone one ``cell_quad`` per shell, so the error is
 reported at the first shell that raises it.
 
@@ -56,14 +57,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["IntegralResult", "improper_integral", "span_integral", "cell_quad",
-           "gauss_cells"]
+__all__ = ["IntegralResult", "improper_integral", "span_integral", "cell_quad"]
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -152,8 +151,9 @@ def _gk21_sums(f, half):
 
 
 def _fn_at(fn, pts):
-    """fn on the flattened nodes, shaped like them."""
-    return np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+    """fn on the flattened nodes, shaped like them (k rows: a k axis first)."""
+    f = np.asarray(fn(pts.ravel()), dtype=float)
+    return f.reshape(f.shape[:-1] + pts.shape)
 
 
 def _gk21(fn, lo, hi):
@@ -161,6 +161,17 @@ def _gk21(fn, lo, hi):
     all their nodes."""
     half, pts = _gk21_nodes(lo, hi)
     return _gk21_sums(_fn_at(fn, pts), half)
+
+
+def _first_rounds(fn, lo, hi):
+    """cell_quad's first round (val, err, mag) on each cell [lo, hi], from
+    one call of fn on all their nodes.  Each cell is summed as a lone row
+    of a stack (see _gk21_sums), so it gets the bits of its own cell_quad
+    whatever the number of cells.  For k integrands (``_fn_at``) each sum
+    has shape (k, cells).  Run under np.errstate."""
+    half, pts = _gk21_nodes(lo, hi)
+    return tuple(a[..., 0] for a in
+                 _gk21_sums(_fn_at(fn, pts)[..., None, :], half[:, None]))
 
 
 def cell_quad(fn, a, b, rel_tol=1e-8):
@@ -234,11 +245,10 @@ def _shell_values(fn, anchor, endpoint, rel_tol):
     the endpoint, or the exception it raised, up to MAX_SHELLS; stops
     early at the first shell too narrow for float resolution.
 
-    Each block of _BLOCK shells costs one call of fn on all their first
-    rounds and one stacked sum of them, made before the block's first
-    shell is yielded.  A shell whose first round meets its tolerance (the
-    first test of _bisect) is yielded as it is; only the others go on to
-    _bisect's rounds.  A block on which fn raises is redone one cell_quad
+    Each block of _BLOCK shells costs one ``_first_rounds`` call, made
+    before the block's first shell is yielded.  A shell whose first round
+    meets its tolerance (the first test of _bisect) is yielded as it is;
+    only the others go on to _bisect's rounds.  A block on which fn raises is redone one cell_quad
     per shell.
     """
     for start in range(0, MAX_SHELLS, _BLOCK):
@@ -250,17 +260,13 @@ def _shell_values(fn, anchor, endpoint, rel_tol):
             edges.append((lo, hi))
         if not edges:
             return
-        half, pts = _gk21_nodes(*np.array(edges).T)
         with np.errstate(all="ignore"):
             try:
-                f = _fn_at(fn, pts)
+                val, err, mag = _first_rounds(fn, *np.array(edges).T)
             except Exception:
-                f = None
+                val = None
                 done = np.zeros(len(edges), dtype=bool)
             else:
-                # one product per shell: the sums of its own cell_quad
-                val, err, mag = (a[:, 0] for a in
-                                 _gk21_sums(f[:, None, :], half[:, None]))
                 # a lone row's val.sum() is val + 0.0: -0.0 becomes 0.0
                 total = val + 0.0
                 tol = np.maximum(rel_tol * np.abs(total), _ROUNDOFF * mag)
@@ -270,7 +276,7 @@ def _shell_values(fn, anchor, endpoint, rel_tol):
                 yield float(total[i])
                 continue
             try:
-                if f is None:
+                if val is None:
                     value = cell_quad(fn, lo, hi, rel_tol)
                 else:
                     with np.errstate(all="ignore"):
@@ -394,23 +400,3 @@ def span_integral(fn, lo, hi, improper_lo, improper_hi) -> IntegralResult:
         total += res.value
     return IntegralResult(FINITE, total, shells)
 
-
-@lru_cache(maxsize=8)
-def _gl_nodes(order):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def gauss_cells(fvec, edges, order):
-    """Fixed-order Gauss-Legendre integral of fvec on each cell.
-
-    fvec maps a flat numpy array of positions to values; edges is an
-    increasing array of cell boundaries.  Returns one integral per cell.
-    """
-    edges = np.asarray(edges, dtype=float)
-    nodes, weights = _gl_nodes(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = fvec(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ weights)

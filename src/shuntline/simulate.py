@@ -5,10 +5,11 @@ uniform in its scale coordinate.  Jump probabilities make the chain
 exactly scale-linear, and mean holding times come from the Green
 function of the two-cell exit problem, so hitting probabilities and
 mean exit times are exact at the nodes; laws at a finite time t
-converge as h goes to 0.  Shunt segments
-get deterministic unit-drift hops on an x-uniform grid; shunt points
-become deterministic entry moves into their open side; traps absorb;
-window edges kill.
+converge as h goes to 0.  The cell integrals are first rounds of the
+analysis's GK21 rule, checked by their own error estimate
+(``_regular_cells``).  Shunt segments get deterministic unit-drift hops
+on an x-uniform grid; shunt points become deterministic entry moves into
+their open side; traps absorb; window edges kill.
 
 Randomness is a stateless counter hash of (seed, replication, step), so
 a replication's path does not depend on which other replications run
@@ -74,6 +75,7 @@ exponential times at walk nodes.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -83,7 +85,7 @@ from .boundary import EXIT, GLUE_TO_NEIGHBOR, INCLUDED_SHUNT, YES, boundary_prof
 from .errors import ChainBuildError, DomainError
 from .expr import evaluate
 from .model import REGULAR, SHUNT_SEGMENT, TRAP, DiffusionSpec
-from .quadrature import FINITE, improper_integral, gauss_cells
+from .quadrature import FINITE, _first_rounds, improper_integral
 
 __all__ = ["ChainModel", "build_chain", "run", "simulate_path", "PathResult",
            "estimate_hitting", "analytic_hitting", "estimate_symmetry_defect",
@@ -134,8 +136,6 @@ _EXP_BOUND = 37.0
 # low 33 (see _coin_bounds)
 _LOW33 = (1 << 33) - 1
 _TOP = (1 << 64) - 1
-_GAUSS_ORDER = 16  # Gauss-Legendre order of the holding-time cell integrals
-_CHECK_ORDER = 8   # lower order they are audited against
 _Z95 = 1.959963984540054  # two-sided 95 % normal quantile of the intervals
 
 
@@ -324,10 +324,13 @@ class _Builder:
         return len(self.x) - 1
 
 
-def _regular_cells(piece, edges_x, edges_u, order):
-    """Per-cell integrals A, B, M of the speed measure against the scale."""
+def _regular_cells(piece, edges_x, edges_u):
+    """Per-cell integrals A, B, M of the speed measure against the scale,
+    and the larger error estimate of A and B (0 out to +-inf).  A finite
+    cell [x_k, x_k+1] integrates (s - u_k) rho, (u_k+1 - s) rho and rho as
+    GK21 first rounds, s and rho evaluated once on every cell's nodes."""
     n = len(edges_x) - 1
-    A, B, M = np.zeros((3, n))
+    A, B, M, E = np.zeros((4, n))
 
     def rho_vec(y):
         return np.asarray(evaluate(piece.speed.density, y), dtype=np.float64)
@@ -338,14 +341,18 @@ def _regular_cells(piece, edges_x, edges_u, order):
     fin_lo = 0 if math.isfinite(edges_x[0]) else 1
     fin_hi = n if math.isfinite(edges_x[-1]) else n - 1
     if fin_hi > fin_lo:
-        fe = np.asarray(edges_x[fin_lo:fin_hi + 1])
-        I1 = gauss_cells(lambda y: s_vec(y) * rho_vec(y), fe, order)
-        Mm = gauss_cells(rho_vec, fe, order)
-        ul = np.asarray(edges_u[fin_lo:fin_hi])
-        uh = np.asarray(edges_u[fin_lo + 1:fin_hi + 1])
-        A[fin_lo:fin_hi] = I1 - ul * Mm
-        B[fin_lo:fin_hi] = uh * Mm - I1
-        M[fin_lo:fin_hi] = Mm
+        fin, ahead = slice(fin_lo, fin_hi), slice(fin_lo + 1, fin_hi + 1)
+        ul, uh = edges_u[fin, None], edges_u[ahead, None]
+
+        def integrands(y):  # y holds the nodes of one cell per row of ul
+            s = s_vec(y).reshape(len(ul), -1)
+            rho = rho_vec(y).reshape(s.shape)
+            return np.reshape(((s - ul) * rho, (uh - s) * rho, rho), (3, -1))
+
+        with np.errstate(all="ignore"):
+            (A[fin], B[fin], M[fin]), err, _ = _first_rounds(
+                integrands, edges_x[fin], edges_x[ahead])
+        E[fin] = np.maximum(err[0], err[1])
     # a cell out to -inf uses only its A part, the integral of (s - u_far) m;
     # a cell out to +inf only its B part, the integral of (u_far - s) m
     for far, near, sign, used, unused in ((0, 1, 1.0, A, B),
@@ -374,7 +381,7 @@ def _regular_cells(piece, edges_x, edges_u, order):
         B[j] += w * (edges_u[j + 1] - s_at)
         if math.isfinite(M[j]):
             M[j] += w
-    return A, B, M
+    return A, B, M, E
 
 
 def _end_node(builder, i, piece, cut, end, ana):
@@ -441,19 +448,16 @@ def _build_regular(builder, i, piece, profile):
         builder.right[a] = b
         builder.left[b] = a
 
-    A, B, M = _regular_cells(piece, list(x_nodes), list(u_nodes), _GAUSS_ORDER)
-    A8, B8, _ = _regular_cells(piece, list(x_nodes), list(u_nodes),
-                               _CHECK_ORDER)
+    A, B, M, err = _regular_cells(piece, x_nodes, u_nodes)
     with np.errstate(invalid="ignore"):
         ref = np.maximum(np.abs(A), np.abs(B))
-        err = np.maximum(np.abs(A - A8), np.abs(B - B8))
         fin = np.isfinite(ref) & (ref > 0)
         rel = float(np.max(err[fin] / ref[fin])) if fin.any() else 0.0
     if rel > 1e-6:
         builder.warnings.append(
-            f"piece {i}: holding-time quadrature differs by {rel:.2e} between "
-            f"orders {_GAUSS_ORDER} and {_CHECK_ORDER}; the speed density may "
-            f"be rough at this h")
+            f"piece {i}: holding-time quadrature error estimate {rel:.2e} "
+            f"(GK21 Kronrod-Gauss, relative) exceeds 1e-6; the speed "
+            f"density may be rough at this h")
 
     u = u_nodes
     dtot = u[2:] - u[:-2]
@@ -596,10 +600,14 @@ def _step_cap(chain, t_max, exponential):
 
 
 def _warn_capped(count, cap):
+    # warn at the line that called into this module: its first frame out
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         f"{count} replication(s) stopped at the step cap ({cap}) before "
         f"t_max; they are reported alive at t_max", RuntimeWarning,
-        stacklevel=4)
+        stacklevel=level)
 
 
 def _sum_clocks(clock):

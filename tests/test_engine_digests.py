@@ -9,6 +9,15 @@ called once per replication.  The ``simulate_path`` trajectories and the
 ``simulate --paths-out`` CSV files were recorded from the scalar path loop,
 before ``simulate_path`` was moved onto the loop of ``run()``.
 
+The final times of five engine cases and the times of six trajectories
+were re-recorded when the chain's holding-time cells moved to one GK21
+first round each, which moved tau in its last digits (see
+``test_chain_digests``).  Every time moved by at most 5.4e-15, relative.
+One final node moved: replication 1416 of ``bm-starts``, alive at
+t_max = 0.2 = 80 * 0.0025 either way, whose clock after 80 holds was one
+ulp below t_max before and reaches it now, so it stops one move earlier.
+No status or hit moved, nor the CSV digests, which print fewer digits.
+
 Exponential holding times go through ``numpy.log1p``, whose last bit may
 depend on the SIMD extensions of the machine, so that one case digests
 its final times rounded to 10 decimals; every other array is digested
@@ -60,9 +69,9 @@ CASES = {
 DIGESTS = {
     "bm-starts": {
         "final_node":
-            "8ba40134258bc37b422d4f5199fedf908b896cad070c1aa9d48e455f06262118",
+            "812bc7f1e5e48e971fb81011f373e2638668c84c8ae248c1f6b946aae2640b05",
         "final_time":
-            "101564ba56893a36b52481d57ab1521e13bf8679f969dfdb74c03d27627fbc21",
+            "e0f984c99292a7707381c026b9ab7b812948f4fdebe80fee21ba0587974f93b6",
         "status":
             "67e4b838810fcaac87cc3373e6bcaa3cb43b65129f06ba7ed5d299cb2159532e",
         "hit":
@@ -72,7 +81,7 @@ DIGESTS = {
         "final_node":
             "cc37402c26d0aea000e0b8288d0a9d5760f4eb69ca7f0a84ef80d80f425ff88e",
         "final_time":
-            "ae11fe6dff93cd46fc647f99d922d50e3dd997406f21b5e0c0d57bb5398c833d",
+            "faf23e9e5dad800daecf9c079d64a36bcbd4e503ab731d79a328dcb24ab498d1",
         "status":
             "6737163ab5eb733e5b1d8c9b4c23b3f3407a0f7a4efa696a2ff2d06f5676f333",
         "hit":
@@ -92,7 +101,7 @@ DIGESTS = {
         "final_node":
             "554760bd6a079d6f37b27fa357f6c75d7a51ddbc2e2e643984833137324cf0fe",
         "final_time":
-            "e437300302901af91cdf2ca23e4c0dab5ee3ce765c8d5174313cc7818eecb482",
+            "62a4e072c6dd7a9fb4a90c40577d12b5f9a1b649e94d7ad8af11b0bf22deebe2",
         "status":
             "a45e6e4882e4a1def0b01792b6789817c2d56812b5a2f9310d83cf18025b17d7",
         "hit":
@@ -112,7 +121,7 @@ DIGESTS = {
         "final_node":
             "f98da180f7dd0df3aa094e205edde7bdb8babbbec5c6450fb9d4ccf2e0595406",
         "final_time":
-            "2dc3def14ebfbe96da56a6e62fe2892c4999bf29fb0d5b4a1b52bec798e4359d",
+            "962228a1e443353e370a0a681079c9d1df0a070e8ff067604ae98966ae739ce0",
         "status":
             "80a8b0e21d5cc75018d0e6f4bf3aa5d100aa1464bd5364ce6f76db2c05f44779",
         "hit":
@@ -122,7 +131,7 @@ DIGESTS = {
         "final_node":
             "f98da180f7dd0df3aa094e205edde7bdb8babbbec5c6450fb9d4ccf2e0595406",
         "final_time":
-            "40acee1c6cd55242dd4dce039a4307802151c713137621c430e4f3465c9c6368",
+            "017313e5e52d022eb0da5330db130a8b40aa2abe271d29aad697fc0ec049e62f",
         "status":
             "80a8b0e21d5cc75018d0e6f4bf3aa5d100aa1464bd5364ce6f76db2c05f44779",
         "hit":
@@ -221,7 +230,7 @@ PATH_DIGESTS = {
         "positions":
             "4d8b6c182996b65201b91b86a0037d78c00439bd3d4a1b2b8b0e32b146a06fbc",
         "times":
-            "ec97ac83b51eed94028435cb821bae6d3e9de044d7e37cf34b6e4bf3cb41dcf2",
+            "4eb0db05ed649561adb9f464ded0235203c62b4d43f2a0745a1381b28d839afb",
         "status":
             "0313b5ad6a05b7cf937bd66778ed33e69a6b8870853eafd010dd18bbd04a1b1a",
     },
@@ -229,7 +238,7 @@ PATH_DIGESTS = {
         "positions":
             "7351fc467dc4de00875f1f0716d18b1f01ad1151f9bd5f1ff008451d86b02859",
         "times":
-            "d302c788678d16dcdc31f4592c4f79fbf83f0189dd3dd07092a6c2a5606e362f",
+            "5172543b76d2a008bf9471aa33fd176e8326d1888c7ca11812e4d9fb17a1c4a1",
         "status":
             "00a3f6cb1ace50eaf5a47459aa83c2afc12e8927619244e49bfef54678f52b9d",
     },
@@ -253,7 +262,7 @@ PATH_DIGESTS = {
         "positions":
             "ff589a895cf036f94589c3f36ce5fc0a561b06bee78f9c265182cc7dce66399d",
         "times":
-            "4cc04ba1ab629a574e4d7e96979bd4d64854066f1126f0a0a750e9c952f7f073",
+            "3d913425910c4ba69e4287d1e7cd080f70645e10a4f9f64e3cb1892c47e5e8c1",
         "status":
             "135fc7a09da25f03e44f7a2c700efd4a9d0a989af4d4704eabfe9ada71b26590",
     },
@@ -269,7 +278,7 @@ PATH_DIGESTS = {
         "positions":
             "e7f9faf225ff187be45f65f28b82315a4273c6c998b4f200b09e51c7c6be68dc",
         "times":
-            "b0f7d477db8035557cf4600850611b53836585d81e00c064ec512961a73eaf2b",
+            "2252f5e4c590c8b187fc166094574eb287a117b03838be3ed8747393928d7547",
         "status":
             "0313b5ad6a05b7cf937bd66778ed33e69a6b8870853eafd010dd18bbd04a1b1a",
     },
@@ -277,7 +286,7 @@ PATH_DIGESTS = {
         "positions":
             "d528478dd63facc4c97d9d8a3fa9ac2d0cec5df59a199e1a6d936235dae9e192",
         "times":
-            "655777b36a3c95a6ffb6da0f73c08f4fc0152e9e4d2762c7eb1131dd995c5f44",
+            "bc5a7ab6d280c25eaa4f014ba4c14b82902bbc4d97eafc76d04fd9596d5735e9",
         "status":
             "0313b5ad6a05b7cf937bd66778ed33e69a6b8870853eafd010dd18bbd04a1b1a",
     },
@@ -285,7 +294,7 @@ PATH_DIGESTS = {
         "positions":
             "e7f9faf225ff187be45f65f28b82315a4273c6c998b4f200b09e51c7c6be68dc",
         "times":
-            "b0f7d477db8035557cf4600850611b53836585d81e00c064ec512961a73eaf2b",
+            "2252f5e4c590c8b187fc166094574eb287a117b03838be3ed8747393928d7547",
         "status":
             "0313b5ad6a05b7cf937bd66778ed33e69a6b8870853eafd010dd18bbd04a1b1a",
     },

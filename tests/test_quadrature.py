@@ -16,9 +16,9 @@ from shuntline import EvalError, QuadratureError
 from shuntline.dirichlet import Profile
 from shuntline.quadrature import (FINITE, GAUSS_WEIGHTS, INFINITE,
                                   KRONROD_NODES, KRONROD_WEIGHTS, LIMIT,
-                                  MAX_SHELLS, UNDETERMINED, _gk21_sums,
-                                  _shell_edges, _shell_values, cell_quad,
-                                  gauss_cells, improper_integral)
+                                  MAX_SHELLS, UNDETERMINED, _ROUNDOFF,
+                                  _first_rounds, _gk21_sums, _shell_edges,
+                                  _shell_values, cell_quad, improper_integral)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,12 +27,41 @@ def test_cell_quad_sine():
     assert cell_quad(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_gauss_cells_exact_for_cubics():
+def test_first_rounds_are_exact_for_cubics():
     edges = np.array([0.0, 0.25, 0.6, 1.0])
-    vals = gauss_cells(lambda xs: 4.0 * xs ** 3 - xs, edges, order=4)
+    with np.errstate(all="ignore"):
+        vals, _, _ = _first_rounds(lambda xs: 4.0 * xs ** 3 - xs,
+                                   edges[:-1], edges[1:])
     exact = np.diff(edges ** 4 - edges ** 2 / 2.0)
     assert np.allclose(vals, exact, rtol=1e-14, atol=1e-16)
     assert vals.sum() == pytest.approx(0.5, abs=1e-14)
+
+
+def _three(xs):
+    return np.stack([np.exp(np.sin(3.0 * xs)), np.abs(xs - 0.3) + 1.0,
+                     xs ** 3 + 2.0])
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 16, 100])
+def test_first_rounds_equal_lone_cell_quads(n_cells):
+    """Each cell of a _first_rounds call whose first round cell_quad would
+    accept gets, bit for bit, the value of its own cell_quad, whatever
+    the number of cells beside it; integrands given as rows of one call
+    get the sums of a call each."""
+    rng = np.random.default_rng(n_cells)
+    edges = np.sort(rng.uniform(-2.0, 2.0, n_cells + 1))
+    lo, hi = edges[:-1], edges[1:]
+    with np.errstate(all="ignore"):
+        val, err, mag = _first_rounds(_three, lo, hi)
+        for row in range(3):
+            alone = _first_rounds(lambda xs: _three(xs)[row], lo, hi)
+            for got, want in zip((val, err, mag), alone):
+                assert got[row].tobytes() == want.tobytes()
+    accepted = err <= np.maximum(1e-8 * np.abs(val), _ROUNDOFF * mag)
+    assert accepted.any()
+    for row, k in zip(*np.nonzero(accepted)):
+        want = cell_quad(lambda xs: _three(xs)[row], lo[k], hi[k])
+        assert float(val[row, k]).hex() == want.hex(), (row, k)
 
 
 def test_convergent_tail_at_infinity():

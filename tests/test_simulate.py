@@ -4,6 +4,7 @@ import collections
 import functools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from shuntline import ChainBuildError, DomainError, get_example, parse_spec
 from shuntline import simulate
+from shuntline.expr import evaluate
+from shuntline.quadrature import cell_quad
 from shuntline.simulate import (MODE_FULL, MODE_KILLED, MODE_PART,
                                 STATUS_NAMES, analytic_hitting,
                                 build_chain, estimate_hitting,
@@ -62,6 +65,51 @@ def test_exact_chain_matches_scale_ratio_and_green_function(
     ratio = [analytic_hitting(spec, xi, 0.0, 1.0) for xi in x]
     assert np.max(np.abs(hit - ratio)) < 1e-12
     assert np.max(np.abs(mean_exit - exit_time(x))) < 1e-12
+
+
+@pytest.mark.parametrize("window, h", [((0.0, 1.0), 0.01), ((1.0, 2.0), 0.01),
+                                       ((10.0, 11.0), 0.5)])
+def test_cubic_holding_times_match_the_green_function(window, h,
+                                                      cubic_scale_doc):
+    """Every walk node's tau is, to 5e-13 relative, the exact Green-function
+    integral over its two cells, taking the chain's own float x and u as
+    exact: for scale x^3 and density 2, A = 2 [y^4 / 4 - u_l y] from x_l
+    to x, B = 2 [u_r y - y^4 / 4] from x to x_r, and
+    tau = (A (u_r - u) + B (u - u_l)) / (u_r - u_l)."""
+    ch = build_chain(parse_spec(cubic_scale_doc), window, h)
+    worst = 0
+    for i in np.flatnonzero(ch.kind == simulate.WALK):
+        nodes = (ch.nbr_left[i], i, ch.nbr_right[i])
+        (xl, xm, xr), (ul, um, ur) = ([Fraction(float(v[j])) for j in nodes]
+                                      for v in (ch.x, ch.u))
+        a = 2 * ((xm ** 4 - xl ** 4) / 4 - ul * (xm - xl))
+        b = 2 * (ur * (xr - xm) - (xr ** 4 - xm ** 4) / 4)
+        tau = (a * (ur - um) + b * (um - ul)) / (ur - ul)
+        worst = max(worst, abs(Fraction(float(ch.tau[i])) / tau - 1))
+    assert worst < 5e-13
+
+
+def test_holding_cells_are_cell_quad_of_their_integrands():
+    """On exa1's cells, A, B and M of the chain builder are, bit for bit,
+    cell_quad of (s - u_k) rho, (u_k+1 - s) rho and rho on each cell."""
+    spec = get_example("exa1")
+    piece = spec.pieces[2]
+    ch = build_chain(spec, (0.0, 1.0), 0.05)
+    order = np.argsort(ch.x)
+    x, u = ch.x[order], ch.u[order]
+    A, B, M, _ = simulate._regular_cells(piece, x, u)
+
+    def s(y):
+        return np.asarray(evaluate(piece.scale, y), dtype=np.float64)
+
+    def rho(y):
+        return np.asarray(evaluate(piece.speed.density, y), dtype=np.float64)
+
+    for k in range(len(x) - 1):
+        lo, hi = u[k], u[k + 1]
+        for got, fn in ((A[k], lambda y: (s(y) - lo) * rho(y)),
+                        (B[k], lambda y: (hi - s(y)) * rho(y)), (M[k], rho)):
+            assert got.hex() == cell_quad(fn, x[k], x[k + 1]).hex(), k
 
 
 def test_hitting_estimate_covers_the_exact_chain_value(cubic_scale_doc):
@@ -1236,6 +1284,41 @@ def test_step_cap_warns_and_reports_alive_at_the_horizon(monkeypatch):
         path = simulate_path(ch, 0.5, 1.0, seed=2, exponential_holding=True)
     assert path.status == "alive"
     assert path.times[-1] == 1.0
+
+
+def test_step_cap_warnings_point_at_the_caller(monkeypatch):
+    """Every public entry warns of replications stopped at the step cap
+    at the line that called it, whichever loops inside the module reached
+    the cap, with the count and message of the matching ``run``."""
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    monkeypatch.setattr(simulate, "_step_cap", lambda *args: 50)
+    node = ch.node_at(0.5)
+    one_node = np.zeros(ch.n_nodes)
+    one_node[node] = 1.0
+    expo = dict(t_max=1.0, seed=3, exponential_holding=True)
+    hitting = dict(expo, x0=0.5, target=1.0, n_rep=200)
+    calls = {
+        "run": (lambda: run(ch, x0=0.5, n_rep=200, **expo),
+                lambda: run(ch, x0=0.5, n_rep=200, **expo)),
+        "simulate_path": (lambda: simulate_path(ch, 0.5, **expo),
+                          lambda: run(ch, x0=0.5, n_rep=1, **expo)),
+        "estimate_hitting": (lambda: estimate_hitting(ch, **hitting),
+                             lambda: run(ch, mode=MODE_KILLED, **hitting)),
+        "estimate_symmetry_defect": (
+            lambda: estimate_symmetry_defect(
+                ch, math.cos, math.sin, 1.0, 200, seed=3, weights=one_node),
+            lambda: run(ch, starts=np.full(200, node), t_max=1.0, seed=3)),
+    }
+    for word_nodes in (simulate._WORD_NODES, ch.n_nodes - 1):
+        # at n_nodes - 1, estimate_hitting takes _walk, not its own loop
+        monkeypatch.setattr(simulate, "_WORD_NODES", word_nodes)
+        for name, (call, matching) in calls.items():
+            _, want = _recorded(matching)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert len(want) == 1 and [str(w.message) for w in caught] == want
+            assert [w.filename for w in caught] == [__file__], name
 
 
 def test_deterministic_step_cap_exceeds_the_horizon():
