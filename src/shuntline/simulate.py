@@ -11,6 +11,14 @@ analysis's GK21 rule, checked by their own error estimate
 on an x-uniform grid; shunt points become deterministic entry moves into
 their open side; traps absorb; window edges kill.
 
+Node mass is the speed measure m of each node's hat function in scale:
+A_k-1 / du_k-1 + B_k / du_k at a walk node, with du_k = u_k+1 - u_k and
+A_k, B_k the integrals of s - u_k, u_k+1 - s against m over cell k.  Mass
+times jump rate (probability over mean holding time) is then 1 / du_k
+both ways across each cell, so the chain is reversible for it.  A shunt
+point's entry node has the half hat of its open side, its holding time
+over that cell's du; nodes that end paths or pass them one way have 0.
+
 Randomness is a stateless counter hash of (seed, replication, step), so
 a replication's path does not depend on which other replications run
 beside it.  The engine (``_walk``) is one loop over the replications
@@ -200,11 +208,6 @@ def _keyed_uniform(key, step):
     return _to_uniform(_finish(_keyed_hash(key, step)))
 
 
-def _uniform(seed, rep, step):
-    """U[0,1) from the (seed, rep, step) counter; rep may be an array."""
-    return _keyed_uniform(_rep_key(seed, rep), step)
-
-
 # ---------------------------------------------------------------------------
 # chain model
 
@@ -222,7 +225,7 @@ class ChainModel:
     nbr_left: np.ndarray
     nbr_right: np.ndarray
     det_target: np.ndarray
-    node_mass: np.ndarray  # speed-measure mass attributed to each node
+    node_mass: np.ndarray  # m-mass of each node's hat in scale (module doc)
     warnings: tuple = ()
 
     @property
@@ -297,17 +300,9 @@ class _Builder:
     ``point_nodes`` by position; the pieces then look those nodes up."""
 
     def __init__(self, window, h):
-        self.window = window
-        self.h = h
-        self.x = []
-        self.u = []
-        self.kind = []
-        self.tau = []
-        self.p_right = []
-        self.left = []
-        self.right = []
-        self.det = []
-        self.mass = []
+        self.window, self.h = window, h
+        self.x, self.u, self.kind, self.tau, self.p_right = [], [], [], [], []
+        self.left, self.right, self.det, self.mass = [], [], [], []
         self.point_nodes = {}
         self.warnings = []
 
@@ -325,12 +320,11 @@ class _Builder:
 
 
 def _regular_cells(piece, edges_x, edges_u):
-    """Per-cell integrals A, B, M of the speed measure against the scale,
-    and the larger error estimate of A and B (0 out to +-inf).  A finite
-    cell [x_k, x_k+1] integrates (s - u_k) rho, (u_k+1 - s) rho and rho as
-    GK21 first rounds, s and rho evaluated once on every cell's nodes."""
+    """Per-cell integrals A, B (module docstring) and the larger of their
+    error estimates (0 out to +-inf): GK21 first rounds on finite cells,
+    with s and rho evaluated once on every cell's nodes."""
     n = len(edges_x) - 1
-    A, B, M, E = np.zeros((4, n))
+    A, B, E = np.zeros((3, n))
 
     def rho_vec(y):
         return np.asarray(evaluate(piece.speed.density, y), dtype=np.float64)
@@ -347,10 +341,10 @@ def _regular_cells(piece, edges_x, edges_u):
         def integrands(y):  # y holds the nodes of one cell per row of ul
             s = s_vec(y).reshape(len(ul), -1)
             rho = rho_vec(y).reshape(s.shape)
-            return np.reshape(((s - ul) * rho, (uh - s) * rho, rho), (3, -1))
+            return np.reshape(((s - ul) * rho, (uh - s) * rho), (2, -1))
 
         with np.errstate(all="ignore"):
-            (A[fin], B[fin], M[fin]), err, _ = _first_rounds(
+            (A[fin], B[fin]), err, _ = _first_rounds(
                 integrands, edges_x[fin], edges_x[ahead])
         E[fin] = np.maximum(err[0], err[1])
     # a cell out to -inf uses only its A part, the integral of (s - u_far) m;
@@ -368,7 +362,7 @@ def _regular_cells(piece, edges_x, edges_u):
                 f"holding integral toward {edges_x[far]:+} does not "
                 f"converge; provide a finite window")
         used[far] = res.value
-        unused[far] = M[far] = math.inf
+        unused[far] = math.inf
     # atoms of the speed measure join their cell
     for pos, w in piece.speed.atoms:
         if pos < edges_x[0] or pos > edges_x[-1]:
@@ -379,9 +373,7 @@ def _regular_cells(piece, edges_x, edges_u):
             edges_u[j + 1] if pos == edges_x[j + 1] else float(evaluate(piece.scale, pos)))
         A[j] += w * (s_at - edges_u[j])
         B[j] += w * (edges_u[j + 1] - s_at)
-        if math.isfinite(M[j]):
-            M[j] += w
-    return A, B, M, E
+    return A, B, E
 
 
 def _end_node(builder, i, piece, cut, end, ana):
@@ -448,7 +440,7 @@ def _build_regular(builder, i, piece, profile):
         builder.right[a] = b
         builder.left[b] = a
 
-    A, B, M, err = _regular_cells(piece, x_nodes, u_nodes)
+    A, B, err = _regular_cells(piece, x_nodes, u_nodes)
     with np.errstate(invalid="ignore"):
         ref = np.maximum(np.abs(A), np.abs(B))
         fin = np.isfinite(ref) & (ref > 0)
@@ -459,24 +451,25 @@ def _build_regular(builder, i, piece, profile):
             f"(GK21 Kronrod-Gauss, relative) exceeds 1e-6; the speed "
             f"density may be rough at this h")
 
-    u = u_nodes
-    dtot = u[2:] - u[:-2]
-    tau_int = (A[:-1] * (u[2:] - u[1:-1]) + B[1:] * (u[1:-1] - u[:-2])) / dtot
-    pr_int = (u[1:-1] - u[:-2]) / dtot
-    M = np.where(np.isfinite(M), M, 0.0)  # cells out to +-inf add no mass
+    du = np.diff(u_nodes)
+    dtot = u_nodes[2:] - u_nodes[:-2]
+    tau_int = (A[:-1] * du[1:] + B[1:] * du[:-1]) / dtot
+    pr_int = du[:-1] / dtot
+    mass_int = A[:-1] / du[:-1] + B[1:] / du[1:]
     for k, nid in enumerate(interior):
         builder.tau[nid] = float(tau_int[k])
         builder.p_right[nid] = float(pr_int[k])
-        builder.mass[nid] = 0.5 * (M[k] + M[k + 1])
+        builder.mass[nid] = float(mass_int[k])
 
     # entry moves at included shunt endpoints (this piece is the open side)
-    for end, cut, ana, tau, first in ((lo, cut_a, ana_a, B[0], ids[1]),
-                                      (hi, cut_b, ana_b, A[-1], ids[-2])):
+    for end, cut, ana, tau, span, first in (
+            (lo, cut_a, ana_a, B[0], du[0], ids[1]),
+            (hi, cut_b, ana_b, A[-1], du[-1], ids[-2])):
         if not cut and ana.role == INCLUDED_SHUNT:
             node = builder.point_nodes[end]
             builder.det[node] = first
             builder.tau[node] = float(tau)
-            builder.mass[node] += sum(w for p, w in piece.speed.atoms if p == end)
+            builder.mass[node] = float(tau / span)
 
 
 def _build_segment(builder, i, piece):
@@ -1124,12 +1117,15 @@ def estimate_hitting(chain: ChainModel, x0: float, target: float,
 
 
 def analytic_hitting(spec: DiffusionSpec, x0: float, a: float, c: float) -> float:
-    """Scale-linear probability of hitting c before a from x0 in (a, c)."""
+    """Scale-linear probability of hitting c before a from x0 in (a, c),
+    all three in the closure of one regular piece."""
     if not (a < x0 < c):
         raise DomainError("need a < x0 < c")
     i, piece = spec.piece_at(x0)
     if piece.kind != REGULAR:
         raise DomainError("analytic hitting needs a regular piece")
+    if not (piece.a <= a and c <= piece.b):
+        raise DomainError("analytic hitting needs a and c in x0's piece")
     sa = float(evaluate(piece.scale, a))
     sc = float(evaluate(piece.scale, c))
     s0 = float(evaluate(piece.scale, x0))
@@ -1163,17 +1159,20 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     against the node weights.
 
     Zero for every f, g exactly when the weighting measure symmetrizes
-    the process.  ``weights`` is None (the speed measure), "lebesgue",
-    or one finite, non-negative value per node.  Start nodes are drawn
-    proportionally to the weights; each replication contributes
-    W (f(X_0) g(X_t) - f(X_t) g(X_0)) with W the total weight, evaluated
-    on a single common path.
-    Functions count as zero after killing.  ``n_rep`` must be at least 1.
+    the process.  ``weights`` is None (``node_mass``, the speed measure
+    the chain is reversible for), "lebesgue", or one finite, non-negative
+    value per node.  Start nodes are drawn proportionally to the weights;
+    each replication contributes W (f(X_0) g(X_t) - f(X_t) g(X_0)) with
+    W the total weight, evaluated on a single common path.  Functions
+    count as zero after killing.  ``n_rep`` must be at least 1.
     """
     _check_n_rep(n_rep)
     if weights is None:
         w = chain.node_mass.copy()
-    elif isinstance(weights, str) and weights == "lebesgue":
+    elif isinstance(weights, str):
+        if weights != "lebesgue":
+            raise DomainError(f"weights must be None, 'lebesgue' or one "
+                              f"value per node, got {weights!r}")
         w = _lebesgue_node_weights(chain)
     else:
         w = np.asarray(weights, dtype=np.float64)
@@ -1185,7 +1184,7 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     if not (total > 0) or not math.isfinite(total):
         raise DomainError("node weights must have positive finite total")
     cum = np.cumsum(w)
-    u0 = _uniform(seed, np.arange(n_rep, dtype=np.uint64), _STEP_START)
+    u0 = _keyed_uniform(_rep_key(seed, np.arange(n_rep)), _STEP_START)
     starts = np.searchsorted(cum, u0 * total, side="right")
     starts = np.minimum(starts, chain.n_nodes - 1).astype(np.int64)
     res = run(chain, starts=starts, t_max=t_max, seed=seed, n_jobs=n_jobs,

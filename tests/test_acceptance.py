@@ -169,6 +169,23 @@ def test_c08_symmetric_diffusion_has_null_defect():
         assert d["ci_low"] <= 0.0 <= d["ci_high"], trial
 
 
+def test_c08_curved_scale_has_null_defect_for_its_speed_measure(
+        cubic_scale_doc):
+    # scale x^3: a chain weighted by a mass it is not reversible for reads
+    # a defect at z = 21.5 here; its own hat masses read within sampling
+    # error, |z| <= 4 with z the mean over its standard error
+    ch = build_chain(parse_spec(cubic_scale_doc), (0.0, 1.0), 0.05)
+
+    def f(x):
+        return 1.0 if 0.1 < x < 0.4 else 0.0
+
+    def g(x):
+        return 1.0 if 0.6 < x < 0.9 else 0.0
+
+    d = estimate_symmetry_defect(ch, f, g, 0.05, 200000, seed=7)
+    assert abs(d["mean"]) <= 4.0 * d["sd"] / math.sqrt(d["n_rep"])
+
+
 def test_c09_energy_values_and_domain_rules():
     # clamped identity on a unit scale window carries energy 1/2
     form = dl.make_form(get_example('absorb-reflect'))

@@ -47,6 +47,16 @@ def test_cubic_scale_reproduces_scale_ratio():
     assert abs(est["estimate"] - 0.125) < 0.02
 
 
+def test_analytic_hitting_refuses_ends_outside_the_start_piece():
+    # exa1's shunt at 0 pushes paths right (the true value is 1), and exa2's
+    # trap at 0 absorbs them first; x0's scale ratio, 0.75, is neither
+    for name in ("exa1", "exa2"):
+        with pytest.raises(DomainError, match="x0's piece"):
+            analytic_hitting(get_example(name), 0.5, -1.0, 1.0)
+    # ends on the piece's own endpoints are inside its closure
+    assert analytic_hitting(get_example("exa2"), 0.25, 0.0, 1.0) == 0.25
+
+
 @pytest.mark.parametrize("doc, exit_time", [
     ("bm", lambda x: x * (1.0 - x)),
     ("cubic", lambda x: 1.5 * x ** 3 * (1.0 - x)),
@@ -90,14 +100,14 @@ def test_cubic_holding_times_match_the_green_function(window, h,
 
 
 def test_holding_cells_are_cell_quad_of_their_integrands():
-    """On exa1's cells, A, B and M of the chain builder are, bit for bit,
-    cell_quad of (s - u_k) rho, (u_k+1 - s) rho and rho on each cell."""
+    """On exa1's cells, A and B of the chain builder are, bit for bit,
+    cell_quad of (s - u_k) rho and (u_k+1 - s) rho on each cell."""
     spec = get_example("exa1")
     piece = spec.pieces[2]
     ch = build_chain(spec, (0.0, 1.0), 0.05)
     order = np.argsort(ch.x)
     x, u = ch.x[order], ch.u[order]
-    A, B, M, _ = simulate._regular_cells(piece, x, u)
+    A, B, _ = simulate._regular_cells(piece, x, u)
 
     def s(y):
         return np.asarray(evaluate(piece.scale, y), dtype=np.float64)
@@ -108,7 +118,7 @@ def test_holding_cells_are_cell_quad_of_their_integrands():
     for k in range(len(x) - 1):
         lo, hi = u[k], u[k + 1]
         for got, fn in ((A[k], lambda y: (s(y) - lo) * rho(y)),
-                        (B[k], lambda y: (hi - s(y)) * rho(y)), (M[k], rho)):
+                        (B[k], lambda y: (hi - s(y)) * rho(y))):
             assert got.hex() == cell_quad(fn, x[k], x[k + 1]).hex(), k
 
 
@@ -284,6 +294,14 @@ def test_defect_refuses_negative_or_non_finite_weights():
         w[10] = bad
         with pytest.raises(DomainError):
             estimate_symmetry_defect(ch, abs, abs, 0.1, 10, weights=w)
+
+
+def test_defect_refuses_weight_names_other_than_lebesgue():
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    for bad in ("speed", "Lebesgue", ""):
+        with pytest.raises(DomainError,
+                           match="None, 'lebesgue' or one value per node"):
+            estimate_symmetry_defect(ch, abs, abs, 0.1, 10, weights=bad)
 
 
 def test_parallel_runs_are_byte_identical():
