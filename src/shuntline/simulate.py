@@ -1,8 +1,8 @@
 """Monte Carlo engine: an embedded birth-death chain for the diffusion.
 
 Each regular interval met by the simulation window gets a grid that is
-uniform in its scale coordinate.  Jump probabilities make the chain
-exactly scale-linear, and mean holding times come from the Green
+uniform in its scale coordinate, so a fair coin at every walk node makes
+the chain exactly scale-linear; mean holding times come from the Green
 function of the two-cell exit problem, so hitting probabilities and
 mean exit times are exact at the nodes; laws at a finite time t
 converge as h goes to 0.  The cell integrals are first rounds of the
@@ -28,26 +28,20 @@ wider than long, one accumulate on the others; terminal nodes lead to
 themselves), and it compacts the set only after a block in which one of
 them ended.
 
-Both loops read their coins through one coin layer.  A uniform
-(z >> 11) * 2 ** -53 is below p exactly when the finished hash z is
-below the integer ceil(p * 2 ** 53) * 2 ** 11, and the last xorshift of
-the hash keeps its top 31 bits, so the hashes taken before it are
-compared with two bounds (``_coin_bounds``): below ``low`` a hash is a
-right coin at every walk node, above ``high`` a left coin at every one.
-Every walk node's right probability lies in [p_lo, p_hi], a span of a
-few times 1e-15 on a grid uniform in scale, so a hash falls in between,
-and is undecided, about 2 ** -31 per coin; ``_coins`` reads the coins
-and names the columns that hold one.  ``_walk`` takes such a column's
-block again one step at a time against each node's own threshold
-(``_step_rows``); the hitting loop replays such a replication through
-``_walk``.  Every block of the hitting loop, and every block of
-``_walk`` of at least 64 steps (so at most 256 replications running),
-packs its coins into words of 8 and walks every replication a word per
-``take`` (``_pack_words``), through tables of word moves built by
-stepping the node table ``go`` once per coin (``_word_moves``):
-``_walk`` keeps every step of a word, to fill the rows of its block
-with one more ``take``, and the hitting loop only where a word leads
-and the holding times it adds (``_passage_moves``).
+Every walk node steps right with probability exactly 1/2 (``p_right``
+stays at 0.5 there, and the engine refuses a chain where it does not),
+so a coin is one bit.  A uniform (z >> 11) * 2 ** -53 is below 1/2
+exactly when the top bit of the finished hash z is 0, and the last
+xorshift of the hash keeps that bit, so both loops read a right coin as
+a hash taken before it that is below 2 ** 63 (``_HALF``).  Every block
+of the hitting loop, and every block of ``_walk`` of at least 64 steps
+(so at most 256 replications running), packs its coins into words of 8
+and walks every replication a word per ``take`` (``_pack_words``),
+through tables of word moves built by stepping the node table ``go``
+once per coin (``_word_moves``): ``_walk`` keeps every step of a word,
+to fill the rows of its block with one more ``take``, and the hitting
+loop only where a word leads and the holding times it adds
+(``_passage_moves``).
 
 ``estimate_hitting`` reads only each replication's status and hit, so
 it decides them with a positions-only loop (``_first_passage``) that
@@ -140,10 +134,9 @@ _PASSAGE_BLOCK = 2 * _BLOCK
 # 53 ln 2 = 36.7368..., so this many times the sum of the mean holding
 # times bounds an exponential clock (see _first_passage)
 _EXP_BOUND = 37.0
-# the last xorshift of the hash keeps its top 31 bits and can change the
-# low 33 (see _coin_bounds)
-_LOW33 = (1 << 33) - 1
-_TOP = (1 << 64) - 1
+# a hash taken before its last xorshift is a right coin below this (see
+# the module docstring)
+_HALF = np.uint64(1 << 63)
 _Z95 = 1.959963984540054  # two-sided 95 % normal quantile of the intervals
 
 
@@ -221,7 +214,7 @@ class ChainModel:
     u: np.ndarray          # node scale values
     kind: np.ndarray       # int8 node kinds
     tau: np.ndarray        # mean holding time; 0 at terminal nodes
-    p_right: np.ndarray
+    p_right: np.ndarray    # 1/2 at walk nodes, where the grid is uniform in u
     nbr_left: np.ndarray
     nbr_right: np.ndarray
     det_target: np.ndarray
@@ -349,8 +342,7 @@ def _regular_cells(piece, edges_x, edges_u):
         E[fin] = np.maximum(err[0], err[1])
     # a cell out to -inf uses only its A part, the integral of (s - u_far) m;
     # a cell out to +inf only its B part, the integral of (u_far - s) m
-    for far, near, sign, used, unused in ((0, 1, 1.0, A, B),
-                                          (-1, -2, -1.0, B, A)):
+    for far, near, sign, used in ((0, 1, 1.0, A), (-1, -2, -1.0, B)):
         if math.isfinite(edges_x[far]):
             continue
         u_far = edges_u[far]
@@ -362,7 +354,6 @@ def _regular_cells(piece, edges_x, edges_u):
                 f"holding integral toward {edges_x[far]:+} does not "
                 f"converge; provide a finite window")
         used[far] = res.value
-        unused[far] = math.inf
     # atoms of the speed measure join their cell
     for pos, w in piece.speed.atoms:
         if pos < edges_x[0] or pos > edges_x[-1]:
@@ -454,11 +445,9 @@ def _build_regular(builder, i, piece, profile):
     du = np.diff(u_nodes)
     dtot = u_nodes[2:] - u_nodes[:-2]
     tau_int = (A[:-1] * du[1:] + B[1:] * du[:-1]) / dtot
-    pr_int = du[:-1] / dtot
     mass_int = A[:-1] / du[:-1] + B[1:] / du[1:]
     for k, nid in enumerate(interior):
         builder.tau[nid] = float(tau_int[k])
-        builder.p_right[nid] = float(pr_int[k])
         builder.mass[nid] = float(mass_int[k])
 
     # entry moves at included shunt endpoints (this piece is the open side)
@@ -616,40 +605,6 @@ def _sum_clocks(clock):
         np.add.accumulate(clock, axis=0, out=clock)
 
 
-def _coin_limit(p):
-    """ceil(p * 2 ** 53) as uint64; p may be an array.  A finished hash z
-    gives the uniform (z >> 11) * 2 ** -53, exact, so it is a right coin
-    at right probability p exactly when (z >> 11) < ceil(p * 2 ** 53),
-    that is when z < ceil(p * 2 ** 53) * 2 ** 11."""
-    scaled = np.asarray(p, dtype=np.float64) * 2.0 ** 53
-    return np.ceil(scaled).astype(np.uint64)
-
-
-def _coin_bounds(p_lo, p_hi):
-    """Bounds ``(low, high)`` on hashes taken before the last xorshift
-    (``_keyed_hash``) for right probabilities in [p_lo, p_hi]: a hash z
-    is a right coin at every such probability when z < low, a left coin
-    at every one when z > high, and undecided otherwise.  That xorshift
-    keeps the top 31 bits and can change the low 33, so low is the
-    ``_coin_limit`` threshold of p_lo with its low 33 bits cleared and
-    high that of p_hi with them set; either saturates at 2 ** 64 - 1."""
-    low = min((int(_coin_limit(p_lo)) << 11) & ~_LOW33, _TOP)
-    high = min((int(_coin_limit(p_hi)) << 11) | _LOW33, _TOP)
-    return np.uint64(low), np.uint64(high)
-
-
-def _coins(hashes, low, high, out=None):
-    """The coins of ``hashes`` (``_keyed_hash``, rows of steps; 1 right),
-    written into ``out`` when given, and the columns that hold an
-    undecided hash: the hashes up to ``high`` are counted against the
-    right coins, so a block with none makes no other temporary."""
-    right = np.less(hashes, low, out=out)
-    maybe = np.less_equal(hashes, high)
-    if np.count_nonzero(maybe) == np.count_nonzero(right):
-        return right, np.empty(0, dtype=np.intp)
-    return right, (maybe ^ right).any(axis=0).nonzero()[0]
-
-
 def _move_rows(go, path):
     """Turn rows 1.. of ``path``, the coins of a block (1 right, 0 left),
     into its positions (rows of 2 * node), one row at a time."""
@@ -658,16 +613,6 @@ def _move_rows(go, path):
         # every entry is in range; unlike "raise", "wrap" writes straight
         # into out, where "raise" fills a copy of it first
         go.take(nxt, out=nxt, mode="wrap")
-
-
-def _step_rows(go, limit, path, hashes):
-    """Fill rows 1.. of ``path`` (rows of 2 * node) one coin row at a
-    time from the hashes of ``_keyed_hash`` (finished here, in place):
-    the top 53 bits of each against the ``_coin_limit`` of the node its
-    coin is tossed at."""
-    for c, nxt, m in zip(path[:-1], path[1:],
-                         _finish(hashes) >> np.uint64(11)):
-        go.take(c + (m < limit.take(c)), out=nxt, mode="wrap")
 
 
 def _word_moves(go, fill=None):
@@ -718,13 +663,18 @@ def _node_rules(chain, mode, target_node):
     """Per-node tables of one engine call, so no loop branches on node
     kinds: ``moves`` (a replication goes on from the node), the status it
     ends with there (ALIVE where it moves on), whether it keeps its clock
-    there, ``go`` (2 * the node each coin side leads to, at entry 2 * node
-    + coin, back to the node itself where paths end, so a path that ends
-    inside a block stays there), the ``_coin_limit`` of each entry and the
-    ``_coin_bounds`` of the walk nodes that move."""
+    there, and ``go`` (2 * the node each coin side leads to, at entry
+    2 * node + coin, back to the node itself where paths end, so a path
+    that ends inside a block stays there).  A chain whose walk nodes do
+    not all step right with probability 1/2 is refused."""
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
     kind = chain.kind
+    p_walk = chain.p_right[kind == WALK]
+    if np.any(p_walk != 0.5):
+        raise DomainError(
+            f"walk nodes must step right with probability 0.5, got "
+            f"{p_walk[p_walk != 0.5][0]}")
     end_code = np.zeros(chain.n_nodes, dtype=np.int8)
     end_code[kind == TRAP_NODE] = ABSORBED_TRAP
     end_code[kind == KILL_WINDOW] = KILLED_WINDOW
@@ -741,11 +691,7 @@ def _node_rules(chain, mode, target_node):
                   [chain.nbr_left, chain.nbr_right])
     go = np.where(moves, go, np.arange(chain.n_nodes))
     go = (2 * go.T.ravel()).astype(np.intp)
-    limit = np.repeat(_coin_limit(chain.p_right), 2)
-    coin_p = chain.p_right[moves & (kind == WALK)]
-    low, high = _coin_bounds(
-        *((coin_p.min(), coin_p.max()) if coin_p.size else (0.0, 0.0)))
-    return moves, end_status, keeps_time, go, limit, low, high
+    return moves, end_status, keeps_time, go
 
 
 def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
@@ -765,8 +711,7 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
     after each of its moves, and at its end when that comes later.
     """
     n_rep = len(starts)
-    moves, end_status, keeps_time, go, limit, low, high = _node_rules(
-        chain, mode, target_node)
+    moves, end_status, keeps_time, go = _node_rules(chain, mode, target_node)
     # while a block moves, its rows hold 2 * node, so one addition of the
     # coin (0 left, 1 right) gives the entry of go; the holding-time
     # tables below take the same entries.  Holding times are inf where
@@ -815,7 +760,7 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
         coins = hashes[::per_step]
         path[0] = cur
         if n_block < _WORD_FROM or not by_words:
-            _, cols = _coins(coins, low, high, path[1:])
+            np.less(coins, _HALF, out=path[1:])
             _move_rows(go, path)
         else:
             if fill is None:
@@ -827,15 +772,11 @@ def _walk(chain, starts, keys, t_max, mode, exponential_holding, target_node,
                 layers = np.arange(0, fill.size, jump.size)[:, None]
             words = np.zeros((-(-n_block // _WORD) * _WORD, active),
                              dtype=np.uint8)  # whole words: pads are left coins
-            _, cols = _coins(coins, low, high, words[:n_block])
+            np.less(coins, _HALF, out=words[:n_block])
             at, _ = _pack_words(words, path[0] >> 1, jump)
             # one take fills every row: layer i of word j is row 8j + i + 1
             fill.take((at[:, None] + layers).reshape(-1, active)[:n_block],
                       out=path[1:], mode="wrap")
-        if cols.size:  # these columns take their block again step by step
-            sub = path[:, cols]
-            _step_rows(go, limit, sub, coins[:, cols])
-            path[:, cols] = sub
         clock[0] = t
         tau_of.take(path[:-1], out=clock[1:], mode="wrap")
         if exponential_holding:
@@ -921,8 +862,7 @@ def _first_passage(chain, start, keys, t_max, mode, target_node,
     """Status and hit of replications that start at node ``start``, each
     reading its counter stream keys[r]: those of ``_walk``, from positions
     and sums of mean holding times alone (see the module docstring)."""
-    moves, end_status, _, go, _, low, high = _node_rules(
-        chain, mode, target_node)
+    moves, end_status, _, go = _node_rules(chain, mode, target_node)
     n_rep = len(keys)
     if not moves[start]:  # a path that starts where paths end stays there
         return (np.full(n_rep, end_status[start]),
@@ -957,15 +897,11 @@ def _first_passage(chain, start, keys, t_max, mode, target_node,
             break  # the engine stops at the step cap inside this block
         hashes = _keyed_hash(key, np.arange(2 * k, 2 * (k + n_block),
                                             2)[:, None])
-        right, cols = _coins(hashes, low, high)
-        at, cur = _pack_words(right, cur, jump)
+        at, cur = _pack_words(hashes < _HALF, cur, jump)
         total += wsum.take(at).sum(axis=0)
         k += n_block
         ends = ~moves.take(cur)
         below, past = _bracket(total, k, t_max, *spread)
-        # a column holding an undecided hash is replayed, as is one at a
-        # node where paths end whose clock is too close to t_max to tell
-        ends[cols], below[cols], past[cols] = True, False, False
         if exponential_holding:  # nothing is past, so once its bound
             # reaches t_max a replication is replayed: ends |= ~below
             np.less_equal(below, ends, out=ends)
@@ -1167,15 +1103,19 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     count as zero after killing.  ``n_rep`` must be at least 1.
     """
     _check_n_rep(n_rep)
+    refused = ("weights must be None, 'lebesgue' or one value per node, "
+               "got {!r:.60}")
     if weights is None:
         w = chain.node_mass.copy()
     elif isinstance(weights, str):
         if weights != "lebesgue":
-            raise DomainError(f"weights must be None, 'lebesgue' or one "
-                              f"value per node, got {weights!r}")
+            raise DomainError(refused.format(weights))
         w = _lebesgue_node_weights(chain)
     else:
-        w = np.asarray(weights, dtype=np.float64)
+        try:
+            w = np.asarray(weights, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DomainError(refused.format(weights)) from None
         if w.shape != (chain.n_nodes,):
             raise DomainError("weights must give one value per node")
         if not np.all(np.isfinite(w) & (w >= 0)):

@@ -32,6 +32,14 @@ had mass 0 (or only their atom) before.  The other four cases did not
 move: ``drift`` and ``segment`` (0, 1) have no walk nodes, and
 ``bessel-glue`` (-1, 0) moved below 12 digits.
 
+The ``p_right`` digests of 24 cases were re-recorded when every walk
+node kept the right probability 1/2 in place of du_k-1 / (du_k-1 +
+du_k), which the grid, uniform in scale, makes 1/2 but for round-off:
+it was at most 8.9e-15 from 1/2, on ``atom`` (-1, 2).  Only ``p_right``
+moved.  The other seven cases did not: ``drift`` and ``segment`` (0, 1)
+have no walk nodes, and ``bessel-glue`` and ``cubic`` are
+digested to 12 digits.
+
 The windows cover infinite ends, included shunt points (with and without
 an atom on them), traps, shunt segments cut at either end, and window
 edges that fall exactly on a piece endpoint.
@@ -214,7 +222,7 @@ DIGESTS = {
         'tau':
             "ea1c76d402071250526634fbf416e28f00d1b9f7fb5feb5d7077a5dd5754b957",
         'p_right':
-            "cbeb3a692b58d2f7b062e698990c64a48805f8c35a7ddc5dc54a9233dfe681a6",
+            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -235,7 +243,7 @@ DIGESTS = {
         'tau':
             "494b719cb6e26e8c4608f733e4c58d3f505d2b5f39f1f4945badb55e4fee74dd",
         'p_right':
-            "c5ba969e301879b6ade4d1a2a0e263e1f7d69d30576e3f0953bcddd9eb8b8bfa",
+            "41c426b4a58ae94b51f46e9bf70f1a48089a140269e635aec568320c99e87720",
         'nbr_left':
             "d2e96a58aacd018f06950b2ee5063da4b428f47c1fa45cece70371de61ff6165",
         'nbr_right':
@@ -340,7 +348,7 @@ DIGESTS = {
         'tau':
             "72bc0de56bba6e5918577460442875aa7aa634cc5e19f1f2bfd0d85e095681e6",
         'p_right':
-            "acee03e77cb65523a64adde95343292916714b605d662a0e5df7b344f76a7f7b",
+            "4ef5299611366c33d3773451402713f5d059766e908425a09f4edaa67a81a2c1",
         'nbr_left':
             "06d063082f6fca2b9eca2500ea773488fdf044e7352533d2493e5ed24c401250",
         'nbr_right':
@@ -361,7 +369,7 @@ DIGESTS = {
         'tau':
             "d6c16d81b295a42cc2bbd70b30a995b731db1123b5714ffc14724bed4039aae4",
         'p_right':
-            "86f873b2b4e443eb622afda3dbeed7df556dcfba5b974c0ed9d8b0038ea6ca4f",
+            "a0708b87456b71091e5ac1bcf2236955f85b0e619389413cf6b1c7bdb84b40cb",
         'nbr_left':
             "cdbd8b43426d8ffec11fcfb7d6122ae8b4b82965800af538504604054d28ccb8",
         'nbr_right':
@@ -382,7 +390,7 @@ DIGESTS = {
         'tau':
             "0b8ff276a531bb9163c9ea3a5b5f24d61d9c267cd5f3840888df6c5344c953dd",
         'p_right':
-            "e9b676f31caad587d4a34c9679993ea2f7e4fdc6c8f968d01977a640cbc619bd",
+            "cd1fc895eb90c08c579af3f92c4cd4ea80b381cbb1f42ed22bbbf9886349fe11",
         'nbr_left':
             "8e07b5a4482a4d8d7392541849efddb7c3a5919e80b61da4a9f6e03381b78ff1",
         'nbr_right':
@@ -403,7 +411,7 @@ DIGESTS = {
         'tau':
             "f2579962c120bfe9e136c773cf32e746aa918074b9fe6a710ce8886ffbd7459a",
         'p_right':
-            "538a387c7d94361e81fbb3937273238e87cffa9e318ff97096efb72749a7a644",
+            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -424,7 +432,7 @@ DIGESTS = {
         'tau':
             "519a8ccd26baf0b09814937eab84910875f0f6d7cbcb910c5853dca1a3af076f",
         'p_right':
-            "19a8c7abe390883806348e40281a12383354f605895e5cefb814e320d870a82e",
+            "a0708b87456b71091e5ac1bcf2236955f85b0e619389413cf6b1c7bdb84b40cb",
         'nbr_left':
             "cdbd8b43426d8ffec11fcfb7d6122ae8b4b82965800af538504604054d28ccb8",
         'nbr_right':
@@ -445,7 +453,7 @@ DIGESTS = {
         'tau':
             "d6c16d81b295a42cc2bbd70b30a995b731db1123b5714ffc14724bed4039aae4",
         'p_right':
-            "86f873b2b4e443eb622afda3dbeed7df556dcfba5b974c0ed9d8b0038ea6ca4f",
+            "a0708b87456b71091e5ac1bcf2236955f85b0e619389413cf6b1c7bdb84b40cb",
         'nbr_left':
             "cdbd8b43426d8ffec11fcfb7d6122ae8b4b82965800af538504604054d28ccb8",
         'nbr_right':
@@ -466,7 +474,7 @@ DIGESTS = {
         'tau':
             "5b0e13cf8a9d49665523308dccb9c24b40d59403a7c05b17044015b229b692c3",
         'p_right':
-            "9edc686c9d8f88aa822fb65099a9b59a3ad57990dfbb052d5a0359f25fe6a34c",
+            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -487,7 +495,7 @@ DIGESTS = {
         'tau':
             "c6fbbdd981b0caf0d743cdc58f1a35b448ea04cc7cb5d3370ccf50983fb6f243",
         'p_right':
-            "538a387c7d94361e81fbb3937273238e87cffa9e318ff97096efb72749a7a644",
+            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -508,7 +516,7 @@ DIGESTS = {
         'tau':
             "15fda8e71a9866c7f7cb480c6b4f0184bb1e788417387dfcbdd29268001006b8",
         'p_right':
-            "6ad046abb0471cafb7039a9877fa9a2db65c18d65b2c5cebf8d4577c8ebc5601",
+            "4ef5299611366c33d3773451402713f5d059766e908425a09f4edaa67a81a2c1",
         'nbr_left':
             "f7a4a8be9fc8b21c66b71d4d5f155781229ae491244b2eb0a88b7304a0cac4c3",
         'nbr_right':
@@ -529,7 +537,7 @@ DIGESTS = {
         'tau':
             "28c3b70f398bffaa8ab039105898c6ea7f9394299b4022baba9323f58f3d732a",
         'p_right':
-            "225154db9f8635e305aa055e3ada7ab286b356d44e9a403e3ffb9785e7deb518",
+            "9a00b293fe55ce80761e567477bcc1b6884436c85717590783b14cf71b65590a",
         'nbr_left':
             "71fa17068a68e1af6eb26ed6c64047d53d186a2695682631d4c028a76252935b",
         'nbr_right':
@@ -550,7 +558,7 @@ DIGESTS = {
         'tau':
             "0f09a42ee134bf976392905920f72341f8df784f12c809d68c9160d75d29f913",
         'p_right':
-            "4d2e9fca5c378061fd5b91333a13193d694927bf6d153e3307ef0c69709e85dd",
+            "c5c76edf054116d861e3c0dfce17822a1c400c8738fc34092211202c37e3bde0",
         'nbr_left':
             "64f5a735182a91ca92d499e02fd28a16c2bc50ee5887e99711a4d985b6d4338a",
         'nbr_right':
@@ -571,7 +579,7 @@ DIGESTS = {
         'tau':
             "45fb20047bb83d1f96cd56d892234a70a717c74de27cbfaf5b9b3f38fbcaae0f",
         'p_right':
-            "230123f4b63da40a9d4b36c04eeae35fbc6c64a7477c8cc7819f428376e33d8c",
+            "bc2964be8c0c22148f0f30a71b23fe08b43603c8191ca7a5aa0574b79bbb89d4",
         'nbr_left':
             "7036d242537ab41686e2832f57e512c9ca779d245014fb29e1e148ee41f86251",
         'nbr_right':
@@ -592,7 +600,7 @@ DIGESTS = {
         'tau':
             "946e9f25a0c5a52b022437d7dc4fbd549366df8fcc03830a5ec60a54bba6560f",
         'p_right':
-            "225154db9f8635e305aa055e3ada7ab286b356d44e9a403e3ffb9785e7deb518",
+            "9a00b293fe55ce80761e567477bcc1b6884436c85717590783b14cf71b65590a",
         'nbr_left':
             "71fa17068a68e1af6eb26ed6c64047d53d186a2695682631d4c028a76252935b",
         'nbr_right':
@@ -655,7 +663,7 @@ DIGESTS = {
         'tau':
             "58a8647b7f27c407950c265f75bcb0242dcf7bf5ad5af9b136836d7ab928986a",
         'p_right':
-            "2d61d74e274ae4c003ba5873f396718080e176090923d4e755c811999847ec75",
+            "ea35cdd124d867658589b9fce22f7d7a63b31ad3200194a5e0372184b220074c",
         'nbr_left':
             "c6723fa81fd58c3b762177f3bfeaa8c1af173b46ceefbe9be5e109681319c998",
         'nbr_right':
@@ -676,7 +684,7 @@ DIGESTS = {
         'tau':
             "5d94896689010df20ccbd40cecb66c134e28087504044cb7741d2b819a9415fc",
         'p_right':
-            "0f6556dd841f374eaea4a35b0a4a3a197ae9bc718a8cb646fff52fb320a3d649",
+            "bc2964be8c0c22148f0f30a71b23fe08b43603c8191ca7a5aa0574b79bbb89d4",
         'nbr_left':
             "7036d242537ab41686e2832f57e512c9ca779d245014fb29e1e148ee41f86251",
         'nbr_right':
@@ -697,7 +705,7 @@ DIGESTS = {
         'tau':
             "74a04f947120e2fe81cae4679068dd9a88b6726988376a8e48fe47c3adda8064",
         'p_right':
-            "cbeb3a692b58d2f7b062e698990c64a48805f8c35a7ddc5dc54a9233dfe681a6",
+            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -718,7 +726,7 @@ DIGESTS = {
         'tau':
             "bde8a660d6ca2203a181e8bfce20c56cf721906a094d88ba401710022eedeaf6",
         'p_right':
-            "b666c2b4c6f07aa2576b10c6c3e7fd88eba9edd5c3caca89d99f6ef4a9163416",
+            "ba8d98c75704d14fb226236c103795843d8716bae53444f20ffe7e16ab1aaaee",
         'nbr_left':
             "24b57d912e39e278fe4f85cec56bde5b4e1fd7b36e639e397d60b8c1f9f562a7",
         'nbr_right':
@@ -739,7 +747,7 @@ DIGESTS = {
         'tau':
             "080cce88961085e754c526eea2ced1add1eaa98a3c1180b720286f8b20c09230",
         'p_right':
-            "28d9558da30885a114fe9088dfb3cef30b7b281d4c6b0d1ce50d701c3851a435",
+            "78185b22457fdb3a4137bafcf921e61889788cded1d132487ee73dc36ca4c66c",
         'nbr_left':
             "e6d33e78e5989bc0461d84e3c612fae64b8922271c34fd57a9b38bad54aba493",
         'nbr_right':
@@ -760,7 +768,7 @@ DIGESTS = {
         'tau':
             "a94ddd043cf89fd30a3bc6df8a4c76e6407ea1bb59d59e8d13d9520c5b012c70",
         'p_right':
-            "d0f154d3a12b764a72a7c982f57960f7cc8b176eaa84eaa4b3fc8a2f1e564c3e",
+            "78185b22457fdb3a4137bafcf921e61889788cded1d132487ee73dc36ca4c66c",
         'nbr_left':
             "ed7909d21f98b3fab876813d10d48811fadcdce02d3c2272afbcf4f754412042",
         'nbr_right':
@@ -802,7 +810,7 @@ DIGESTS = {
         'tau':
             "5a1ce98d3e0cb4ca5ca8bcd2a5bb2b59e5d69f82301bc2908cd4cff3c361eb54",
         'p_right':
-            "0b4bc6bfec517859b4d7cc2cf4fadf1d2591586ad402edc00f51dd79707ebb3c",
+            "ba8d98c75704d14fb226236c103795843d8716bae53444f20ffe7e16ab1aaaee",
         'nbr_left':
             "24b57d912e39e278fe4f85cec56bde5b4e1fd7b36e639e397d60b8c1f9f562a7",
         'nbr_right':
@@ -823,7 +831,7 @@ DIGESTS = {
         'tau':
             "e67dd192685e316f67310b46e8a06c61c310554fdba3d2065f8c484ed555aae5",
         'p_right':
-            "a9844158df1e7ac14079f0bacecee0847afe73b70535758b677c60d8d191a9b7",
+            "78185b22457fdb3a4137bafcf921e61889788cded1d132487ee73dc36ca4c66c",
         'nbr_left':
             "e6d33e78e5989bc0461d84e3c612fae64b8922271c34fd57a9b38bad54aba493",
         'nbr_right':
@@ -844,7 +852,7 @@ DIGESTS = {
         'tau':
             "572c3a3f006a19ff20b57baf2784e275dcd56b0ccaa02f845f7ba3784cecb2a5",
         'p_right':
-            "251d61bca23550634cc8d2b7809e2cb57741345112cd156d358e497d99433385",
+            "78185b22457fdb3a4137bafcf921e61889788cded1d132487ee73dc36ca4c66c",
         'nbr_left':
             "ed7909d21f98b3fab876813d10d48811fadcdce02d3c2272afbcf4f754412042",
         'nbr_right':

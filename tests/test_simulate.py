@@ -214,6 +214,13 @@ def test_chain_build_refusals():
     drift = get_example('drift')
     with pytest.raises(ChainBuildError):
         build_chain(drift, (-math.inf, math.inf), 0.05)
+    bm = get_example('bm')
+    for h in (0.0, -0.05, math.nan):
+        with pytest.raises(DomainError, match="h must be positive"):
+            build_chain(bm, (0.0, 1.0), h)
+    for window in ((1.0, 0.0), (0.5, 0.5)):
+        with pytest.raises(DomainError, match="window must be an interval"):
+            build_chain(bm, window, 0.05)
     with pytest.raises(ChainBuildError):
         build_chain(get_example('split-bm'), (-math.inf, math.inf), 0.05)
     part = spec_from([
@@ -294,11 +301,17 @@ def test_defect_refuses_negative_or_non_finite_weights():
         w[10] = bad
         with pytest.raises(DomainError):
             estimate_symmetry_defect(ch, abs, abs, 0.1, 10, weights=w)
+    # a wrong shape, and weights with no mass to draw starts from
+    for w in (np.ones(ch.n_nodes - 1), np.ones((1, ch.n_nodes)),
+              np.zeros(ch.n_nodes)):
+        with pytest.raises(DomainError):
+            estimate_symmetry_defect(ch, abs, abs, 0.1, 10, weights=w)
 
 
 def test_defect_refuses_weight_names_other_than_lebesgue():
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
-    for bad in ("speed", "Lebesgue", ""):
+    # sequences that are not numbers, and bytes, are not weights either
+    for bad in ("speed", "Lebesgue", "", ["a"] * ch.n_nodes, b"lebesgue"):
         with pytest.raises(DomainError,
                            match="None, 'lebesgue' or one value per node"):
             estimate_symmetry_defect(ch, abs, abs, 0.1, 10, weights=bad)
@@ -524,161 +537,11 @@ def test_clock_sums_and_block_ends_equal_the_reference_walker(
             assert expo or not ended[0], mode
 
 
-def _redrawn_chain(p_lo, p_hi):
-    """MIXED on (-0.5, 3) at h = 0.02, its walk nodes' right probabilities
-    redrawn from U(p_lo, p_hi): a coin whose uniform falls in between
-    depends on the node, so its column takes the one-step fallback."""
-    ch = build_chain(spec_from(MIXED), (-0.5, 3.0), 0.02)
-    walk = ch.kind == simulate.WALK
-    ch.p_right[walk] = np.random.default_rng(5).uniform(p_lo, p_hi,
-                                                        walk.sum())
-    return ch
-
-
-def _block_spies(monkeypatch):
-    """Count numpy calls and record, per block, its steps, its columns
-    and how many of them the one-step fallback walked."""
-    counting = _CountingNumpy()
-    blocks, stepped = [], []
-    step_rows, sum_clocks = simulate._step_rows, simulate._sum_clocks
-
-    def rows_spy(go, limit, path, hashes):
-        stepped.append(path.shape[1])
-        step_rows(go, limit, path, hashes)
-
-    def clocks_spy(clock):
-        sum_clocks(clock)
-        blocks.append((len(clock) - 1, clock.shape[1], sum(stepped)))
-        del stepped[:]
-
-    monkeypatch.setattr(simulate, "np", counting)
-    monkeypatch.setattr(simulate, "_step_rows", rows_spy)
-    monkeypatch.setattr(simulate, "_sum_clocks", clocks_spy)
-    return counting, blocks
-
-
-# 6 replications walk blocks of 256 steps, or one of 102 under a step cap
-# of 101: twelve whole words and a partial one.  Coins from U(0.3, 0.7)
-# send almost every column to the fallback, coins from U(0.499, 0.501)
-# some columns of a block and not others.
-@pytest.mark.parametrize("p_range", [(0.3, 0.7), (0.499, 0.501)],
-                         ids=["spread", "tight"])
-@pytest.mark.parametrize("cap", [None, 101])
-def test_word_blocks_and_their_fallback_equal_the_reference_walker(
-        monkeypatch, p_range, cap):
-    """Blocks walked a word of coins at a time, with the columns whose
-    coins depend on the node redone one step at a time, give ``run`` and
-    ``simulate_path`` the arrays and traces of the one-step walker byte for
-    byte, with and without a target and exponential holding; each call
-    builds its word tables once."""
-    ch = _redrawn_chain(*p_range)
-    if cap is not None:
-        monkeypatch.setattr(simulate, "_step_cap", lambda *args: cap)
-    counting, blocks = _block_spies(monkeypatch)
-    starts = np.full(6, ch.node_at(0.5))
-    t_max, calls, ends = 0.4, 0, collections.Counter()
-    for expo in (False, True):
-        for target in (None, 1.0):
-            target_node = -1 if target is None else ch.node_at(target)
-            want, walks = _reference_run(ch, starts, 2, t_max, MODE_KILLED,
-                                         expo, target_node)
-            capped = sum(w[4] for w in walks)
-            assert (capped > 0) == (cap is not None)
-            out, caught = _recorded(
-                run, ch, starts=starts, t_max=t_max, seed=2, mode=MODE_KILLED,
-                exponential_holding=expo, target=target)
-            assert len(caught) == (capped > 0)
-            for key in ENGINE_KEYS:
-                assert out[key].tobytes() == want[key].tobytes(), (
-                    expo, target, key)
-            calls += 1
-            ends.update(STATUS_NAMES[s] for s in want["status"])
-            ends["hit"] += int(want["hit"].sum())
-        for rep in range(3):
-            node, t_end, status, _, capped, times, nodes = reference_walk(
-                ch, starts[rep], simulate._rep_key(2, rep), t_max,
-                MODE_KILLED, expo, -1, simulate._step_cap(ch, t_max, expo))
-            if t_end > times[-1]:
-                times, nodes = times + [t_end], nodes + [node]
-            path, caught = _recorded(simulate_path, ch, 0.5, t_max, seed=2,
-                                     rep=rep, mode=MODE_KILLED,
-                                     exponential_holding=expo)
-            assert len(caught) == capped
-            assert path.status == STATUS_NAMES[status]
-            assert path.times.tobytes() == np.array(times).tobytes()
-            assert path.positions.tobytes() == ch.x[nodes].tobytes()
-            calls += 1
-    n_block = 256 if cap is None else cap + 1
-    assert {n for n, _, _ in blocks} == {n_block}
-    assert n_block >= simulate._WORD_FROM
-    assert counting.calls["word block"] == len(blocks)
-    assert counting.calls["word table"] == calls
-    assert any(redone for *_, redone in blocks)  # the fallback ran
-    if p_range[1] - p_range[0] < 0.01:  # some blocks redo part of their columns
-        assert any(0 < redone < active for _, active, redone in blocks)
-    if cap is None:  # a terminal node, the target and the horizon end paths
-        assert ends["hit"] and {"alive", "killed_at_window",
-                                "absorbed_at_trap"} <= set(ends)
-
-
-def test_wide_blocks_and_large_chains_walk_one_step_at_a_time(monkeypatch):
-    """A block of 4 096 replications, and a chain with more nodes than
-    the word tables take, move one row per coin and never build the
-    tables; on the large chain only the columns holding an undecided
-    hash take the one-step fallback; both still equal the one-step
-    walker."""
-    counting, blocks = _block_spies(monkeypatch)
-    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
-    starts = np.full(4096, ch.node_at(0.5))
-    # a deterministic clock reaches the horizon within 13 steps, so every
-    # path ends while the blocks are wide
-    want, _ = _reference_run(ch, starts, 11, 0.03, MODE_FULL, False, -1)
-    out = run(ch, starts=starts, t_max=0.03, seed=11)
-    for key in ENGINE_KEYS:
-        assert out[key].tobytes() == want[key].tobytes(), key
-    assert blocks[0][:2] == (8, 4096)
-    assert all(n < simulate._WORD_FROM for n, _, _ in blocks)
-    del blocks[:]
-    ch = _redrawn_chain(0.499, 0.501)
-    monkeypatch.setattr(simulate, "_WORD_NODES", ch.n_nodes - 1)
-    starts = np.full(6, ch.node_at(0.5))
-    want, _ = _reference_run(ch, starts, 2, 0.4, MODE_KILLED, False, -1)
-    out = run(ch, starts=starts, t_max=0.4, seed=2, mode=MODE_KILLED)
-    for key in ENGINE_KEYS:
-        assert out[key].tobytes() == want[key].tobytes(), key
-    assert all(n >= simulate._WORD_FROM for n, _, _ in blocks)
-    assert any(0 < redone < active for _, active, redone in blocks)
-    assert not (counting.calls["word block"] or counting.calls["word table"])
-
-
-def test_wide_blocks_redo_only_their_undecided_columns(monkeypatch):
-    """4 096 replications on a chain whose coins depend on the node for
-    uniforms in a span of about 0.002 walk blocks of 8 steps, one row per
-    coin; the columns holding an undecided hash take their block again
-    through the one-step fallback, and ``run`` equals the one-step walker
-    byte for byte with deterministic and exponential holding."""
-    ch = _redrawn_chain(0.499, 0.501)
-    _, blocks = _block_spies(monkeypatch)
-    # the walk nodes on (0, 1) hold about 4e-4 each: some ten steps
-    inner = np.flatnonzero((ch.kind == simulate.WALK) & (ch.x < 1.0))
-    starts = inner[np.arange(4096) % inner.size]
-    for expo in (False, True):
-        del blocks[:]
-        want, _ = _reference_run(ch, starts, 7, 0.004, MODE_KILLED, expo, -1)
-        out = run(ch, starts=starts, t_max=0.004, seed=7, mode=MODE_KILLED,
-                  exponential_holding=expo)
-        for key in ENGINE_KEYS:
-            assert out[key].tobytes() == want[key].tobytes(), (expo, key)
-        assert blocks[0][:2] == (8, 4096)
-        assert any(n < simulate._WORD_FROM and 0 < redone < active
-                   for n, active, redone in blocks), expo
-
-
-# The coin decision on raw hashes.  A finished hash z gives the uniform
-# (z >> 11) * 2 ** -53; the engine reads its coin as z < T(p), T(p) =
-# _coin_limit(p) * 2 ** 11, and before the last xorshift against the
-# bounds of _coin_bounds.
-_U64 = st.integers(0, 2 ** 64 - 1)
+# Hashes taken before the last xorshift (``_keyed_hash``) at the edge of
+# the coin, 2 ** 63: that xorshift can change their low 33 bits, never
+# the top one, which alone decides the coin.
+_EDGE_HASHES = (2 ** 63 - 2 ** 33 - 1, 2 ** 63 - 2 ** 33, 2 ** 63 - 1,
+                2 ** 63, 2 ** 63 + 1, 2 ** 63 + 2 ** 33 - 1, 2 ** 63 + 2 ** 33)
 
 
 def _uniform_of(z):
@@ -687,115 +550,6 @@ def _uniform_of(z):
 
 def _finished(y):
     return int(simulate._finish(np.array([y], dtype=np.uint64))[0])
-
-
-def _threshold(p):
-    return int(simulate._coin_limit(p)) << 11
-
-
-@functools.lru_cache(maxsize=None)
-def _chain_probabilities():
-    """The right probabilities of the walk nodes of some of the
-    benchmark's chains, one tuple per chain."""
-    return tuple(
-        tuple(ch.p_right[ch.kind == simulate.WALK].tolist())
-        for ch in (build_chain(get_example(name), window, h)
-                   for name, window, h in (("bm", (0.0, 1.0), 0.02),
-                                           ("bm", (0.0, 1.0), 0.01),
-                                           ("exa1", (-2.5, 2.5), 0.05),
-                                           ("exa2", (-1.0, 3.0), 0.02))))
-
-
-def _ulps_from(p, k):
-    """p moved by k ulps, down when k < 0."""
-    for _ in range(abs(k)):
-        p = np.nextafter(p, math.copysign(math.inf, k))
-    return float(p)
-
-
-_probabilities = st.deferred(lambda: st.one_of(
-    st.integers(-4, 4).map(lambda k: _ulps_from(0.5, k)),
-    st.sampled_from(sum(_chain_probabilities(), ())),
-    st.sampled_from([0.0, 1.0, 2.0 ** -60, _ulps_from(1.0, -1)]),
-    st.floats(0.0, 1.0)))
-
-
-@st.composite
-def _probability_and_hash(draw):
-    p = draw(_probabilities)
-    t = _threshold(p)
-    z = draw(st.one_of(_U64, st.integers(t - 1, t + 1).filter(
-        lambda z: 0 <= z < 2 ** 64)))
-    return p, z
-
-
-@settings(deadline=None, database=None)
-@given(_probability_and_hash())
-def test_integer_threshold_is_the_coin_of_the_uniform(case):
-    """z < T(p) exactly when the uniform of z is below p, also at z = T - 1,
-    T and T + 1; the fallback's (z >> 11) < _coin_limit(p) agrees."""
-    p, z = case
-    right = _uniform_of(z) < p
-    assert (z < _threshold(p)) == right
-    assert ((z >> 11) < int(simulate._coin_limit(p))) == right
-
-
-@st.composite
-def _bounds_and_prefinal_hash(draw):
-    p_lo = draw(_probabilities)
-    p_hi = draw(st.one_of(
-        st.just(p_lo), st.just(1.0), st.floats(p_lo, 1.0),
-        st.integers(1, 4).map(lambda k: min(_ulps_from(p_lo, k), 1.0))))
-    edge = draw(st.sampled_from(list(map(int, simulate._coin_bounds(
-        p_lo, p_hi)))))
-    y = draw(st.one_of(_U64, st.integers(edge - 3, edge + 3).filter(
-        lambda y: 0 <= y < 2 ** 64)))
-    return p_lo, p_hi, y
-
-
-@settings(deadline=None, database=None)
-@given(_bounds_and_prefinal_hash())
-def test_prefinal_hash_decides_the_coin_or_falls_back(case):
-    """A hash taken before the last xorshift, at either edge of the
-    undecided window or anywhere, is right at every probability in
-    [p_lo, p_hi] when ``_coins`` reads a right coin, left at every one
-    when it reads a left coin and names no undecided column, and
-    otherwise undecided (its column reads the finished hash); the
-    undecided ones are exactly those from low to high."""
-    p_lo, p_hi, y = case
-    low, high = simulate._coin_bounds(p_lo, p_hi)
-    right, cols = simulate._coins(np.array([[y]], dtype=np.uint64), low,
-                                  high)
-    right, undecided = bool(right[0, 0]), bool(cols.size)
-    assert not (right and undecided)
-    assert undecided == (int(low) <= y <= int(high))
-    if undecided:  # its column reads the finished hash
-        return
-    u = _uniform_of(_finished(y))
-    for p in (p_lo, 0.5 * (p_lo + p_hi), p_hi):
-        assert (u < p) == right, p
-
-
-def test_undecided_window_is_a_few_high_values_and_saturates():
-    """On the benchmark's chains the window of undecided hashes holds at
-    most 2 ** 34 of the 2 ** 64 values (2 ** -30 per coin); bounds past
-    2 ** 64 - 1 saturate, so p = 1 never reads a left coin."""
-    for ps in _chain_probabilities():
-        for p in ps:
-            low, high = map(int, simulate._coin_bounds(p, p))
-            assert high - low == 2 ** 33 - 1 and low % 2 ** 33 == 0
-        low, high = map(int, simulate._coin_bounds(min(ps), max(ps)))
-        assert high - low < 2 ** 34
-    top = 2 ** 64 - 1
-    assert int(simulate._coin_bounds(0.5, 1.0)[1]) == top
-    bounds = simulate._coin_bounds(1.0, 1.0)
-    assert tuple(map(int, bounds)) == (top, top)
-    # the one hash that saturation leaves undecided is right at p = 1
-    hashes = np.array([[top - 1, top]], dtype=np.uint64)
-    right, cols = simulate._coins(hashes, *bounds)
-    assert right.tolist() == [[True, False]] and cols.tolist() == [1]
-    assert _uniform_of(_finished(top)) < 1.0
-    assert (_finished(top) >> 11) < int(simulate._coin_limit(1.0))
 
 
 def _key_of(hash_):
@@ -816,48 +570,176 @@ def _key_of(hash_):
     return (unpremix(unshift(unpremix(hash_), 31)) - int(simulate._PHI)) % mod
 
 
+def _edge_keys(n):
+    """n counter keys whose step-0 hashes sit at the coin's edge: those of
+    ``_EDGE_HASHES``, then 2 ** 63 - j * 2 ** 28 and 2 ** 63 + j * 2 ** 28
+    for j = 1, 2, ..."""
+    hashes = list(_EDGE_HASHES)
+    j = 1
+    while len(hashes) < n:
+        hashes += [2 ** 63 - j * 2 ** 28, 2 ** 63 + j * 2 ** 28]
+        j += 1
+    keys = np.array([_key_of(y) for y in hashes[:n]], dtype=np.uint64)
+    assert simulate._keyed_hash(keys, 0).tolist() == hashes[:n]
+    return keys
+
+
+def _with_edge_keys(monkeypatch, n):
+    """Replication r of every call reads the counter stream of
+    ``_edge_keys(n)[r]``, whatever the seed."""
+    keys = _edge_keys(n)
+    monkeypatch.setattr(simulate, "_rep_key", lambda seed, rep: keys[rep])
+
+
+@settings(deadline=None, database=None)
+@given(st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(_EDGE_HASHES),
+                 st.integers(2 ** 63 - 2 ** 34, 2 ** 63 + 2 ** 34)))
+def test_integer_threshold_is_the_coin_of_the_uniform(y):
+    """A hash y taken before the last xorshift is below 2 ** 63 exactly
+    when the uniform of its finished hash is below 1/2, the right
+    probability of every walk node: at the edge and anywhere.  numpy's
+    comparison of the hash with ``_HALF`` reads the same coin."""
+    right = y < 2 ** 63
+    assert (_uniform_of(_finished(y)) < 0.5) == right
+    assert np.less(np.array([y], dtype=np.uint64), simulate._HALF).tolist() \
+        == [right]
+
+
+def _block_spies(monkeypatch):
+    """Count numpy calls and record the steps and columns of each
+    block."""
+    counting = _CountingNumpy()
+    blocks = []
+    sum_clocks = simulate._sum_clocks
+
+    def clocks_spy(clock):
+        sum_clocks(clock)
+        blocks.append((len(clock) - 1, clock.shape[1]))
+
+    monkeypatch.setattr(simulate, "np", counting)
+    monkeypatch.setattr(simulate, "_sum_clocks", clocks_spy)
+    return counting, blocks
+
+
+# MIXED on (-0.5, 3) at h = 0.02.  6 replications walk blocks of 256
+# steps, or one of 102 under a step cap of 101: twelve whole words and a
+# partial one.  Their counter keys come from the seed, their first hashes
+# spread over all values, or are crafted so that those hashes sit tight
+# at the coin's edge (``_edge_keys``).
+@pytest.mark.parametrize("keys", ["spread", "tight"])
+@pytest.mark.parametrize("cap", [None, 101])
+def test_word_blocks_and_their_fallback_equal_the_reference_walker(
+        monkeypatch, keys, cap):
+    """Blocks walked a word of coins at a time, and the same blocks walked
+    one row per coin, their fallback on a chain with more nodes than the
+    word tables take, give ``run`` and ``simulate_path`` the arrays and
+    traces of the one-step walker byte for byte, with and without a
+    target and exponential holding; each call by words builds its word
+    tables once."""
+    ch = build_chain(spec_from(MIXED), (-0.5, 3.0), 0.02)
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_step_cap", lambda *args: cap)
+    if keys == "tight":
+        _with_edge_keys(monkeypatch, 6)
+    starts = np.full(6, ch.node_at(0.5))
+    t_max, runs, paths, ends = 0.4, [], [], collections.Counter()
+    for expo in (False, True):
+        for target in (None, 1.0):
+            target_node = -1 if target is None else ch.node_at(target)
+            want, walks = _reference_run(ch, starts, 2, t_max, MODE_KILLED,
+                                         expo, target_node)
+            capped = sum(w[4] for w in walks)
+            assert (capped > 0) == (cap is not None)
+            runs.append((expo, target, want, capped))
+            ends.update(STATUS_NAMES[s] for s in want["status"])
+            ends["hit"] += int(want["hit"].sum())
+        for rep in range(3):
+            node, t_end, status, _, capped, times, nodes = reference_walk(
+                ch, starts[rep], simulate._rep_key(2, rep), t_max,
+                MODE_KILLED, expo, -1, simulate._step_cap(ch, t_max, expo))
+            if t_end > times[-1]:
+                times, nodes = times + [t_end], nodes + [node]
+            paths.append((expo, rep, status, capped, times, nodes))
+    if cap is None:  # a terminal node, the target and the horizon end paths
+        assert ends["hit"] and {"alive", "killed_at_window",
+                                "absorbed_at_trap"} <= set(ends)
+    counting, blocks = _block_spies(monkeypatch)
+    for word_nodes in (simulate._WORD_NODES, ch.n_nodes - 1):
+        monkeypatch.setattr(simulate, "_WORD_NODES", word_nodes)
+        by_words = ch.n_nodes <= word_nodes
+        counting.calls.clear()
+        del blocks[:]
+        for expo, target, want, capped in runs:
+            out, caught = _recorded(
+                run, ch, starts=starts, t_max=t_max, seed=2, mode=MODE_KILLED,
+                exponential_holding=expo, target=target)
+            assert len(caught) == (capped > 0)
+            for key in ENGINE_KEYS:
+                assert out[key].tobytes() == want[key].tobytes(), (
+                    by_words, expo, target, key)
+        for expo, rep, status, capped, times, nodes in paths:
+            path, caught = _recorded(simulate_path, ch, 0.5, t_max, seed=2,
+                                     rep=rep, mode=MODE_KILLED,
+                                     exponential_holding=expo)
+            assert len(caught) == capped
+            assert path.status == STATUS_NAMES[status]
+            assert path.times.tobytes() == np.array(times).tobytes()
+            assert path.positions.tobytes() == ch.x[nodes].tobytes()
+        n_block = 256 if cap is None else cap + 1
+        assert {n for n, _ in blocks} == {n_block}
+        assert n_block >= simulate._WORD_FROM
+        assert counting.calls["word block"] == by_words * len(blocks)
+        assert counting.calls["word table"] == \
+            by_words * (len(runs) + len(paths))
+
+
+def test_wide_blocks_and_large_chains_walk_one_step_at_a_time(monkeypatch):
+    """A block of 4 096 replications, and a chain with more nodes than
+    the word tables take, move one row per coin and never build the
+    tables; both still equal the one-step walker."""
+    counting, blocks = _block_spies(monkeypatch)
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    starts = np.full(4096, ch.node_at(0.5))
+    # a deterministic clock reaches the horizon within 13 steps, so every
+    # path ends while the blocks are wide
+    want, _ = _reference_run(ch, starts, 11, 0.03, MODE_FULL, False, -1)
+    out = run(ch, starts=starts, t_max=0.03, seed=11)
+    for key in ENGINE_KEYS:
+        assert out[key].tobytes() == want[key].tobytes(), key
+    assert blocks[0] == (8, 4096)
+    assert all(n < simulate._WORD_FROM for n, _ in blocks)
+    del blocks[:]
+    ch = build_chain(spec_from(MIXED), (-0.5, 3.0), 0.02)
+    monkeypatch.setattr(simulate, "_WORD_NODES", ch.n_nodes - 1)
+    starts = np.full(6, ch.node_at(0.5))
+    want, _ = _reference_run(ch, starts, 2, 0.4, MODE_KILLED, False, -1)
+    out = run(ch, starts=starts, t_max=0.4, seed=2, mode=MODE_KILLED)
+    for key in ENGINE_KEYS:
+        assert out[key].tobytes() == want[key].tobytes(), key
+    assert all(n >= simulate._WORD_FROM for n, _ in blocks)
+    assert not (counting.calls["word block"] or counting.calls["word table"])
+
+
 @pytest.mark.parametrize("block", [64, None], ids=["rows", "words"])
 def test_crafted_hashes_at_the_coin_edges_equal_the_reference_walker(
         monkeypatch, block):
-    """Keys crafted so that the first coin's hash sits at a node's own
-    threshold, at the edges of the undecided window, or at the top 31
-    bits of a threshold, where only the finished hash decides: ``_walk``
-    equals the one-step walker byte for byte, walking blocks of 2 steps
-    one row per coin and blocks of 256 by words."""
+    """Keys crafted so that the first coin's hash sits at the coin's
+    edge, 2 ** 63, or 2 ** 33 from it, where the last xorshift changes
+    the hash but not its coin: ``_walk`` equals the one-step walker byte
+    for byte, walking blocks of 2 steps one row per coin and blocks of
+    256 by words."""
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK", block)
-    ch = _redrawn_chain(0.499, 0.501)
+    ch = build_chain(spec_from(MIXED), (-0.5, 3.0), 0.02)
     walk = np.flatnonzero(ch.kind == simulate.WALK)
-    inner = walk[ch.x[walk] < 1.0]
-    # the greatest right probability, chosen so that the top of the
-    # undecided window is a right coin at its node: with bit 32 of the
-    # threshold set and bit 63 too (p > 0.5), the finished hash clears
-    # bit 32 and stays below the threshold
-    top, edge_node = 2 ** 64 - 1, inner[0]
-    k = int(simulate._coin_limit(ch.p_right[walk].max())) | 1 << 21
-    high = (k << 11) | simulate._LOW33
-    ch.p_right[edge_node] = k * 2.0 ** -53
-    low, bound = map(int, simulate._coin_bounds(ch.p_right[walk].min(),
-                                                ch.p_right[walk].max()))
-    assert bound == high
-    starts, hashes = [], []
-    for node in inner[::6]:
-        t = _threshold(ch.p_right[node])
-        for y in (t - 1, t, t + 1, t & ~simulate._LOW33,
-                  t | simulate._LOW33, t ^ 0x1F0F0F0F):
-            starts.append(node)
-            hashes.append(y)
-    for y in (low - 1, low, low + 1, high - 1, high, high + 1):
-        starts.append(edge_node)
-        hashes.append(min(y, top))
+    inner = walk[ch.x[walk] < 1.0][::6]
+    starts = np.repeat(inner, len(_EDGE_HASHES))
+    hashes = list(_EDGE_HASHES) * len(inner)
     keys = np.array([_key_of(y) for y in hashes], dtype=np.uint64)
     assert simulate._keyed_hash(keys, 0).tolist() == hashes
-    # the finished hash and the raw one give different coins at some
-    assert any((y < _threshold(ch.p_right[s]))
-               != (_finished(y) < _threshold(ch.p_right[s]))
-               for s, y in zip(starts, hashes))
-    assert _finished(high) < _threshold(ch.p_right[edge_node])
-    starts = np.array(starts)
+    # the last xorshift moves every one of them, and both coins occur
+    assert all(_finished(y) != y for y in _EDGE_HASHES)
+    assert {y < 2 ** 63 for y in _EDGE_HASHES} == {False, True}
     for expo in (False, True):
         cap = simulate._step_cap(ch, 0.004, expo)
         walks = [reference_walk(ch, s, key, 0.004, MODE_KILLED, expo, -1, cap)
@@ -869,12 +751,26 @@ def test_crafted_hashes_at_the_coin_edges_equal_the_reference_walker(
             assert out[key].tobytes() == want.tobytes(), (expo, key)
 
 
+def test_every_entry_refuses_walk_nodes_that_are_not_fair_coins():
+    """A chain whose walk node steps right with any probability but 1/2
+    is refused by every entry into the engine, not walked at 1/2."""
+    for p in (0.5 + 2.0 ** -53, 0.3, math.nan):
+        ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+        ch.p_right[ch.node_at(0.6)] = p
+        for call in (lambda: run(ch, x0=0.3, t_max=0.1, n_rep=4),
+                     lambda: simulate_path(ch, 0.3, 0.1),
+                     lambda: estimate_hitting(ch, 0.3, 1.0, 0.1, 4),
+                     lambda: estimate_hitting(ch, 0.3, 1.0, 0.1, 4,
+                                              exponential_holding=True),
+                     lambda: estimate_symmetry_defect(ch, abs, abs, 0.1, 4)):
+            with pytest.raises(DomainError, match="probability 0.5"):
+                call()
+
+
 # The positions-only loop of estimate_hitting (_first_passage) gives
 # every replication the status and hit of ``run`` with a target.  The
-# chains of the benchmark's hitting calls and the trap chains, each as
-# built (a grid uniform in scale: almost every coin decided) and with its
-# walk coins redrawn from U(0.45, 0.55) (most blocks hold an undecided
-# hash, whose replication is replayed); (spec, window, x0, target).
+# chains of the benchmark's hitting calls and the trap chains;
+# (spec, window, x0, target).
 CUBIC = {"name": "cubic", "pieces": [
     {"kind": "regular_interval", "a": "-inf", "b": "inf",
      "scale": "x^3", "speed": {"density": "2"}}]}
@@ -888,15 +784,10 @@ PASSAGE_HORIZONS = (0.0, 0.01, 0.1, 0.5, 2.0, 50.0)
 
 
 @functools.lru_cache(maxsize=None)
-def _passage_chain(name, redrawn=False):
+def _passage_chain(name):
     spec, window, _, _ = PASSAGE_CHAINS[name]
-    ch = build_chain(get_example(spec) if isinstance(spec, str)
-                     else parse_spec(spec), window, 0.05)
-    if redrawn:
-        walk = ch.kind == simulate.WALK
-        ch.p_right[walk] = np.random.default_rng(3).uniform(0.45, 0.55,
-                                                            walk.sum())
-    return ch
+    return build_chain(get_example(spec) if isinstance(spec, str)
+                       else parse_spec(spec), window, 0.05)
 
 
 @pytest.mark.parametrize("name", PASSAGE_CHAINS)
@@ -979,15 +870,17 @@ def test_hitting_loop_equals_run_per_replication(monkeypatch, name, redrawn):
     """At every horizon, from 0 to 50, in two modes and under both holding
     laws, the positions-only loop gives each replication the status and
     hit of ``run``: absorbed before the horizon and alive at it
-    everywhere.  With deterministic holding times it replays the
-    replications that hold an undecided hash on the redrawn chains, and
-    some on bm, whose holding times are all h ** 2, so clocks land on the
-    horizon.  With exponential ones it also replays every replication
-    whose bound on the clock reaches the horizon first, and every one of
-    a call where none can be decided, but on the built chains it decides
-    some of them."""
-    ch = _passage_chain(name, redrawn)
+    everywhere, also with every counter key redrawn so that the first
+    coin's hash sits at the coin's edge (``_edge_keys``).  With
+    deterministic holding times it replays some replications on bm only,
+    whose holding times are all h ** 2, so clocks land on the horizon.
+    With exponential ones it also replays every replication whose bound
+    on the clock reaches the horizon first, and every one of a call where
+    none can be decided, but it decides some of them."""
+    ch = _passage_chain(name)
     _, _, x0, target = PASSAGE_CHAINS[name]
+    if redrawn:
+        _with_edge_keys(monkeypatch, 300)
     outs, seen = _passage_spies(monkeypatch)
     for expo in (False, True):
         seen.clear()
@@ -999,12 +892,11 @@ def test_hitting_loop_equals_run_per_replication(monkeypatch, name, redrawn):
                 seen["absorbed"] += int((~alive).sum())
                 seen["alive"] += int(alive.sum())
         assert seen["absorbed"] and seen["alive"]
-        if expo:  # on the built chains, some replications are decided
+        if expo:
             n_rep = seen["absorbed"] + seen["alive"]
-            assert 0 < seen["replayed"] <= n_rep
-            assert redrawn or seen["replayed"] < n_rep
+            assert 0 < seen["replayed"] < n_rep
         else:
-            assert bool(seen["replayed"]) == (redrawn or name == "bm")
+            assert bool(seen["replayed"]) == (name == "bm")
 
 
 @pytest.mark.parametrize("t_max", [0.0, 0.5])
@@ -1190,7 +1082,8 @@ def test_horizons_that_are_negative_or_not_finite_are_refused():
 
 def test_positions_that_are_not_numbers_are_refused():
     """A NaN start or target is refused, not mapped to the window's left
-    edge."""
+    edge; so are a start outside the chain, an infinite one on a chain
+    with no node there, a missing start and an unknown mode."""
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
     for call in (lambda: run(ch, x0=math.nan, t_max=1.0, n_rep=4),
                  lambda: run(ch, x0=0.3, t_max=1.0, n_rep=4, target=math.nan),
@@ -1200,6 +1093,20 @@ def test_positions_that_are_not_numbers_are_refused():
                  lambda: estimate_hitting(ch, 0.3, math.nan, 1.0, 4,
                                           exponential_holding=True)):
         with pytest.raises(DomainError, match="must be a number, got nan"):
+            call()
+    refusals = [
+        (lambda: run(ch, x0=5.0, t_max=1.0, n_rep=4), "not covered"),
+        (lambda: estimate_hitting(ch, 0.3, 5.0, 1.0, 4), "not covered"),
+        (lambda: simulate_path(ch, -5.0, 1.0), "not covered"),
+        (lambda: run(ch, t_max=1.0, n_rep=4), "provide x0 or starts"),
+        (lambda: run(ch, x0=0.3, t_max=1.0, n_rep=4, mode="frozen"),
+         "mode must be one of"),
+        (lambda: estimate_hitting(ch, 0.3, 1.0, 1.0, 4, mode="frozen"),
+         "mode must be one of")]
+    refusals += [(lambda x=x: ch.node_at(x), f"no node at {x}")
+                 for x in (math.inf, -math.inf)]
+    for call, message in refusals:
+        with pytest.raises(DomainError, match=message):
             call()
 
 
