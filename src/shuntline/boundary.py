@@ -16,8 +16,9 @@ any interior mass is present.  A "finite" endpoint mass hint together
 with a finite scale limit forces "yes" (the integrand is bounded by the
 scale gap times the hinted-finite mass).
 
-The verdict must not depend on the anchor; it is audited at two anchors
-and degrades to undetermined if they disagree.  A numerically
+The verdict must not depend on the anchor; it is audited at two anchors,
+whose shells share one integrand call per block, and degrades to
+undetermined if they disagree.  A numerically
 undetermined verdict falls back on an "infinite" endpoint mass hint and
 resolves to "no"; borderline shell sums track the mass integral, so the
 declaration settles them.  (When the boundary integral genuinely
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import EvalError, UndeterminedVerdict
 from .expr import evaluate
 from .model import REGULAR, RIGHT_SHUNT, TRAP, DiffusionSpec, Piece, ext
-from .quadrature import FINITE, INFINITE, improper_integral
+from .quadrature import FINITE, INFINITE, improper_integrals
 
 __all__ = [
     "YES", "NO", "UNDET", "EXIT", "INCLUDED_SHUNT", "ENTRANCE_UNREACHABLE",
@@ -166,11 +167,11 @@ def _approach(piece, side, s_lim, rel_tol):
     """``approachable`` for an endpoint whose scale limit is s_lim."""
     if math.isinf(s_lim):
         return NO, math.inf
-    c1, c2 = _default_anchors(piece)
+    anchors = _default_anchors(piece)
     if piece.speed.hint(side) == "finite":
-        return YES, _boundary_integral(piece, side, s_lim, c1, rel_tol).value
-    r1 = _boundary_integral(piece, side, s_lim, c1, rel_tol)
-    r2 = _boundary_integral(piece, side, s_lim, c2, rel_tol)
+        return YES, _boundary_integrals(piece, side, s_lim, anchors[:1],
+                                        rel_tol)[0].value
+    r1, r2 = _boundary_integrals(piece, side, s_lim, anchors, rel_tol)
     v1 = YES if r1.verdict == FINITE else NO if r1.verdict == INFINITE else UNDET
     v2 = YES if r2.verdict == FINITE else NO if r2.verdict == INFINITE else UNDET
     verdict = v1 if v1 == v2 else UNDET
@@ -181,9 +182,10 @@ def _approach(piece, side, s_lim, rel_tol):
     return verdict, r1.value if verdict == YES else math.inf
 
 
-def _boundary_integral(piece, side, s_lim, anchor, rel_tol):
+def _boundary_integrals(piece, side, s_lim, anchors, rel_tol):
     """Shell integral of (s(y) - s_lim) (signed toward the endpoint)
-    against the speed measure between anchor and the endpoint."""
+    against the speed measure between each anchor and the endpoint, the
+    anchors' shells sharing the integrand calls."""
     dens = piece.speed.density
     scale = piece.scale
     e = piece.endpoint(side)
@@ -192,13 +194,16 @@ def _boundary_integral(piece, side, s_lim, anchor, rel_tol):
     def f(y):
         return sign * (evaluate(scale, y) - s_lim) * evaluate(dens, y)
 
-    res = improper_integral(f, anchor, e, rel_tol=rel_tol)
-    if res.verdict != FINITE:
-        return res
-    lo, hi = (e, anchor) if side == "a" else (anchor, e)
-    atom_part = sum(w * sign * (evaluate(scale, at) - s_lim)
-                    for at, w in piece.speed.atoms if lo < at < hi)
-    return type(res)(res.verdict, res.value + atom_part, res.shells, res.note)
+    out = []
+    for anchor, res in zip(anchors, improper_integrals(f, anchors, e, rel_tol)):
+        if res.verdict == FINITE:
+            lo, hi = (e, anchor) if side == "a" else (anchor, e)
+            atom_part = sum(w * sign * (evaluate(scale, at) - s_lim)
+                            for at, w in piece.speed.atoms if lo < at < hi)
+            res = type(res)(res.verdict, res.value + atom_part, res.shells,
+                            res.note)
+        out.append(res)
+    return out
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,13 @@ _LEFT_SINGULAR = (LEFT_SHUNT, TRAP)
 _HINTS = ("finite", "infinite", "unknown")
 
 _GRID_POINTS = 1001  # samples per piece in the validation audits
+# the unit grid _interior_grid maps onto each piece
+_GRID_T = np.linspace(1e-6, 1.0 - 1e-6, _GRID_POINTS)
+_GRID_T.flags.writeable = False
+# first and last grid index of each of the support audit's eight chunks,
+# cut as np.array_split cuts them
+_CHUNK_STARTS = np.array([c[0] for c in np.array_split(np.arange(_GRID_POINTS), 8)])
+_CHUNK_LASTS = np.append(_CHUNK_STARTS[1:], _GRID_POINTS) - 1
 
 
 @dataclass(frozen=True)
@@ -415,7 +422,7 @@ def spec_digest(spec: DiffusionSpec) -> str:
 
 def _interior_grid(a, b):
     """Sample grid biased toward both endpoints, all points interior."""
-    t = np.linspace(1e-6, 1.0 - 1e-6, _GRID_POINTS)
+    t = _GRID_T
     if math.isfinite(a) and math.isfinite(b):
         return a + (b - a) * t
     # map through a bounded coordinate for infinite ends
@@ -511,14 +518,13 @@ def validate(spec: DiffusionSpec) -> ValidationReport:
                                          f"density negative near x = {grid[k]:.6g}"))
                 else:
                     # sampled full-support audit on eight chunks
-                    chunks = np.array_split(np.arange(len(grid)), 8)
-                    for ch in chunks:
-                        xs = grid[ch]
-                        if np.all(dvals[ch] == 0) and not any(
-                                xs[0] <= at <= xs[-1] for at, _ in p.speed.atoms):
+                    empty = ~np.logical_or.reduceat(dvals != 0, _CHUNK_STARTS)
+                    for c in np.flatnonzero(empty).tolist():
+                        lo, hi = grid[_CHUNK_STARTS[c]], grid[_CHUNK_LASTS[c]]
+                        if not any(lo <= at <= hi for at, _ in p.speed.atoms):
                             out.append(Violation(
                                 "support_gap", where,
-                                f"no sampled mass on ({xs[0]:.6g}, {xs[-1]:.6g})"))
+                                f"no sampled mass on ({lo:.6g}, {hi:.6g})"))
                             break
             for at, w in p.speed.atoms:
                 if w <= 0:

@@ -21,12 +21,13 @@ value, a declared divergence and an honest "undetermined":
 
 * converged: the last two shell contributions are below ``rel_tol``
   relative to the running sum;
-* infinite: the running sum passes ``cap`` (1e12), or grows by a factor
-  of at least ``growth_factor`` (1.05) for ``growth_runs`` (8)
-  consecutive shells after passing ``growth_floor`` (1e6), or the shell
-  contributions themselves stop decaying (ratio >= ``stall_ratio``
-  for ``growth_runs`` consecutive shells), which catches logarithmic
-  divergence the first two rules never see;
+* infinite: the running sum passes ``cap`` (1e12), or the shell
+  contributions stop decaying (ratio >= ``stall_ratio`` for
+  ``growth_runs`` (8) consecutive shells), which catches power and
+  logarithmic divergence alike.  There is no rule on the growth of the
+  running sum: a sum that grows by 5 % a shell may still converge (a
+  shell ratio of 0.95 does), and such a rule read the size of the sum,
+  so a positive factor on the integrand changed its verdict;
 * undetermined: shells are exhausted without any rule firing, a shell
   raises (a ``QuadratureError`` or an evaluation error, named in the
   note), or a significant shell flips sign after the contributions had
@@ -42,15 +43,24 @@ each cell gets bit for bit the sums of its own ``cell_quad``.  The chain
 builder's holding-time cells are such first rounds; so is each block of
 16 shells, whose shells are accepted together by ``cell_quad``'s first
 test.  Only a shell that misses its tolerance there goes on to the
-bisection rounds, one call each.  The policy therefore sees the same
-shell values, and stops at the same shell with the same note, as with
-one ``cell_quad`` per shell.  A block on which the
-integrand raises is redone one ``cell_quad`` per shell, so the error is
-reported at the first shell that raises it.
+bisection rounds, one call each, and only once the policy reaches it.
 
-``span_integral`` is the one way a density is integrated over an
-interval: shells only toward an infinite end or one its caller flags (a
+``improper_integrals`` runs that policy from several anchors toward one
+endpoint at once: each block's edges, for every anchor, come from one
+vectorised step over exact powers of two, and the block's first rounds,
+for every anchor still running, from one integrand call.  Each anchor's
+policy reads its shells as Python floats and stops at the same shell,
+with the same note, as alone.  A block on which the integrand raises is
+redone one ``cell_quad`` per shell as the policies reach them, so the
+error is reported at the first shell that raises it, and only to the
+anchor whose shell it is.  ``improper_integral`` is the one-anchor case.
+
+``span_integrals`` is the one way a density is integrated over
+intervals: shells only toward an infinite end or one its caller flags (a
 piece endpoint), one adaptive cell everywhere else, all to ``MASS_TOL``.
+Its plain cells share one integrand call, its shells one call per block
+per endpoint, and a repeated span is integrated once; ``span_integral``
+is the one-span case.
 """
 
 from __future__ import annotations
@@ -62,16 +72,15 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["IntegralResult", "improper_integral", "span_integral", "cell_quad"]
+__all__ = ["IntegralResult", "improper_integral", "improper_integrals",
+           "span_integral", "span_integrals", "cell_quad"]
 
 FINITE = "finite"
 INFINITE = "infinite"
 UNDETERMINED = "undetermined"
 
 CAP = 1e12
-GROWTH_FACTOR = 1.05
 GROWTH_RUNS = 8
-GROWTH_FLOOR = 1e6
 STALL_RATIO = 0.9999
 MAX_SHELLS = 160
 _BLOCK = 16  # dyadic shells per integrand call of improper_integral
@@ -227,66 +236,192 @@ def _bisect(fn, a, b, first, rel_tol):
         mag = np.concatenate([mag[keep], new_mag])
 
 
+# 2^k - 1 and 2^-k for k = 0, 1, ..., MAX_SHELLS + 1, exact: the steps
+# from the anchor to the edges of the dyadic shells
+_STEP_OUT = np.ldexp(1.0, np.arange(MAX_SHELLS + 2)) - 1.0
+_STEP_IN = np.ldexp(1.0, -np.arange(MAX_SHELLS + 2))
+_STEP_OUT_NEXT, _STEP_IN_NEXT = _STEP_OUT[1:], _STEP_IN[1:]
+
+
 def _shell_edges(anchor, endpoint, k):
-    """Edges of dyadic shell k, counted from the anchor toward the endpoint."""
+    """Edges (lo, hi) of dyadic shell k, counted from the anchor toward
+    the endpoint.  k may be an int, an int array or a slice of shells,
+    and the anchor a column of anchors; they broadcast."""
     if math.isinf(endpoint):
-        sign = 1.0 if endpoint > 0 else -1.0
-        lo = anchor + sign * (2.0 ** k - 1.0)
-        hi = anchor + sign * (2.0 ** (k + 1) - 1.0)
-        return (lo, hi) if sign > 0 else (hi, lo)
+        if endpoint > 0:
+            return anchor + _STEP_OUT[k], anchor + _STEP_OUT_NEXT[k]
+        return anchor - _STEP_OUT_NEXT[k], anchor - _STEP_OUT[k]
     width = endpoint - anchor
-    near = endpoint - width * 2.0 ** (-k - 1)
-    far = endpoint - width * 2.0 ** (-k)
-    return (far, near) if width > 0 else (near, far)
+    near = endpoint - width * _STEP_IN_NEXT[k]
+    far = endpoint - width * _STEP_IN[k]
+    # far <= near exactly when width > 0 (and they tie when width == 0)
+    return np.minimum(far, near), np.maximum(far, near)
 
 
-def _shell_values(fn, anchor, endpoint, rel_tol):
-    """cell_quad(fn, lo, hi, rel_tol) on dyadic shells 0, 1, ... toward
-    the endpoint, or the exception it raised, up to MAX_SHELLS; stops
-    early at the first shell too narrow for float resolution.
+def _cells(fn, lo, hi, rel_tol):
+    """cell_quad(fn, lo[i], hi[i], rel_tol) for the cells of the lists lo
+    and hi, from one call of fn on all their first-round nodes.  Returns
+    the list of the values cell_quad's first test accepts as they are,
+    None where a cell needs bisection, and refine(i): cell i's value or
+    the exception it raised.  If the call raises, every entry is None and
+    refine is cell_quad.  Run under np.errstate."""
+    try:
+        val, err, mag = _first_rounds(fn, np.array(lo, dtype=float),
+                                      np.array(hi, dtype=float))
+    except Exception:
+        val = None
+        values = [None] * len(lo)
+    else:
+        # a lone row's val.sum() is val + 0.0: -0.0 becomes 0.0
+        total = val + 0.0
+        tol = np.maximum(rel_tol * np.abs(total), _ROUNDOFF * mag)
+        values = total.tolist()
+        for i in np.flatnonzero(~(err <= tol)).tolist():
+            if math.isfinite(values[i]):
+                values[i] = None
 
-    Each block of _BLOCK shells costs one ``_first_rounds`` call, made
-    before the block's first shell is yielded.  A shell whose first round
-    meets its tolerance (the first test of _bisect) is yielded as it is;
-    only the others go on to _bisect's rounds.  A block on which fn raises is redone one cell_quad
-    per shell.
-    """
-    for start in range(0, MAX_SHELLS, _BLOCK):
-        edges = []
-        for k in range(start, min(start + _BLOCK, MAX_SHELLS)):
-            lo, hi = _shell_edges(anchor, endpoint, k)
-            if not lo < hi:
-                break
-            edges.append((lo, hi))
-        if not edges:
-            return
-        with np.errstate(all="ignore"):
-            try:
-                val, err, mag = _first_rounds(fn, *np.array(edges).T)
-            except Exception:
-                val = None
-                done = np.zeros(len(edges), dtype=bool)
+    def refine(i):
+        try:
+            if val is None:
+                return cell_quad(fn, lo[i], hi[i], rel_tol)
+            first = val[i:i + 1], err[i:i + 1], mag[i:i + 1]
+            return _bisect(fn, lo[i], hi[i], first, rel_tol)
+        except Exception as exc:
+            return exc
+
+    return values, refine
+
+
+def _policy(fn, anchor, endpoint, rel_tol):
+    """The stopping rules of improper_integral over its shells, as a
+    generator.  Each send is one block of shells, (values, start, stop,
+    refine): the shell values are values[start:stop], None marking a
+    shell that refine(i) computes.  An empty block means no shell is
+    left.  Returns the IntegralResult (StopIteration.value) once a rule
+    fires."""
+    total = 0.0
+    prev_size = 0.0  # |contribution| of the previous shell
+    small_run = 0
+    stall_run = 0
+    lead_sign = 0.0
+    peak = 0.0
+    decayed = False
+    k = 0
+    values, start, stop, refine = yield
+    while True:
+        for i in range(start, stop):
+            contrib = values[i]
+            if contrib is None:
+                contrib = refine(i)
+                if isinstance(contrib, Exception):
+                    return IntegralResult(UNDETERMINED, total, k,
+                                          f"quadrature failure: {contrib}")
+            if not math.isfinite(contrib):
+                return IntegralResult(INFINITE, math.inf, k, "non-finite shell")
+            total += contrib
+            if abs(total) > CAP:
+                return IntegralResult(INFINITE, math.inf, k, "cap exceeded")
+            size = abs(contrib)
+            if lead_sign == 0.0 and contrib != 0.0:
+                lead_sign = math.copysign(1.0, contrib)
+            if size > peak:
+                peak = size
+            if not decayed and peak > 0.0 and size <= peak / 10.0:
+                decayed = True
+            small = abs(total)
+            small = rel_tol * (small if small > 1e-300 else 1e-300)
+            if decayed and contrib * lead_sign < 0.0 and size > small:
+                return IntegralResult(UNDETERMINED, total, k,
+                                      "endpoint resolution exhausted")
+            if prev_size > 0 and size >= STALL_RATIO * prev_size:
+                stall_run += 1
+                if stall_run >= GROWTH_RUNS and size > small:
+                    return IntegralResult(INFINITE, math.inf, k,
+                                          "non-decaying shells")
             else:
-                # a lone row's val.sum() is val + 0.0: -0.0 becomes 0.0
-                total = val + 0.0
-                tol = np.maximum(rel_tol * np.abs(total), _ROUNDOFF * mag)
-                done = ~np.isfinite(total) | (err <= tol)
-        for i, (lo, hi) in enumerate(edges):
-            if done[i]:
-                yield float(total[i])
-                continue
-            try:
-                if val is None:
-                    value = cell_quad(fn, lo, hi, rel_tol)
-                else:
-                    with np.errstate(all="ignore"):
-                        first = val[i:i + 1], err[i:i + 1], mag[i:i + 1]
-                        value = _bisect(fn, lo, hi, first, rel_tol)
-            except Exception as exc:  # quad failure counts as undetermined
-                value = exc
-            yield value
-        if len(edges) < _BLOCK:
-            return
+                stall_run = 0
+            if size <= small:
+                small_run += 1
+                if small_run >= 2:
+                    return IntegralResult(FINITE, total, k + 1)
+            else:
+                small_run = 0
+            prev_size = size
+            k += 1
+        if start == stop or k == MAX_SHELLS:
+            break
+        values, start, stop, refine = yield
+    if k < MAX_SHELLS:
+        # shell width fell below float resolution
+        if k and prev_size <= rel_tol * max(abs(total), 1e-300):
+            return IntegralResult(FINITE, total, k,
+                                  "width underflow, tail negligible")
+        return IntegralResult(UNDETERMINED, total, k, "shell width underflow")
+    # shells exhausted: try a geometric tail estimate
+    if prev_size > 0:
+        try:
+            lo, hi = map(float, _shell_edges(anchor, endpoint, MAX_SHELLS))
+            tail_ratio = abs(cell_quad(fn, lo, hi, min(rel_tol, 1e-8))) / prev_size
+        except Exception:
+            tail_ratio = 1.0
+        if tail_ratio < 0.99:
+            tail = prev_size * tail_ratio / (1.0 - tail_ratio)
+            if tail <= 0.1 * max(abs(total), 1e-300):
+                return IntegralResult(FINITE, total + math.copysign(tail, contrib),
+                                      MAX_SHELLS, "geometric tail estimate")
+    return IntegralResult(UNDETERMINED, total, MAX_SHELLS, "shells exhausted")
+
+
+def _drive(fn, anchors, endpoint, rel_tol, consumers):
+    """Feed consumer j (a primed generator, see _policy) the values of
+    dyadic shells 0, 1, ... from anchors[j] toward the endpoint, each
+    shell cell_quad at rel_tol, until it returns a result, up to
+    MAX_SHELLS; an anchor's shells end before the first one too narrow
+    for float resolution.  Each block of _BLOCK shells of every running
+    consumer costs one integrand call (see _cells).  Returns the results,
+    None for a consumer that never returns one."""
+    results = [None] * len(consumers)
+    anchors = np.asarray(anchors, dtype=float)[:, None]
+    running = list(range(len(consumers)))
+    with np.errstate(all="ignore"):
+        for first in range(0, MAX_SHELLS, _BLOCK):
+            if not running:
+                break
+            block = slice(first, min(first + _BLOCK, MAX_SHELLS))
+            size = block.stop - first
+            lo, hi = _shell_edges(anchors, endpoint, block)
+            valid = lo < hi
+            counts = [size] * len(consumers) if valid.all() else \
+                np.where(valid.all(axis=1), size, valid.argmin(axis=1)).tolist()
+            lo, hi = lo.tolist(), hi.tolist()
+            block_lo, block_hi, stops = [], [], []
+            for j in running:
+                block_lo += lo[j][:counts[j]]
+                block_hi += hi[j][:counts[j]]
+                stops.append(len(block_lo))
+            values, refine = _cells(fn, block_lo, block_hi, rel_tol) \
+                if block_lo else ([], None)
+            start = 0
+            for j, stop in zip(list(running), stops):
+                try:
+                    consumers[j].send((values, start, stop, refine))
+                    if counts[j] < size:  # no shell is left
+                        consumers[j].send((values, stop, stop, refine))
+                except StopIteration as done:
+                    results[j] = done.value
+                    running.remove(j)
+                start = stop
+    return results
+
+
+def improper_integrals(fn, anchors, endpoint, rel_tol=1e-6) -> list:
+    """improper_integral(fn, anchor, endpoint, rel_tol) for each anchor,
+    in order, from one integrand call per block of shells for all the
+    anchors still running."""
+    policies = [_policy(fn, a, endpoint, rel_tol) for a in anchors]
+    for policy in policies:
+        next(policy)
+    return _drive(fn, anchors, endpoint, min(rel_tol, 1e-8), policies)
 
 
 def improper_integral(fn, anchor, endpoint, rel_tol=1e-6) -> IntegralResult:
@@ -296,75 +431,7 @@ def improper_integral(fn, anchor, endpoint, rel_tol=1e-6) -> IntegralResult:
     endpoint and must not change sign; a genuinely oscillating integrand
     will be reported undetermined once its shell contributions flip.
     """
-    total = 0.0
-    prev_contrib = None
-    small_run = 0
-    growth_run = 0
-    stall_run = 0
-    prev_total = None
-    lead_sign = 0.0
-    peak = 0.0
-    decayed = False
-    shell_tol = min(rel_tol, 1e-8)
-    shells = _shell_values(fn, anchor, endpoint, shell_tol)
-    for k in range(MAX_SHELLS):
-        contrib = next(shells, None)
-        if contrib is None:
-            # shell width fell below float resolution
-            if prev_contrib is not None and abs(prev_contrib) <= rel_tol * max(abs(total), 1e-300):
-                return IntegralResult(FINITE, total, k, "width underflow, tail negligible")
-            return IntegralResult(UNDETERMINED, total, k, "shell width underflow")
-        if isinstance(contrib, Exception):
-            return IntegralResult(UNDETERMINED, total, k, f"quadrature failure: {contrib}")
-        if not math.isfinite(contrib):
-            return IntegralResult(INFINITE, math.inf, k, "non-finite shell")
-        total += contrib
-        if abs(total) > CAP:
-            return IntegralResult(INFINITE, math.inf, k, "cap exceeded")
-        if lead_sign == 0.0 and contrib != 0.0:
-            lead_sign = math.copysign(1.0, contrib)
-        peak = max(peak, abs(contrib))
-        if not decayed and peak > 0.0 and abs(contrib) <= peak / 10.0:
-            decayed = True
-        if decayed and contrib * lead_sign < 0.0 \
-                and abs(contrib) > rel_tol * max(abs(total), 1e-300):
-            return IntegralResult(UNDETERMINED, total, k,
-                                  "endpoint resolution exhausted")
-        if prev_total is not None and abs(prev_total) > GROWTH_FLOOR \
-                and abs(total) >= GROWTH_FACTOR * abs(prev_total):
-            growth_run += 1
-            if growth_run >= GROWTH_RUNS:
-                return IntegralResult(INFINITE, math.inf, k, "sustained growth")
-        else:
-            growth_run = 0
-        if prev_contrib is not None and abs(prev_contrib) > 0 \
-                and abs(contrib) >= STALL_RATIO * abs(prev_contrib):
-            stall_run += 1
-            if stall_run >= GROWTH_RUNS and abs(contrib) > rel_tol * max(abs(total), 1e-300):
-                return IntegralResult(INFINITE, math.inf, k, "non-decaying shells")
-        else:
-            stall_run = 0
-        if abs(contrib) <= rel_tol * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 2:
-                return IntegralResult(FINITE, total, k + 1)
-        else:
-            small_run = 0
-        prev_contrib = contrib
-        prev_total = total
-    # shells exhausted: try a geometric tail estimate
-    if prev_contrib is not None and abs(prev_contrib) > 0:
-        try:
-            lo, hi = _shell_edges(anchor, endpoint, MAX_SHELLS)
-            tail_ratio = abs(cell_quad(fn, lo, hi, shell_tol)) / abs(prev_contrib)
-        except Exception:
-            tail_ratio = 1.0
-        if tail_ratio < 0.99:
-            tail = abs(prev_contrib) * tail_ratio / (1.0 - tail_ratio)
-            if tail <= 0.1 * max(abs(total), 1e-300):
-                return IntegralResult(FINITE, total + math.copysign(tail, prev_contrib),
-                                      MAX_SHELLS, "geometric tail estimate")
-    return IntegralResult(UNDETERMINED, total, MAX_SHELLS, "shells exhausted")
+    return improper_integrals(fn, [anchor], endpoint, rel_tol)[0]
 
 
 def interior_point(lo, hi):
@@ -372,6 +439,62 @@ def interior_point(lo, hi):
     if math.isfinite(lo) and math.isfinite(hi):
         return 0.5 * (lo + hi)
     return lo + 1.0 if math.isfinite(lo) else hi - 1.0 if math.isfinite(hi) else 0.0
+
+
+def span_integrals(fn, spans) -> list:
+    """span_integral of fn over each (lo, hi, improper_lo, improper_hi) of
+    spans, in order, as one batch: every plain cell from one integrand
+    call (see _cells), the improper ends grouped by endpoint through
+    improper_integrals.  A repeated span is integrated once.  A plain
+    cell's exception (QuadratureError, an evaluation error) is returned
+    in place of its result."""
+    keys = [(lo, hi, bool(ilo or math.isinf(lo)), bool(ihi or math.isinf(hi)))
+            for lo, hi, ilo, ihi in spans]
+    out = {}
+    plain = []
+    improper = {}  # span -> (anchor, its improper ends)
+    toward = {}    # improper end -> the anchors of its shells
+    for key in dict.fromkeys(keys):
+        lo, hi, ilo, ihi = key
+        if not (ilo or ihi):
+            plain.append(key)
+            continue
+        anchor = interior_point(lo, hi) if ilo and ihi else hi if ilo else lo
+        ends = [e for e, flag in ((lo, ilo), (hi, ihi)) if flag]
+        improper[key] = anchor, ends
+        for end in ends:
+            toward.setdefault(end, {})[anchor] = None
+    if plain:
+        with np.errstate(all="ignore"):
+            values, refine = _cells(fn, [key[0] for key in plain],
+                                    [key[1] for key in plain], MASS_TOL)
+            for i, key in enumerate(plain):
+                value = refine(i) if values[i] is None else values[i]
+                if isinstance(value, Exception):
+                    out[key] = value
+                elif math.isfinite(value):
+                    out[key] = IntegralResult(FINITE, value, 0)
+                else:
+                    out[key] = IntegralResult(INFINITE, math.inf, 0,
+                                              "non-finite cell")
+    shells = {}
+    for end, anchors in toward.items():
+        results = improper_integrals(fn, list(anchors), end, MASS_TOL)
+        shells.update(((anchor, end), res) for anchor, res in zip(anchors, results))
+    # the first end whose shells give no finite value decides
+    for key, (anchor, ends) in improper.items():
+        total, count = 0.0, 0
+        for end in ends:
+            res = shells[anchor, end]
+            count += res.shells
+            if res.verdict != FINITE:
+                out[key] = IntegralResult(res.verdict, res.value, count,
+                                          f"toward {end}: {res.note}")
+                break
+            total += res.value
+        else:
+            out[key] = IntegralResult(FINITE, total, count)
+    return [out[key] for key in keys]
 
 
 def span_integral(fn, lo, hi, improper_lo, improper_hi) -> IntegralResult:
@@ -383,20 +506,7 @@ def span_integral(fn, lo, hi, improper_lo, improper_hi) -> IntegralResult:
     other end or, when both are improper, from interior_point(lo, hi);
     the first end whose shells give no finite value decides.
     """
-    improper = (improper_lo or math.isinf(lo), improper_hi or math.isinf(hi))
-    if not any(improper):
-        value = cell_quad(fn, lo, hi, MASS_TOL)
-        if math.isfinite(value):
-            return IntegralResult(FINITE, value, 0)
-        return IntegralResult(INFINITE, math.inf, 0, "non-finite cell")
-    anchor = interior_point(lo, hi) if all(improper) else hi if improper[0] else lo
-    total, shells = 0.0, 0
-    for end in (e for e, flag in zip((lo, hi), improper) if flag):
-        res = improper_integral(fn, anchor, end, rel_tol=MASS_TOL)
-        shells += res.shells
-        if res.verdict != FINITE:
-            return IntegralResult(res.verdict, res.value, shells,
-                                  f"toward {end}: {res.note}")
-        total += res.value
-    return IntegralResult(FINITE, total, shells)
-
+    res = span_integrals(fn, [(lo, hi, improper_lo, improper_hi)])[0]
+    if isinstance(res, Exception):
+        raise res
+    return res

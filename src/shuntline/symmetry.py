@@ -32,7 +32,7 @@ from .expr import evaluate, parse_expr
 from .graph import build_graph
 from .hunt import check_hunt, lambda_ap
 from .model import TRAP, TRAP_SEGMENT, DiffusionSpec, ext
-from .quadrature import FINITE, INFINITE, UNDETERMINED, span_integral
+from .quadrature import FINITE, INFINITE, UNDETERMINED, span_integrals
 from .sets import RealSet
 
 __all__ = ["lambda_ap", "lambda_at", "Component", "MeasureEntry", "Measure",
@@ -122,38 +122,55 @@ class Measure:
         Declared endpoint-mass hints short-circuit: touching an endpoint
         whose nearby mass is declared infinite makes the answer
         infinite without any quadrature.  Each entry's part of [a, b] is
-        one ``span_integral``, improper only at the entry's own
+        one span of ``span_integrals``, improper only at the entry's own
         endpoints: a cut strictly inside an entry is one adaptive cell.
         A cell that misses its tolerance makes the mass undetermined.
         """
-        if b < a:
+        return self.interval_masses([(a, b)])[0]
+
+    def interval_masses(self, windows) -> list:
+        """interval_mass(a, b) for each window (a, b), in order.  Entry by
+        entry, the spans of the windows not yet decided are one
+        ``span_integrals`` batch, so windows that share an integrand
+        share its calls; the values are those of one window at a time."""
+        if any(b < a for a, b in windows):
             raise DomainError("interval_mass needs a <= b")
-        total = 0.0
+        totals = [0.0] * len(windows)
+        out = [None] * len(windows)
         for e in self.entries:
-            lo, hi = max(a, e.lo), min(b, e.hi)
-            if hi < lo:
+            spans = {}
+            for j, (a, b) in enumerate(windows):
+                lo, hi = max(a, e.lo), min(b, e.hi)
+                if out[j] is not None or hi < lo:
+                    continue
+                for pos, w in e.atoms:
+                    if a <= pos <= b and e.contains(pos):
+                        totals[j] += e.weight * w
+                if hi <= lo:
+                    continue
+                if (lo == e.lo and math.isfinite(e.lo) and e.hint_lo == "infinite") \
+                        or (hi == e.hi and math.isfinite(e.hi)
+                            and e.hint_hi == "infinite"):
+                    out[j] = INFINITE, math.inf
+                    continue
+                spans[j] = lo, hi, lo == e.lo, hi == e.hi
+            if not spans:
                 continue
-            for pos, w in e.atoms:
-                if a <= pos <= b and e.contains(pos):
-                    total += e.weight * w
-            if hi <= lo:
-                continue
-            if lo == e.lo and math.isfinite(e.lo) and e.hint_lo == "infinite":
-                return INFINITE, math.inf
-            if hi == e.hi and math.isfinite(e.hi) and e.hint_hi == "infinite":
-                return INFINITE, math.inf
-            try:
-                res = span_integral(
-                    lambda y, ee=e: ee.weight * evaluate(ee.density, y),
-                    lo, hi, lo == e.lo, hi == e.hi)
-            except (QuadratureError, EvalError):
-                return UNDETERMINED, math.nan
-            if res.verdict == INFINITE:
-                return INFINITE, math.inf
-            if res.verdict == UNDETERMINED:
-                return UNDETERMINED, math.nan
-            total += abs(res.value)
-        return FINITE, total
+            results = span_integrals(
+                lambda y: e.weight * evaluate(e.density, y), list(spans.values()))
+            for j, res in zip(spans, results):
+                if isinstance(res, (QuadratureError, EvalError)):
+                    out[j] = UNDETERMINED, math.nan
+                elif isinstance(res, Exception):
+                    raise res
+                elif res.verdict == INFINITE:
+                    out[j] = INFINITE, math.inf
+                elif res.verdict == UNDETERMINED:
+                    out[j] = UNDETERMINED, math.nan
+                else:
+                    totals[j] += abs(res.value)
+        return [(FINITE, total) if done is None else done
+                for done, total in zip(out, totals)]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from shuntline import UndeterminedVerdict, get_example, parse_spec
-from shuntline.boundary import (approachable, boundary_profile, endpoint_role,
-                                scale_limit)
+from shuntline.boundary import (UNDET, approachable, boundary_profile,
+                                endpoint_role, scale_limit)
 from shuntline.errors import EvalError
 from shuntline.expr import parse_expr
 from shuntline.model import REGULAR, Piece, eval_scale
@@ -282,19 +282,41 @@ def test_a_chunk_that_raises_falls_back_to_scalar_probes(monkeypatch):
     assert set(calls[2:]) == {1} and len(calls) < 2 + 32
 
 
+def test_a_positive_factor_on_the_density_refuses_alike():
+    """Toward +inf the approach integrand of scale -1/x and density
+    c * x^-0.07 is c * x^-1.07, whose shells shrink by 2^-0.07 a shell:
+    too slowly for a verdict within the shells at any c, so endpoint b
+    is refused at c = 1e7 exactly as at c = 1."""
+    refusals = []
+    for density in ("x^(-0.07)", "1e7*x^(-0.07)"):
+        spec = spec_from([
+            {"kind": "trap_segment", "a": "-inf", "b": "0"},
+            {"kind": "singular_point", "x": "0", "class": "trap"},
+            {"kind": "regular_interval", "a": "0", "b": "+inf",
+             "scale": "-1/x", "speed": {"density": density}}],
+            name=f"slow-tail-{density}")
+        verdict, _ = approachable(spec.pieces[2], "b")
+        assert verdict == UNDET, density
+        with pytest.raises(UndeterminedVerdict) as refusal:
+            boundary_profile(spec)
+        refusals.append(str(refusal.value))
+    assert refusals[0] == refusals[1]
+    assert "endpoint b = inf of piece 2" in refusals[0]
+
+
 def test_refused_profile_is_cached(borderline_doc, monkeypatch):
     """A refusal is memoized like a profile: the second call raises the
     same message without any quadrature, and so do the graph and the
     Hunt verdict built on it."""
     from shuntline import GraphBuildError, boundary, build_graph, check_hunt
     calls = []
-    integrate = boundary.improper_integral
+    integrate = boundary.improper_integrals
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(boundary, "improper_integral", counted)
+    monkeypatch.setattr(boundary, "improper_integrals", counted)
     # a name no other test uses, so no refusal is cached for it yet
     spec = parse_spec(dict(borderline_doc, name="borderline-memo"))
     with pytest.raises(UndeterminedVerdict) as first:

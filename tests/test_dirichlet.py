@@ -5,8 +5,12 @@ import random
 import pytest
 
 from shuntline import (MembershipError, NotSymmetrizableError,
-                       example_document, get_example, parse_spec)
+                       UndeterminedVerdict, check_symmetrizable,
+                       example_document, get_example, list_examples,
+                       parse_spec)
 from shuntline import dirichlet as dl
+
+from conftest import random_spec_doc
 
 
 
@@ -146,6 +150,79 @@ def test_atoms_keep_the_measure_radon():
         {"kind": "regular_interval", "a": "-inf", "b": "inf", "scale": "x",
          "speed": {"density": "2", "atoms": [{"at": 0.0, "weight": 5.0}]}}]}
     assert dl.check_regular_form(parse_spec(doc)).ok
+
+
+def _mass_bits(masses):
+    return [(verdict, float(value).hex()) for verdict, value in masses]
+
+
+def _regular_form_matches_one_window_at_a_time(spec):
+    """check_regular_form's windows and the batch of all six windows
+    equal, bit for bit, one interval_mass per window."""
+    report = check_symmetrizable(spec)
+    windows = [(-k, k) for k in dl._WINDOWS]
+    alone = [report.measure.interval_mass(a, b) for a, b in windows]
+    assert _mass_bits(report.measure.interval_masses(windows)) == \
+        _mass_bits(alone), spec.name
+    if not report.full:
+        return
+    want = []
+    for (_, k), (verdict, value) in zip(windows, alone):
+        if verdict == "undetermined":
+            with pytest.raises(UndeterminedVerdict, match=f"mass of \\[{-k}, {k}\\]"):
+                dl.check_regular_form(spec)
+            return
+        want.append((float(k), verdict, float(value).hex()))
+        if verdict == "infinite":
+            break
+    rep = dl.check_regular_form(spec)
+    assert [(k, v, float(m).hex()) for k, v, m in rep.windows] == want, spec.name
+    assert rep.ok is (want[-1][1] == "finite")
+
+
+def test_regular_form_windows_equal_one_window_at_a_time():
+    specs = [get_example(n) for n in list_examples()]
+    specs += [parse_spec(random_spec_doc(seed)) for seed in range(20)]
+    killed = [spec for spec in specs if check_symmetrizable(spec).killed]
+    assert len(killed) > len(list_examples())
+    for spec in killed:
+        _regular_form_matches_one_window_at_a_time(spec)
+
+
+def test_an_atom_on_a_window_edge_counts_in_every_window():
+    """An atom at x = 1.0 lies on the edge of [-1, 1] and counts there as
+    in every wider window; the batch keeps the bits of one window at a
+    time."""
+    doc = {"name": "edge-atom", "pieces": [
+        {"kind": "regular_interval", "a": "-inf", "b": "inf", "scale": "x",
+         "speed": {"density": "2", "atoms": [{"at": 1.0, "weight": 5.0}]}}]}
+    spec = parse_spec(doc)
+    _regular_form_matches_one_window_at_a_time(spec)
+    rep = dl.check_regular_form(spec)
+    assert rep.ok
+    for k, verdict, mass in rep.windows:
+        assert verdict == "finite"
+        assert mass == pytest.approx(4.0 * k + 5.0, rel=1e-12)
+
+
+def test_square_mass_counts_the_atoms():
+    """Density 2 and an atom of weight 5 at 0.5: the hat F(x) = 1 - |x| on
+    [-1, 1] has F^2 mass 2 * 2/3 from the density and 5 * F(0.5)^2 = 5/4
+    from the atom; an atom outside the hat's support adds nothing."""
+    def atomized(*atoms):
+        return parse_spec({"name": f"atoms-{atoms}", "pieces": [
+            {"kind": "regular_interval", "a": "-inf", "b": "inf",
+             "scale": "x",
+             "speed": {"density": "2",
+                       "atoms": [{"at": at, "weight": 5.0} for at in atoms]}}]})
+
+    bump = tf(0, dl.linear_profile([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
+    rep = dl.membership(dl.make_form(atomized(0.5)), bump)
+    assert rep.ok
+    assert rep.mass == pytest.approx(4.0 / 3.0 + 5.0 / 4.0, rel=1e-6)
+    assert rep.self_energy == pytest.approx(1.0, abs=1e-6)
+    far = dl.membership(dl.make_form(atomized(3.0)), bump)
+    assert far.mass == pytest.approx(4.0 / 3.0, rel=1e-6)
 
 
 def test_adapted_and_membership_read_scale_limits_from_the_profile(monkeypatch):

@@ -3,12 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from shuntline import (DomainError, QuadratureError, SpecParseError,
                        get_example, parse_spec, serialize_spec, spec_digest,
                        validate)
-from shuntline.model import eval_scale, eval_speed_mass
+from shuntline.expr import evaluate
+from shuntline.model import _interior_grid, eval_scale, eval_speed_mass
 
 from conftest import random_spec_doc, spec_from
 
@@ -92,6 +94,52 @@ def test_validate_flags_bad_atom_weight():
                                  "atoms": [{"at": 0.5, "weight": -1.0}]}}])
     rep = validate(spec)
     assert any(v.code == "atom_weight" for v in rep.violations)
+
+
+def _gap_spec(density, atoms=()):
+    return spec_from([{"kind": "regular_interval", "a": "-inf", "b": "inf",
+                       "scale": "x",
+                       "speed": {"density": density,
+                                 "atoms": [{"at": at, "weight": 1.0}
+                                           for at in atoms]}}])
+
+
+def _support_gaps_by_chunk_scan(spec):
+    """The support audit as eight scans of np.array_split chunks: the
+    message of the first chunk with no sampled mass and no atom."""
+    p = spec.pieces[0]
+    grid = _interior_grid(p.a, p.b)
+    dvals = evaluate(p.speed.density, grid)
+    for ch in np.array_split(np.arange(len(grid)), 8):
+        xs = grid[ch]
+        if np.all(dvals[ch] == 0) and not any(
+                xs[0] <= at <= xs[-1] for at, _ in p.speed.atoms):
+            return [f"no sampled mass on ({xs[0]:.6g}, {xs[-1]:.6g})"]
+    return []
+
+
+def test_validate_flags_a_chunk_without_sampled_mass():
+    """The grid's first chunk ends near x = tan(-3 pi / 8) = -2.414: a
+    density that is 0 below -2 leaves it empty, and an atom inside it
+    restores the support."""
+    rep = validate(_gap_spec("piecewise(0 if x < -2, 2)"))
+    assert [v.code for v in rep.violations] == ["support_gap"]
+    assert rep.violations[0].message == \
+        "no sampled mass on (-318310, -2.4142)"
+    assert validate(_gap_spec("piecewise(0 if x < -2, 2)", [-3.0])).ok
+    cases = [("piecewise(0 if x < -2, 2)", ()),
+             ("piecewise(0 if x < -2, 2)", (-2.41421356237,)),
+             ("piecewise(1 if x < 0, 0 if x < 1, 1)", ()),
+             ("piecewise(0 if x < 0.5, 1)", ()),
+             ("piecewise(0 if x < 0.5, 1)", (0.0, 0.3, 1e3)),
+             ("piecewise(0 if x < 0.5, 1)", (-1.0, 0.0, 0.3)),
+             ("piecewise(1 if x < 2, 0)", ()),
+             ("0", ()), ("0", (0.0,)), ("abs(x)", ()), ("2", ())]
+    for density, atoms in cases:
+        spec = _gap_spec(density, atoms)
+        got = [v.message for v in validate(spec).violations
+               if v.code == "support_gap"]
+        assert got == _support_gaps_by_chunk_scan(spec), (density, atoms)
 
 
 def test_unknown_example_name():

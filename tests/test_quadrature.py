@@ -17,8 +17,10 @@ from shuntline.dirichlet import Profile
 from shuntline.quadrature import (FINITE, GAUSS_WEIGHTS, INFINITE,
                                   KRONROD_NODES, KRONROD_WEIGHTS, LIMIT,
                                   MAX_SHELLS, UNDETERMINED, _ROUNDOFF,
-                                  _first_rounds, _gk21_sums, _shell_edges,
-                                  _shell_values, cell_quad, improper_integral)
+                                  _drive, _first_rounds, _gk21_sums,
+                                  _shell_edges, cell_quad, improper_integral,
+                                  improper_integrals, span_integral,
+                                  span_integrals)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,6 +90,7 @@ def test_nonintegrable_singularity_at_finite_endpoint():
 
 
 def test_growth_rule_catches_power_divergence():
+    # shells of x grow fourfold: the stall rule fires at shell 8
     res = improper_integral(lambda xs: xs, 1.0, math.inf)
     assert res.verdict == INFINITE
 
@@ -255,9 +258,23 @@ SHELL_CASES = {
     # shells shrink by 0.95 each: no rule fires within MAX_SHELLS
     "geometric-tail": (lambda xs: xs ** (math.log2(0.95) - 1.0), 1.0,
                        math.inf, 1e-6, FINITE, "geometric tail estimate"),
+    # the same scaled by 1e6: a positive factor changes no verdict (the
+    # running sum passes 1e6 while still growing by 5 % a shell)
+    "scaled-geometric-tail": (lambda xs: 1e6 * xs ** (math.log2(0.95) - 1.0),
+                              1.0, math.inf, 1e-6, FINITE,
+                              "geometric tail estimate"),
+    # ln 2 * 1e7 a shell forever
+    "scaled-log-divergence": (lambda xs: 1e7 / xs, 1.0, math.inf, 1e-6,
+                              INFINITE, "non-decaying shells"),
     # twelve shells of width 2^-41, 2^-42, ... reach the resolution of 1.0
     "width-underflow": (lambda xs: np.ones_like(xs), 1.0, 1.0 + 2.0 ** -40,
                         1e-6, UNDETERMINED, "shell width underflow"),
+    # shell 47 rounds to zero width, shell 48 does not: the shells end at
+    # the first, mid-block
+    "width-underflow-mid-block": (lambda xs: np.ones_like(xs),
+                                  1.0 + 2.0 ** -52 - 2.0 ** -5,
+                                  1.0 + 2.0 ** -52, 1e-16, UNDETERMINED,
+                                  "shell width underflow"),
     "non-decaying": (lambda xs: xs, 1.0, math.inf, 1e-6, INFINITE,
                      "non-decaying shells"),
     "cap": (lambda xs: np.exp(xs), 1.0, math.inf, 1e-6, INFINITE,
@@ -284,14 +301,34 @@ def test_blocked_shells_match_one_shell_per_call(name, monkeypatch):
     assert _as_bits(blocked) == _as_bits(single)
 
 
+def _recorder(out):
+    """A consumer for _drive that appends every shell value to out (the
+    value, or the exception raised) and never stops before the shells
+    run out."""
+    values, start, stop, refine = yield
+    while start < stop:
+        out.extend(refine(i) if values[i] is None else values[i]
+                   for i in range(start, stop))
+        values, start, stop, refine = yield
+
+
+def _shell_values(fn, anchor, endpoint, rel_tol):
+    """The value of every shell _drive reaches from the anchor."""
+    out = []
+    consumer = _recorder(out)
+    next(consumer)
+    _drive(fn, [anchor], endpoint, rel_tol, [consumer])
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(SHELL_CASES))
 def test_shell_values_equal_one_cell_quad_per_shell(name):
-    """Every shell _shell_values yields is, bit for bit, cell_quad on that
-    shell at the shell tolerance, or an exception of the type (and with
-    the message) cell_quad raises there."""
+    """Every shell the block driver yields is, bit for bit, cell_quad on
+    that shell at the shell tolerance, or an exception of the type (and
+    with the message) cell_quad raises there."""
     fn, anchor, endpoint, rel_tol, _, _ = SHELL_CASES[name]
     tol = min(rel_tol, 1e-8)
-    values = list(_shell_values(fn, anchor, endpoint, tol))
+    values = _shell_values(fn, anchor, endpoint, tol)
     reached = 0
     while reached < MAX_SHELLS:
         lo, hi = _shell_edges(anchor, endpoint, reached)
@@ -301,13 +338,91 @@ def test_shell_values_equal_one_cell_quad_per_shell(name):
     assert len(values) == reached
     for k, value in enumerate(values):
         try:
-            want = cell_quad(fn, *_shell_edges(anchor, endpoint, k), tol)
+            want = cell_quad(fn, *map(float, _shell_edges(anchor, endpoint, k)),
+                             tol)
         except Exception as exc:
             assert type(value) is type(exc), k
             assert str(value) == str(exc), k
         else:
             assert isinstance(value, float), k
             assert value.hex() == want.hex(), k
+
+
+def test_block_edges_equal_the_scalar_shell_edges():
+    """One vectorised step gives, bit for bit, the edges of the scalar
+    formula, 2.0 ** k in Python floats, for every shell and anchor."""
+    ks = np.arange(MAX_SHELLS + 1)
+    for anchor, endpoint in [(1.0, math.inf), (-0.3, -math.inf), (1.0, 0.0),
+                             (0.1, 0.7), (2.5, -1.0), (1e-300, 0.0)]:
+        lo, hi = _shell_edges(np.array([[anchor]]), endpoint, ks)
+        for k in ks.tolist():
+            if math.isinf(endpoint):
+                sign = 1.0 if endpoint > 0 else -1.0
+                a = anchor + sign * (2.0 ** k - 1.0)
+                b = anchor + sign * (2.0 ** (k + 1) - 1.0)
+                want = (a, b) if sign > 0 else (b, a)
+            else:
+                width = endpoint - anchor
+                near = endpoint - width * 2.0 ** (-k - 1)
+                far = endpoint - width * 2.0 ** (-k)
+                want = (far, near) if width > 0 else (near, far)
+            got = (float(lo[0, k]), float(hi[0, k]))
+            assert [v.hex() for v in got] == [v.hex() for v in want], k
+
+
+def _second_anchor(anchor, endpoint):
+    return anchor + 0.5 if math.isinf(endpoint) else 0.5 * (anchor + endpoint)
+
+
+@pytest.mark.parametrize("name", sorted(SHELL_CASES))
+def test_anchors_batched_equal_one_anchor_at_a_time(name):
+    """Two anchors toward one endpoint, in either order, share integrand
+    calls but get the verdict, value bits, shells and note each gets
+    alone."""
+    fn, anchor, endpoint, rel_tol, _, _ = SHELL_CASES[name]
+    other = _second_anchor(anchor, endpoint)
+    alone = [_as_bits(improper_integral(fn, a, endpoint, rel_tol))
+             for a in (anchor, other)]
+    both = improper_integrals(fn, [anchor, other], endpoint, rel_tol)
+    assert [_as_bits(r) for r in both] == alone
+    both = improper_integrals(fn, [other, anchor], endpoint, rel_tol)
+    assert [_as_bits(r) for r in both] == alone[::-1]
+
+
+def test_one_integrand_call_per_block_for_both_anchors():
+    """Two anchors whose shells are all accepted in their first rounds
+    cost one integrand call per block, holding both anchors' shells."""
+    sizes = []
+
+    def counted(xs):
+        sizes.append(xs.size)
+        return xs ** -2.0
+
+    alone = [improper_integral(counted, a, math.inf) for a in (1.0, 1.5)]
+    calls_alone = len(sizes)
+    sizes.clear()
+    both = improper_integrals(counted, [1.0, 1.5], math.inf)
+    assert [_as_bits(r) for r in both] == [_as_bits(r) for r in alone]
+    shells = max(r.shells for r in both)
+    assert len(sizes) == math.ceil(shells / 16) < calls_alone
+    assert sizes[0] == 2 * 16 * 21
+
+
+def test_a_shell_that_raises_fails_only_its_own_anchor():
+    """An integrand that raises on one anchor's shells alone gives that
+    anchor the quadrature failure it gets alone, and leaves the other
+    anchor's result unchanged, bit for bit."""
+    def fn(xs):
+        if np.any(xs < 0.0):
+            raise EvalError(f"expression undefined at x = {float(xs.min())!r}")
+        return xs ** -0.5
+
+    alone = [_as_bits(improper_integral(fn, a, 0.0)) for a in (1.0, -1.0)]
+    assert alone[0][0] == FINITE
+    assert alone[1][0] == UNDETERMINED
+    assert alone[1][3].startswith("quadrature failure: ")
+    both = improper_integrals(fn, [1.0, -1.0], 0.0)
+    assert [_as_bits(r) for r in both] == alone
 
 
 def test_first_round_acceptance_at_the_edge_of_its_tolerance():
@@ -400,3 +515,46 @@ def test_one_integrand_call_per_block(name, refined, monkeypatch):
     batched = calls_of(quadrature._BLOCK)
     assert len(batched) <= math.ceil(shells / quadrature._BLOCK) + refined_rounds
     assert (refined_rounds > 0) == refined
+
+
+def test_span_batch_equals_one_span_at_a_time():
+    """Plain cells, improper ends toward shared endpoints from several
+    anchors, and a repeated span: each result has the bits of its own
+    span_integral, and the repeated span costs nothing more."""
+    spans = [(0.0, 1.0, False, False), (0.0, 2.0, True, False),
+             (0.0, 4.0, True, False), (0.25, 3.0, False, False),
+             (0.0, 2.0, True, False), (1.0, math.inf, False, False),
+             (-math.inf, 0.5, False, False), (2.0, 4.0, False, True),
+             (0.5, 2.0, False, False)]
+    sizes = []
+
+    def fn(xs):
+        sizes.append(xs.size)
+        return np.abs(xs) ** -0.5 + np.exp(-np.abs(xs))
+
+    alone = [_as_bits(span_integral(fn, *span)) for span in spans]
+    calls_alone = len(sizes)
+    sizes.clear()
+    batch = span_integrals(fn, spans)
+    assert [_as_bits(r) for r in batch] == alone
+    assert batch[1] is batch[4]
+    # the plain cells of (0, 1), (0.25, 3) and (0.5, 2) in one call
+    assert sizes[0] == 3 * 21
+    assert len(sizes) < calls_alone - 4
+
+
+def test_a_plain_cell_that_misses_its_tolerance_fails_only_its_span():
+    """A plain cell's QuadratureError is its span's result in the batch,
+    the error span_integral raises; the other spans are unchanged."""
+    def fn(xs):
+        return np.where(xs > 5.0, 2.0 + np.sin(1e9 * xs), 1.0 / (1.0 + xs))
+
+    spans = [(0.0, 1.0, False, False), (6.0, 7.0, False, False),
+             (0.0, 1.0, True, False)]
+    batch = span_integrals(fn, spans)
+    assert isinstance(batch[1], QuadratureError)
+    with pytest.raises(QuadratureError) as alone:
+        span_integral(fn, *spans[1])
+    assert str(batch[1]) == str(alone.value)
+    for span, res in zip(spans[::2], batch[::2]):
+        assert _as_bits(res) == _as_bits(span_integral(fn, *span))

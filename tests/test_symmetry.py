@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shuntline import (DomainError, NotSymmetrizableError, check_symmetrizable,
@@ -113,23 +114,22 @@ def test_measure_family_scales_components_independently():
 
 def test_window_cut_inside_an_entry_is_one_cell(monkeypatch):
     """Cuts strictly inside an entry are not singular: the mass of
-    [-1, 1] under bm's measure is one adaptive cell and no shells."""
-    from shuntline import quadrature
+    [-1, 1] under bm's measure is one adaptive cell and no shells, one
+    density call on its 21 first-round nodes."""
+    from shuntline import symmetry
 
-    calls = {"cell_quad": 0, "improper_integral": 0}
-    for name in calls:
-        real = getattr(quadrature, name)
+    sizes = []
+    real = symmetry.evaluate
 
-        def counted(*args, real=real, name=name, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+    def counted(e, x):
+        sizes.append(np.size(x))
+        return real(e, x)
 
-        monkeypatch.setattr(quadrature, name, counted)
     m = canonical_measure(get_example('bm'))
-    calls.update(cell_quad=0, improper_integral=0)
+    monkeypatch.setattr(symmetry, "evaluate", counted)
     verdict, value = m.interval_mass(-1.0, 1.0)
     assert (verdict, value) == ("finite", pytest.approx(4.0, rel=1e-12))
-    assert calls == {"cell_quad": 1, "improper_integral": 0}
+    assert sizes == [21]
 
 
 def test_measure_family_rejects_bad_coefficients():
