@@ -659,6 +659,18 @@ def _pack_words(right, head, jump):
     return at, head
 
 
+def _check_rules(chain, mode):
+    """Refuse an unknown mode, and a chain whose walk nodes do not all
+    step right with probability 1/2."""
+    if mode not in _MODES:
+        raise DomainError(f"mode must be one of {_MODES}")
+    p_walk = chain.p_right[chain.kind == WALK]
+    if np.any(p_walk != 0.5):
+        raise DomainError(
+            f"walk nodes must step right with probability 0.5, got "
+            f"{p_walk[p_walk != 0.5][0]}")
+
+
 def _node_rules(chain, mode, target_node):
     """Per-node tables of one engine call, so no loop branches on node
     kinds: ``moves`` (a replication goes on from the node), the status it
@@ -667,14 +679,8 @@ def _node_rules(chain, mode, target_node):
     2 * node + coin, back to the node itself where paths end, so a path
     that ends inside a block stays there).  A chain whose walk nodes do
     not all step right with probability 1/2 is refused."""
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}")
+    _check_rules(chain, mode)
     kind = chain.kind
-    p_walk = chain.p_right[kind == WALK]
-    if np.any(p_walk != 0.5):
-        raise DomainError(
-            f"walk nodes must step right with probability 0.5, got "
-            f"{p_walk[p_walk != 0.5][0]}")
     end_code = np.zeros(chain.n_nodes, dtype=np.int8)
     end_code[kind == TRAP_NODE] = ABSORBED_TRAP
     end_code[kind == KILL_WINDOW] = KILLED_WINDOW
@@ -1080,11 +1086,15 @@ def _lebesgue_node_weights(chain: ChainModel) -> np.ndarray:
     return w
 
 
-def _at_nodes(fn, x, nodes):
+def _at_nodes(fn, name, x, nodes):
     """fn(x[node]) for each entry of nodes, calling fn once per distinct
-    node."""
+    node; a value that is not finite is refused, naming ``name``."""
     distinct, inverse = np.unique(nodes, return_inverse=True)
     vals = np.asarray([fn(float(v)) for v in x[distinct]], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise DomainError(f"{name} must be finite, got {vals[bad[0]]} at "
+                          f"x = {float(x[distinct[bad[0]]])}")
     return vals[inverse]
 
 
@@ -1101,6 +1111,12 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     each replication contributes W (f(X_0) g(X_t) - f(X_t) g(X_0)) with
     W the total weight, evaluated on a single common path.  Functions
     count as zero after killing.  ``n_rep`` must be at least 1.
+
+    f and g must be finite wherever they are evaluated; a value that is
+    not is refused.  A replication that starts where f = g = 0 then adds
+    exactly 0, whatever its path, so it is not walked: only the others
+    take the engine (replication r with the counter stream of ``run``'s
+    replication r), and step-cap warnings count only those.
     """
     _check_n_rep(n_rep)
     refused = ("weights must be None, 'lebesgue' or one value per node, "
@@ -1127,20 +1143,26 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     u0 = _keyed_uniform(_rep_key(seed, np.arange(n_rep)), _STEP_START)
     starts = np.searchsorted(cum, u0 * total, side="right")
     starts = np.minimum(starts, chain.n_nodes - 1).astype(np.int64)
-    res = run(chain, starts=starts, t_max=t_max, seed=seed, n_jobs=n_jobs,
-              mode=mode)
+    if n_jobs < 1:
+        raise DomainError("n_jobs must be at least 1")
+    _check_t_max(t_max)
+    _check_rules(chain, mode)
+    f0 = _at_nodes(f, "f", chain.x, starts)
+    g0 = _at_nodes(g, "g", chain.x, starts)
+    moving = np.flatnonzero((f0 != 0) | (g0 != 0))
+    res = _walk(chain, starts[moving], _rep_key(seed, moving), t_max, mode,
+                False, -1)
     if mode == MODE_KILLED:
         live = res["status"] == ALIVE
     else:
         live = (res["status"] == ALIVE) | (res["status"] == ABSORBED_TRAP)
-    f0 = _at_nodes(f, chain.x, starts)
-    g0 = _at_nodes(g, chain.x, starts)
-    # killed paths count as zero; f and g never see their nodes
-    ends = res["final_node"][live]
+    # killed paths count as zero; f and g never see their nodes.  Paths
+    # not walked keep fT = gT = 0, exact since their f0 = g0 = 0
+    ends, at = res["final_node"][live], moving[live]
     fT = np.zeros(n_rep)
     gT = np.zeros(n_rep)
-    fT[live] = _at_nodes(f, chain.x, ends)
-    gT[live] = _at_nodes(g, chain.x, ends)
+    fT[at] = _at_nodes(f, "f", chain.x, ends)
+    gT[at] = _at_nodes(g, "g", chain.x, ends)
     d = total * (f0 * gT - fT * g0)
     mean = float(np.mean(d))
     sd = float(np.std(d, ddof=1)) if n_rep > 1 else 0.0

@@ -3,6 +3,7 @@
 import collections
 import functools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -1165,6 +1166,8 @@ def test_jobs_below_one_are_refused():
             run(ch, x0=0.3, t_max=0.4, n_rep=8, n_jobs=n_jobs)
         with pytest.raises(DomainError):
             estimate_hitting(ch, 0.3, 1.0, 1.0, 8, n_jobs=n_jobs)
+        with pytest.raises(DomainError):
+            estimate_symmetry_defect(ch, abs, abs, 0.4, 8, n_jobs=n_jobs)
 
 
 def test_replications_below_one_are_refused():
@@ -1313,6 +1316,197 @@ def test_defect_test_functions_see_each_used_node_once():
     assert d["mean"] == 0.0
     assert len(seen) <= 4 * ch.n_nodes
     assert len(seen) < 2000
+
+
+def _defect_starts(ch, n_rep, seed, weights):
+    """The total weight and the start nodes the defect estimator draws."""
+    if weights is None:
+        w = ch.node_mass.copy()
+    elif isinstance(weights, str):
+        w = simulate._lebesgue_node_weights(ch)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+    total = float(w.sum())
+    u0 = simulate._keyed_uniform(simulate._rep_key(seed, np.arange(n_rep)),
+                                 simulate._STEP_START)
+    starts = np.searchsorted(np.cumsum(w), u0 * total, side="right")
+    return total, np.minimum(starts, ch.n_nodes - 1).astype(np.int64)
+
+
+def reference_defect(ch, f, g, t_max, n_rep, seed=0, mode=MODE_FULL,
+                     weights=None):
+    """The defect estimator as it was before it skipped replications:
+    ``run`` walks every one, f and g are read at every start and every
+    live end, and the terms, mean, sd and interval come from the same
+    arithmetic.  Returns the estimate and its terms."""
+    total, starts = _defect_starts(ch, n_rep, seed, weights)
+    res = run(ch, starts=starts, t_max=t_max, seed=seed, mode=mode)
+    live = res["status"] == simulate.ALIVE
+    if mode != MODE_KILLED:
+        live |= res["status"] == simulate.ABSORBED_TRAP
+    f0 = np.array([f(x) for x in ch.x[starts]], dtype=np.float64)
+    g0 = np.array([g(x) for x in ch.x[starts]], dtype=np.float64)
+    fT = np.zeros(n_rep)
+    gT = np.zeros(n_rep)
+    fT[live] = [f(x) for x in ch.x[res["final_node"][live]]]
+    gT[live] = [g(x) for x in ch.x[res["final_node"][live]]]
+    d = total * (f0 * gT - fT * g0)
+    mean = float(np.mean(d))
+    sd = float(np.std(d, ddof=1)) if n_rep > 1 else 0.0
+    half = simulate._Z95 * sd / math.sqrt(n_rep)
+    return {"mean": mean, "sd": sd, "ci_low": mean - half,
+            "ci_high": mean + half, "n_rep": n_rep, "total_weight": total,
+            "t_max": t_max, "seed": seed, "mode": mode}, d
+
+
+def _walk_spy(monkeypatch):
+    """Record the starts and counter keys of every ``_walk`` call."""
+    calls, walk = [], simulate._walk
+
+    def spy(chain, starts, keys, *args, **kw):
+        calls.append((np.array(starts), np.array(keys)))
+        return walk(chain, starts, keys, *args, **kw)
+
+    monkeypatch.setattr(simulate, "_walk", spy)
+    return calls
+
+
+def _test_function(kind, a, b, scale, start_xs):
+    if kind == "indicator":
+        return lambda x: 1.0 if a < x < b else 0.0
+    if kind == "signed":
+        return lambda x: scale * math.sin(7.0 * x + a) + b
+    # 0 at every start, signed elsewhere
+    return lambda x: 0.0 if x in start_xs else scale * (x - a)
+
+
+@settings(deadline=None, database=None, max_examples=200)
+@given(data=st.data(), name=st.sampled_from(["bm", "cubic", "exa1", "exa2"]),
+       mode=st.sampled_from([MODE_FULL, MODE_PART, MODE_KILLED]),
+       weight_kind=st.sampled_from(["speed", "lebesgue", "custom", "one"]),
+       kinds=st.lists(st.sampled_from(["indicator", "signed", "zero"]),
+                      min_size=2, max_size=2),
+       t_max=st.floats(0.0, 0.6), n_rep=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_defect_skip_equals_walking_every_replication(
+        data, name, mode, weight_kind, kinds, t_max, n_rep, seed):
+    """The estimator returns the bits of the reference that walks every
+    replication, on every key, and walks exactly the replications that
+    start where f or g is not 0, with their own starts and counter keys.
+    Only the sign of a mean whose terms are all +-0 may differ."""
+    ch = _passage_chain(name)
+    weights = {"speed": None, "lebesgue": "lebesgue"}.get(weight_kind)
+    if weight_kind == "custom":  # zeros, and positive total
+        weights = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
+            min_size=ch.n_nodes, max_size=ch.n_nodes)))
+        weights[data.draw(st.integers(0, ch.n_nodes - 1))] = 1.0
+    elif weight_kind == "one":
+        weights = np.zeros(ch.n_nodes)
+        weights[data.draw(st.integers(0, ch.n_nodes - 1))] = 3.0
+    _, starts = _defect_starts(ch, n_rep, seed, weights)
+    start_xs = set(ch.x[starts].tolist())
+    lo, hi = float(ch.x.min()), float(ch.x.max())
+    f, g = (_test_function(kind, data.draw(st.floats(lo, hi)),
+                           data.draw(st.floats(lo, hi)),
+                           data.draw(st.sampled_from([-2.0, 0.5, 3.0])),
+                           start_xs) for kind in kinds)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _walk_spy(mp)
+        got = estimate_symmetry_defect(ch, f, g, t_max, n_rep, seed=seed,
+                                       mode=mode, weights=weights)
+    want, terms = reference_defect(ch, f, g, t_max, n_rep, seed=seed,
+                                   mode=mode, weights=weights)
+    f0 = np.array([f(x) for x in ch.x[starts]])
+    g0 = np.array([g(x) for x in ch.x[starts]])
+    moving = np.flatnonzero((f0 != 0) | (g0 != 0))
+    [(walked_starts, walked_keys)] = calls
+    assert walked_keys.tobytes() == simulate._rep_key(seed, moving).tobytes()
+    assert walked_starts.tobytes() == starts[moving].tobytes()
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if not terms.any() and key in ("mean", "ci_low", "ci_high"):
+            assert got[key] == value == 0.0, key
+        elif isinstance(value, float):
+            assert got[key].hex() == value.hex(), key
+        else:
+            assert got[key] == value, key
+
+
+def test_defect_walks_nothing_where_f_and_g_are_zero(monkeypatch):
+    ch = build_chain(get_example('exa2'), (-1.0, 3.0), 0.05)
+    calls = _walk_spy(monkeypatch)
+    for mode in (MODE_FULL, MODE_PART, MODE_KILLED):
+        d = estimate_symmetry_defect(ch, lambda x: 0.0, lambda x: 0.0, 0.5,
+                                     400, seed=2, mode=mode)
+        assert (d["mean"], d["sd"], d["ci_low"], d["ci_high"]) == (0, 0, 0, 0)
+    assert [keys.size for _, keys in calls] == [0, 0, 0]
+
+
+def test_defect_refusals_do_not_depend_on_the_skip(monkeypatch):
+    """With f = g = 0 at every start no replication is walked, and the
+    estimator still refuses, with the same messages, what it refused when
+    it walked them all."""
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    unfair = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    unfair.p_right[unfair.node_at(0.6)] = 0.3
+
+    def zero(x):
+        return 0.0
+
+    def call(chain=ch, **kw):
+        args = dict(t_max=0.1, n_rep=20, seed=3)
+        args.update(kw)
+        return lambda: estimate_symmetry_defect(chain, zero, zero, **args)
+
+    refusals = [(call(n_jobs=0), "n_jobs must be at least 1"),
+                (call(mode="bogus"),
+                 f"mode must be one of {simulate._MODES}"),
+                (call(seed=1.9), "seed must be an integer, got 1.9"),
+                (call(seed=2 ** 64),
+                 f"seed must lie in [0, 2 ** 64), got {2 ** 64}"),
+                (call(unfair),
+                 "walk nodes must step right with probability 0.5, got 0.3")]
+    refusals += [(call(t_max=t), "t_max must be finite and non-negative, "
+                  f"got {t}") for t in (-1.0, math.nan, math.inf)]
+    calls = _walk_spy(monkeypatch)
+    for refused, message in refusals:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            refused()
+    assert calls == []
+    assert call()()["mean"] == 0.0
+    assert [keys.size for _, keys in calls] == [0]
+
+
+def test_defect_refuses_test_functions_that_are_not_finite():
+    """A value of f or g that is infinite or NaN, at a start or at a live
+    end, is refused with the function and the node, not turned into a nan
+    estimate (inf at the starts above 0.9 gave mean nan)."""
+    ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
+    top = float(min(x for x in ch.x if x > 0.9))
+
+    def middle(x):
+        return 1.0 if 0.4 < x < 0.6 else 0.0
+
+    def inf_on_top(x):
+        return math.inf if x > 0.9 else 0.0
+
+    def nan_below(x):
+        return math.nan if x < 0.3 else 0.0
+
+    with pytest.raises(DomainError,
+                       match=f"^f must be finite, got inf at x = {top}$"):
+        estimate_symmetry_defect(ch, inf_on_top, middle, 0.3, 500, seed=1)
+    with pytest.raises(DomainError,
+                       match=f"^g must be finite, got inf at x = {top}$"):
+        estimate_symmetry_defect(ch, middle, inf_on_top, 0.3, 500, seed=1)
+    # every replication starts at 0.5, where nan_below is finite
+    one = np.zeros(ch.n_nodes)
+    one[ch.node_at(0.5)] = 1.0
+    for f, g, name in ((middle, nan_below, "g"), (nan_below, middle, "f")):
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be finite, got nan at x = "):
+            estimate_symmetry_defect(ch, f, g, 0.3, 500, seed=1, weights=one)
 
 
 def test_warnings_list_is_quiet_on_smooth_data():
