@@ -1371,7 +1371,7 @@ def _walk_spy(monkeypatch):
     return calls
 
 
-def _test_function(kind, a, b, scale, start_xs):
+def _drawn_function(kind, a, b, scale, start_xs):
     if kind == "indicator":
         return lambda x: 1.0 if a < x < b else 0.0
     if kind == "signed":
@@ -1407,7 +1407,7 @@ def test_defect_skip_equals_walking_every_replication(
     _, starts = _defect_starts(ch, n_rep, seed, weights)
     start_xs = set(ch.x[starts].tolist())
     lo, hi = float(ch.x.min()), float(ch.x.max())
-    f, g = (_test_function(kind, data.draw(st.floats(lo, hi)),
+    f, g = (_drawn_function(kind, data.draw(st.floats(lo, hi)),
                            data.draw(st.floats(lo, hi)),
                            data.draw(st.sampled_from([-2.0, 0.5, 3.0])),
                            start_xs) for kind in kinds)
