@@ -58,7 +58,7 @@ import math
 import numpy as np
 import pytest
 
-from shuntline import ChainBuildError, get_example, parse_spec, simulate
+from shuntline import ChainBuildError, chain, get_example, parse_spec, simulate
 from shuntline.examples import example_document, list_examples
 from shuntline.quadrature import INFINITE, IntegralResult
 from shuntline.simulate import build_chain
@@ -924,7 +924,7 @@ def test_divergent_holding_integral_names_its_end(monkeypatch, mirror,
     doc = example_document("nonradon")
     spec = parse_spec(mirrored_doc(doc) if mirror else doc)
     monkeypatch.setattr(
-        simulate, "improper_integral",
+        chain, "improper_integral",
         lambda *args: IntegralResult(INFINITE, math.inf, 3, "forced"))
     with pytest.raises(ChainBuildError) as exc:
         build_chain(spec, window, 0.05)

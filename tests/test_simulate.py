@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shuntline import ChainBuildError, DomainError, get_example, parse_spec
-from shuntline import simulate
+from shuntline import chain, simulate
 from shuntline.expr import evaluate
 from shuntline.quadrature import cell_quad
 from shuntline.simulate import (MODE_FULL, MODE_KILLED, MODE_PART,
@@ -108,7 +108,7 @@ def test_holding_cells_are_cell_quad_of_their_integrands():
     ch = build_chain(spec, (0.0, 1.0), 0.05)
     order = np.argsort(ch.x)
     x, u = ch.x[order], ch.u[order]
-    A, B, _ = simulate._regular_cells(piece, x, u)
+    A, B, _ = chain._regular_cells(piece, x, u)
 
     def s(y):
         return np.asarray(evaluate(piece.scale, y), dtype=np.float64)
