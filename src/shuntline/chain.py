@@ -1,11 +1,11 @@
 """The embedded birth-death chain of a diffusion on a simulation window.
 
 Each regular interval met by the simulation window gets a grid that is
-uniform in its scale coordinate, so a fair coin at every walk node makes
-the chain exactly scale-linear; mean holding times come from the Green
-function of the two-cell exit problem, so hitting probabilities and
-mean exit times are exact at the nodes; laws at a finite time t
-converge as h goes to 0.  The cell integrals are first rounds of the
+uniform in its scale coordinate, so the two cells of every walk node are
+equal in scale, the node is a fair coin, and the chain is exactly
+scale-linear; mean holding times come from the Green function of the
+two-cell exit problem, so hitting probabilities and mean exit times are
+exact at the nodes; laws at a finite time t converge as h goes to 0.  The cell integrals are first rounds of the
 analysis's GK21 rule, checked by their own error estimate
 (``_regular_cells``).  Shunt segments get deterministic unit-drift hops
 on an x-uniform grid; shunt points become deterministic entry moves into
@@ -41,14 +41,12 @@ WALK, DET, TRAP_NODE, KILL_WINDOW, KILL_INF = 0, 1, 2, 3, 4
 
 @dataclass
 class ChainModel:
-    spec: DiffusionSpec
     window: tuple
     h: float
     x: np.ndarray          # node positions (KILL_INF nodes sit at +-inf)
     u: np.ndarray          # node scale values
     kind: np.ndarray       # int8 node kinds
     tau: np.ndarray        # mean holding time; 0 at terminal nodes
-    p_right: np.ndarray    # 1/2 at walk nodes, where the grid is uniform in u
     nbr_left: np.ndarray
     nbr_right: np.ndarray
     det_target: np.ndarray
@@ -128,7 +126,7 @@ class _Builder:
 
     def __init__(self, window, h):
         self.window, self.h = window, h
-        self.x, self.u, self.kind, self.tau, self.p_right = [], [], [], [], []
+        self.x, self.u, self.kind, self.tau = [], [], [], []
         self.left, self.right, self.det, self.mass = [], [], [], []
         self.point_nodes = {}
         self.warnings = []
@@ -138,7 +136,6 @@ class _Builder:
         self.u.append(float(u))
         self.kind.append(kind)
         self.tau.append(0.0)
-        self.p_right.append(0.5)
         self.left.append(-1)
         self.right.append(-1)
         self.det.append(-1)
@@ -380,17 +377,14 @@ def build_chain(spec: DiffusionSpec, window, h: float) -> ChainModel:
         raise ChainBuildError(
             f"shunt point at {builder.x[j]} pushes toward material outside "
             f"the window; widen the window on its open side")
-    movable = kind <= DET
-    if movable.any():
-        bad_tau = movable & ~((tau > 0) & np.isfinite(tau))
-        if bad_tau.any():
-            j = int(np.nonzero(bad_tau)[0][0])
-            raise ChainBuildError(
-                f"degenerate holding time {tau[j]} at node x={builder.x[j]}; "
-                f"the speed measure may vanish or blow up there")
+    bad_tau = (kind <= DET) & ~((tau > 0) & np.isfinite(tau))
+    if bad_tau.any():
+        j = int(np.nonzero(bad_tau)[0][0])
+        raise ChainBuildError(
+            f"degenerate holding time {tau[j]} at node x={builder.x[j]}; "
+            f"the speed measure may vanish or blow up there")
     return ChainModel(
-        spec, (w_lo, w_hi), h,
-        np.asarray(builder.x), np.asarray(builder.u), kind, tau,
-        np.asarray(builder.p_right), np.asarray(builder.left, dtype=np.int64),
+        (w_lo, w_hi), h, np.asarray(builder.x), np.asarray(builder.u), kind,
+        tau, np.asarray(builder.left, dtype=np.int64),
         np.asarray(builder.right, dtype=np.int64), det,
         np.asarray(builder.mass), tuple(builder.warnings))

@@ -9,12 +9,12 @@ wider than long, one accumulate on the others; terminal nodes lead to
 themselves), and it compacts the set only after a block in which one of
 them ended.
 
-Every walk node steps right with probability exactly 1/2 (``p_right``
-stays at 0.5 there, and the engine refuses a chain where it does not),
-so a coin is one bit.  A uniform (z >> 11) * 2 ** -53 is below 1/2
-exactly when the top bit of the finished hash z is 0, and the last
-xorshift of the hash keeps that bit, so both loops read a right coin as
-a hash taken before it that is below 2 ** 63 (``_HALF``).  Every block
+Every walk node steps right with probability exactly 1/2 (its two
+cells are equal in scale, see ``chain``), so a coin is one bit.  A
+uniform (z >> 11) * 2 ** -53 is below 1/2 exactly when the top bit of
+the finished hash z is 0, and the last xorshift of the hash keeps that
+bit, so both loops read a right coin as a hash taken before it that is
+below 2 ** 63 (``_HALF``).  Every block
 of the hitting loop, and every block of ``_walk`` of at least 64 steps
 (so at most 256 replications running), packs its coins into words of 8
 and walks every replication a word per ``take`` (``_pack_words``),
@@ -277,16 +277,9 @@ def _pack_words(right, head, jump):
     return at, head
 
 
-def _check_rules(chain, mode):
-    """Refuse an unknown mode, and a chain whose walk nodes do not all
-    step right with probability 1/2."""
+def _check_mode(mode):
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
-    p_walk = chain.p_right[chain.kind == WALK]
-    if np.any(p_walk != 0.5):
-        raise DomainError(
-            f"walk nodes must step right with probability 0.5, got "
-            f"{p_walk[p_walk != 0.5][0]}")
 
 
 def _node_rules(chain, mode, target_node):
@@ -295,9 +288,8 @@ def _node_rules(chain, mode, target_node):
     ends with there (ALIVE where it moves on), whether it keeps its clock
     there, and ``go`` (2 * the node each coin side leads to, at entry
     2 * node + coin, back to the node itself where paths end, so a path
-    that ends inside a block stays there).  A chain whose walk nodes do
-    not all step right with probability 1/2 is refused."""
-    _check_rules(chain, mode)
+    that ends inside a block stays there)."""
+    _check_mode(mode)
     kind = chain.kind
     end_code = np.zeros(chain.n_nodes, dtype=np.int8)
     end_code[kind == TRAP_NODE] = ABSORBED_TRAP
@@ -764,7 +756,7 @@ def estimate_symmetry_defect(chain: ChainModel, f, g, t_max: float,
     if n_jobs < 1:
         raise DomainError("n_jobs must be at least 1")
     _check_t_max(t_max)
-    _check_rules(chain, mode)
+    _check_mode(mode)
     f0 = _at_nodes(f, "f", chain.x, starts)
     g0 = _at_nodes(g, "g", chain.x, starts)
     moving = np.flatnonzero((f0 != 0) | (g0 != 0))

@@ -216,32 +216,16 @@ def derivations(*functions):
         sys.setprofile(previous)
 
 
-def _thomas(sub, sup, rhs):
-    """Solve sub[i] v[i-1] + v[i] + sup[i] v[i+1] = rhs[i] (unit diagonal,
-    sub[0] and sup[-1] unused) by the Thomas algorithm."""
-    n = len(rhs)
-    c = np.empty(n)
-    d = np.empty(n)
-    c[0], d[0] = sup[0], rhs[0]
-    for i in range(1, n):
-        m = 1.0 - sub[i] * c[i - 1]
-        c[i] = sup[i] / m
-        d[i] = (rhs[i] - sub[i] * d[i - 1]) / m
-    v = np.empty(n)
-    v[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        v[i] = d[i] - c[i] * v[i + 1]
-    return v
-
-
 def exact_walk(chain):
     """Exact statistics of a chain of walk nodes between two window edges.
 
     Returns the walk nodes from left to right, the probability of reaching
     the right edge before the left one from each, and the mean time to
-    reach either edge, from the linear equations of the embedded chain:
-    v = p v(right) + (1 - p) v(left), and T = tau + p T(right)
-    + (1 - p) T(left) with T = 0 at the edges.
+    reach either edge.  Every walk node is a fair coin, so with n of them
+    the k-th (from 1) reaches the right edge first with probability
+    k / (n + 1), and its mean exit time is the sum over nodes j of
+    G_kj tau_j, with G_kj = 2 min(k, j) (n + 1 - max(k, j)) / (n + 1) the
+    mean number of visits to j of the simple random walk.
     """
     assert set(chain.kind.tolist()) == {WALK, KILL_WINDOW}
     node = int(chain.nbr_right[int(np.argmin(chain.x))])
@@ -250,12 +234,10 @@ def exact_walk(chain):
         nodes.append(node)
         node = int(chain.nbr_right[node])
     nodes = np.asarray(nodes)
-    p = chain.p_right[nodes]
-    right_edge = np.zeros(len(nodes))
-    right_edge[-1] = p[-1]
-    hit = _thomas(p - 1.0, -p, right_edge)
-    exit_time = _thomas(p - 1.0, -p, chain.tau[nodes])
-    return nodes, hit, exit_time
+    n = len(nodes)
+    k = np.arange(1, n + 1)
+    green = 2.0 * np.minimum.outer(k, k) * (n + 1 - np.maximum.outer(k, k))
+    return nodes, k / (n + 1), green @ chain.tau[nodes] / (n + 1)
 
 
 _END_OF_KIND = {TRAP_NODE: ABSORBED_TRAP, KILL_WINDOW: KILLED_WINDOW,
@@ -291,7 +273,7 @@ def reference_walk(chain, start, key, t_max, mode, exponential_holding,
         t += tau
         if kind == DET:
             node = int(chain.det_target[node])
-        elif _keyed_uniform(key, 2 * k) < chain.p_right[node]:
+        elif _keyed_uniform(key, 2 * k) < 0.5:
             node = int(chain.nbr_right[node])
         else:
             node = int(chain.nbr_left[node])

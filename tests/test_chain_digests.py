@@ -32,14 +32,6 @@ had mass 0 (or only their atom) before.  The other four cases did not
 move: ``drift`` and ``segment`` (0, 1) have no walk nodes, and
 ``bessel-glue`` (-1, 0) moved below 12 digits.
 
-The ``p_right`` digests of 24 cases were re-recorded when every walk
-node kept the right probability 1/2 in place of du_k-1 / (du_k-1 +
-du_k), which the grid, uniform in scale, makes 1/2 but for round-off:
-it was at most 8.9e-15 from 1/2, on ``atom`` (-1, 2).  Only ``p_right``
-moved.  The other seven cases did not: ``drift`` and ``segment`` (0, 1)
-have no walk nodes, and ``bessel-glue`` and ``cubic`` are
-digested to 12 digits.
-
 The windows cover infinite ends, included shunt points (with and without
 an atom on them), traps, shunt segments cut at either end, and window
 edges that fall exactly on a piece endpoint.
@@ -58,7 +50,8 @@ import math
 import numpy as np
 import pytest
 
-from shuntline import ChainBuildError, chain, get_example, parse_spec, simulate
+from shuntline import (ChainBuildError, boundary_profile, chain, get_example,
+                       parse_spec, simulate)
 from shuntline.examples import example_document, list_examples
 from shuntline.quadrature import INFINITE, IntegralResult
 from shuntline.simulate import build_chain
@@ -66,8 +59,8 @@ from shuntline.simulate import build_chain
 from conftest import mirrored_doc
 
 INF = math.inf
-FIELDS = ("x", "u", "kind", "tau", "p_right", "nbr_left", "nbr_right",
-          "det_target", "node_mass")
+FIELDS = ("x", "u", "kind", "tau", "nbr_left", "nbr_right", "det_target",
+          "node_mass")
 ROUNDED = {"bessel-glue", "cubic"}
 
 SEGMENT = {"name": "segment", "pieces": [
@@ -221,8 +214,6 @@ DIGESTS = {
             "17c8863e9cc527d528b9c8b53060b78d5a47939a21afe5edc59154369074600c",
         'tau':
             "ea1c76d402071250526634fbf416e28f00d1b9f7fb5feb5d7077a5dd5754b957",
-        'p_right':
-            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -242,8 +233,6 @@ DIGESTS = {
             "2110be6cad460147d5b098120d45a142cc0c6d16a9e298a224d7bbf80bd648e9",
         'tau':
             "494b719cb6e26e8c4608f733e4c58d3f505d2b5f39f1f4945badb55e4fee74dd",
-        'p_right':
-            "41c426b4a58ae94b51f46e9bf70f1a48089a140269e635aec568320c99e87720",
         'nbr_left':
             "d2e96a58aacd018f06950b2ee5063da4b428f47c1fa45cece70371de61ff6165",
         'nbr_right':
@@ -263,8 +252,6 @@ DIGESTS = {
             "1cd4170997c3b7a6f350d63012164f6cd5f712b96368012f01d0e90153012841",
         'tau':
             "911960321b21ea73f0cf154333f8c46f2a12be9832bfe1dc04470bfa15a75285",
-        'p_right':
-            "bc2964be8c0c22148f0f30a71b23fe08b43603c8191ca7a5aa0574b79bbb89d4",
         'nbr_left':
             "5d02867c4fcc298bca28ab8ca437e646368ca7fd26184c71048bbb4fe570df1a",
         'nbr_right':
@@ -284,8 +271,6 @@ DIGESTS = {
             "7356bd9cd0c45d3087c05ff9d245267a7a7d7ceec03539ced8505f1a9ede418e",
         'tau':
             "c47cf05ce24d9dee00754fe15bac7efb8093d0294717fe652b63078b38472355",
-        'p_right':
-            "cd1fc895eb90c08c579af3f92c4cd4ea80b381cbb1f42ed22bbbf9886349fe11",
         'nbr_left':
             "86ff85227f7cc42cc3293ebdeeb10d8660b51eb429dd1d6c999ddf14cb59db73",
         'nbr_right':
@@ -305,8 +290,6 @@ DIGESTS = {
             "bbb1aef2d811bb88d56cbac845d2e9284f0d13fdfb8a050ef4b7d59dfe40a884",
         'tau':
             "4b9a9f18f4aeb83ac9b12df10ba4c3a7560bd7f4a695d749b2549cfc861e70b9",
-        'p_right':
-            "aaff65cf6fe2b505e4aee6db74ad32ec6b2ba6a25217f8a33c0fe13974d3d279",
         'nbr_left':
             "cdbd8b43426d8ffec11fcfb7d6122ae8b4b82965800af538504604054d28ccb8",
         'nbr_right':
@@ -326,8 +309,6 @@ DIGESTS = {
             "c1ffb2711cec80bd2bc6d6f43f8d3c8e1745213a094969d50a5812d8884dba1f",
         'tau':
             "04633db654bd120b3b1aebfb01901a1a9d120df3ec791aa03a63a8e6c54026a9",
-        'p_right':
-            "ae4c34c43e3cbfcfaef59dc3e5fa3d22f30a151ac0a77ef881c01d00d30be694",
         'nbr_left':
             "ddae1d1ebae13b5c321c4fd2bea1f50aa74a6df4ba39f17d626071de7fe3fa0c",
         'nbr_right':
@@ -347,8 +328,6 @@ DIGESTS = {
             "8406158204185d67602e982c7acfce5d2093a1b79413949473c10f16ff8948dd",
         'tau':
             "72bc0de56bba6e5918577460442875aa7aa634cc5e19f1f2bfd0d85e095681e6",
-        'p_right':
-            "4ef5299611366c33d3773451402713f5d059766e908425a09f4edaa67a81a2c1",
         'nbr_left':
             "06d063082f6fca2b9eca2500ea773488fdf044e7352533d2493e5ed24c401250",
         'nbr_right':
@@ -368,8 +347,6 @@ DIGESTS = {
             "bbb1aef2d811bb88d56cbac845d2e9284f0d13fdfb8a050ef4b7d59dfe40a884",
         'tau':
             "d6c16d81b295a42cc2bbd70b30a995b731db1123b5714ffc14724bed4039aae4",
-        'p_right':
-            "a0708b87456b71091e5ac1bcf2236955f85b0e619389413cf6b1c7bdb84b40cb",
         'nbr_left':
             "cdbd8b43426d8ffec11fcfb7d6122ae8b4b82965800af538504604054d28ccb8",
         'nbr_right':
@@ -389,8 +366,6 @@ DIGESTS = {
             "e2b978412f9b3c59336dd383b9d4cfa766933b701d275a07939e03c5d34272cc",
         'tau':
             "0b8ff276a531bb9163c9ea3a5b5f24d61d9c267cd5f3840888df6c5344c953dd",
-        'p_right':
-            "cd1fc895eb90c08c579af3f92c4cd4ea80b381cbb1f42ed22bbbf9886349fe11",
         'nbr_left':
             "8e07b5a4482a4d8d7392541849efddb7c3a5919e80b61da4a9f6e03381b78ff1",
         'nbr_right':
@@ -410,8 +385,6 @@ DIGESTS = {
             "ddd237753bac581da91a17163233d8aea8d065c65d65d1b94d808d9e76b6fbae",
         'tau':
             "f2579962c120bfe9e136c773cf32e746aa918074b9fe6a710ce8886ffbd7459a",
-        'p_right':
-            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -431,8 +404,6 @@ DIGESTS = {
             "a00d9b843d224d5ed3730f8827b1e878965dfdb95657d67a1d40239ef23fe560",
         'tau':
             "519a8ccd26baf0b09814937eab84910875f0f6d7cbcb910c5853dca1a3af076f",
-        'p_right':
-            "a0708b87456b71091e5ac1bcf2236955f85b0e619389413cf6b1c7bdb84b40cb",
         'nbr_left':
             "cdbd8b43426d8ffec11fcfb7d6122ae8b4b82965800af538504604054d28ccb8",
         'nbr_right':
@@ -452,8 +423,6 @@ DIGESTS = {
             "bbb1aef2d811bb88d56cbac845d2e9284f0d13fdfb8a050ef4b7d59dfe40a884",
         'tau':
             "d6c16d81b295a42cc2bbd70b30a995b731db1123b5714ffc14724bed4039aae4",
-        'p_right':
-            "a0708b87456b71091e5ac1bcf2236955f85b0e619389413cf6b1c7bdb84b40cb",
         'nbr_left':
             "cdbd8b43426d8ffec11fcfb7d6122ae8b4b82965800af538504604054d28ccb8",
         'nbr_right':
@@ -473,8 +442,6 @@ DIGESTS = {
             "23e9ec3bc843ce25adedb6680a92723152e88cdfa54e73931615cece0e349249",
         'tau':
             "5b0e13cf8a9d49665523308dccb9c24b40d59403a7c05b17044015b229b692c3",
-        'p_right':
-            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -494,8 +461,6 @@ DIGESTS = {
             "ddd237753bac581da91a17163233d8aea8d065c65d65d1b94d808d9e76b6fbae",
         'tau':
             "c6fbbdd981b0caf0d743cdc58f1a35b448ea04cc7cb5d3370ccf50983fb6f243",
-        'p_right':
-            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -515,8 +480,6 @@ DIGESTS = {
             "1c01bcde832e964cad508f3e3af9f39ac873068a7400b86ee5b7728ea920a71f",
         'tau':
             "15fda8e71a9866c7f7cb480c6b4f0184bb1e788417387dfcbdd29268001006b8",
-        'p_right':
-            "4ef5299611366c33d3773451402713f5d059766e908425a09f4edaa67a81a2c1",
         'nbr_left':
             "f7a4a8be9fc8b21c66b71d4d5f155781229ae491244b2eb0a88b7304a0cac4c3",
         'nbr_right':
@@ -536,8 +499,6 @@ DIGESTS = {
             "ef27726ffbd3a9b49f563f7e9363085d7fe78d918eeff357308b98a536ee660d",
         'tau':
             "28c3b70f398bffaa8ab039105898c6ea7f9394299b4022baba9323f58f3d732a",
-        'p_right':
-            "9a00b293fe55ce80761e567477bcc1b6884436c85717590783b14cf71b65590a",
         'nbr_left':
             "71fa17068a68e1af6eb26ed6c64047d53d186a2695682631d4c028a76252935b",
         'nbr_right':
@@ -557,8 +518,6 @@ DIGESTS = {
             "acf0580369ada94e6c7f292dda903437f973279074d53e28df3a1b7967f26346",
         'tau':
             "0f09a42ee134bf976392905920f72341f8df784f12c809d68c9160d75d29f913",
-        'p_right':
-            "c5c76edf054116d861e3c0dfce17822a1c400c8738fc34092211202c37e3bde0",
         'nbr_left':
             "64f5a735182a91ca92d499e02fd28a16c2bc50ee5887e99711a4d985b6d4338a",
         'nbr_right':
@@ -578,8 +537,6 @@ DIGESTS = {
             "a6220a191e16e9716b8b188bcd74935d4bfb69bc38277f059f3396c1cdf39cdd",
         'tau':
             "45fb20047bb83d1f96cd56d892234a70a717c74de27cbfaf5b9b3f38fbcaae0f",
-        'p_right':
-            "bc2964be8c0c22148f0f30a71b23fe08b43603c8191ca7a5aa0574b79bbb89d4",
         'nbr_left':
             "7036d242537ab41686e2832f57e512c9ca779d245014fb29e1e148ee41f86251",
         'nbr_right':
@@ -599,8 +556,6 @@ DIGESTS = {
             "ef27726ffbd3a9b49f563f7e9363085d7fe78d918eeff357308b98a536ee660d",
         'tau':
             "946e9f25a0c5a52b022437d7dc4fbd549366df8fcc03830a5ec60a54bba6560f",
-        'p_right':
-            "9a00b293fe55ce80761e567477bcc1b6884436c85717590783b14cf71b65590a",
         'nbr_left':
             "71fa17068a68e1af6eb26ed6c64047d53d186a2695682631d4c028a76252935b",
         'nbr_right':
@@ -620,8 +575,6 @@ DIGESTS = {
             "3236d816ff73bea709d88fb2cae3818ab728eaa93b6f9f22a9806297b0f5876a",
         'tau':
             "9e4968441f9e95acf735f1da44b9e0a735a7d0492dfac6c3e1f78155031b4791",
-        'p_right':
-            "ef2e1192aff558af6f2040889c7c8f83361cb6151bea5d1188b04cb6e8e81ea8",
         'nbr_left':
             "f7a4a8be9fc8b21c66b71d4d5f155781229ae491244b2eb0a88b7304a0cac4c3",
         'nbr_right':
@@ -641,8 +594,6 @@ DIGESTS = {
             "cfd43dd58787f0fc74c12f37c5ca9a92867840458270daa9d39c7804220e89d0",
         'tau':
             "7bc5908a93dc331de07e3bf21139f030547ffb284a3e8f32655ec88ee8d9ec5b",
-        'p_right':
-            "a233368a825ffa54ef751ef02bd74f1d6f2c48f61443049a8b6398fe1f10f09d",
         'nbr_left':
             "7036d242537ab41686e2832f57e512c9ca779d245014fb29e1e148ee41f86251",
         'nbr_right':
@@ -662,8 +613,6 @@ DIGESTS = {
             "b0da31a891102fd90782d60a9909a28e96dab2a6ecbcc4bfb744640434e6a3bd",
         'tau':
             "58a8647b7f27c407950c265f75bcb0242dcf7bf5ad5af9b136836d7ab928986a",
-        'p_right':
-            "ea35cdd124d867658589b9fce22f7d7a63b31ad3200194a5e0372184b220074c",
         'nbr_left':
             "c6723fa81fd58c3b762177f3bfeaa8c1af173b46ceefbe9be5e109681319c998",
         'nbr_right':
@@ -683,8 +632,6 @@ DIGESTS = {
             "cfd43dd58787f0fc74c12f37c5ca9a92867840458270daa9d39c7804220e89d0",
         'tau':
             "5d94896689010df20ccbd40cecb66c134e28087504044cb7741d2b819a9415fc",
-        'p_right':
-            "bc2964be8c0c22148f0f30a71b23fe08b43603c8191ca7a5aa0574b79bbb89d4",
         'nbr_left':
             "7036d242537ab41686e2832f57e512c9ca779d245014fb29e1e148ee41f86251",
         'nbr_right':
@@ -704,8 +651,6 @@ DIGESTS = {
             "17c8863e9cc527d528b9c8b53060b78d5a47939a21afe5edc59154369074600c",
         'tau':
             "74a04f947120e2fe81cae4679068dd9a88b6726988376a8e48fe47c3adda8064",
-        'p_right':
-            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "1910c62ad78c7e4d1f77c97634b0a30b5046ea9f0159cb8274bb18661c92e4b3",
         'nbr_right':
@@ -725,8 +670,6 @@ DIGESTS = {
             "fca8ef7ceb561c106d8ea9982bd59661fe905ff0c107fdf52c5ffe17c17621ed",
         'tau':
             "bde8a660d6ca2203a181e8bfce20c56cf721906a094d88ba401710022eedeaf6",
-        'p_right':
-            "ba8d98c75704d14fb226236c103795843d8716bae53444f20ffe7e16ab1aaaee",
         'nbr_left':
             "24b57d912e39e278fe4f85cec56bde5b4e1fd7b36e639e397d60b8c1f9f562a7",
         'nbr_right':
@@ -746,8 +689,6 @@ DIGESTS = {
             "4bb6b420befdefa409715065931d9f3d89782b3e1a51f44441e91636edb5c76c",
         'tau':
             "080cce88961085e754c526eea2ced1add1eaa98a3c1180b720286f8b20c09230",
-        'p_right':
-            "78185b22457fdb3a4137bafcf921e61889788cded1d132487ee73dc36ca4c66c",
         'nbr_left':
             "e6d33e78e5989bc0461d84e3c612fae64b8922271c34fd57a9b38bad54aba493",
         'nbr_right':
@@ -767,8 +708,6 @@ DIGESTS = {
             "4d5a641d9b9273b01d5e063b71e8975a79a7a2b0d97c9f1dc0bb805ee1eee3c0",
         'tau':
             "a94ddd043cf89fd30a3bc6df8a4c76e6407ea1bb59d59e8d13d9520c5b012c70",
-        'p_right':
-            "78185b22457fdb3a4137bafcf921e61889788cded1d132487ee73dc36ca4c66c",
         'nbr_left':
             "ed7909d21f98b3fab876813d10d48811fadcdce02d3c2272afbcf4f754412042",
         'nbr_right':
@@ -788,8 +727,6 @@ DIGESTS = {
             "780b520d1cc7712289fbfc74e82dc3cb649f4de398cabc1633dd55add2e073da",
         'tau':
             "c2398afe9887e4318d2323bf76a85f1e249fa5b87f87316bd475c922b27bd488",
-        'p_right':
-            "a141f7e56c963b050b53f85be9ec3007cf0aec358670f69c304eab681d9e9643",
         'nbr_left':
             "d4aeb32717fdf59836f8b090ed470955826756e10de9db193f79fbe5794f110f",
         'nbr_right':
@@ -809,8 +746,6 @@ DIGESTS = {
             "fca8ef7ceb561c106d8ea9982bd59661fe905ff0c107fdf52c5ffe17c17621ed",
         'tau':
             "5a1ce98d3e0cb4ca5ca8bcd2a5bb2b59e5d69f82301bc2908cd4cff3c361eb54",
-        'p_right':
-            "ba8d98c75704d14fb226236c103795843d8716bae53444f20ffe7e16ab1aaaee",
         'nbr_left':
             "24b57d912e39e278fe4f85cec56bde5b4e1fd7b36e639e397d60b8c1f9f562a7",
         'nbr_right':
@@ -830,8 +765,6 @@ DIGESTS = {
             "f4c9060f1e0433280e96b10e4318d5d9843049e6a2e1aaf8a7e54c082f762980",
         'tau':
             "e67dd192685e316f67310b46e8a06c61c310554fdba3d2065f8c484ed555aae5",
-        'p_right':
-            "78185b22457fdb3a4137bafcf921e61889788cded1d132487ee73dc36ca4c66c",
         'nbr_left':
             "e6d33e78e5989bc0461d84e3c612fae64b8922271c34fd57a9b38bad54aba493",
         'nbr_right':
@@ -851,8 +784,6 @@ DIGESTS = {
             "66d814aba6bfced2fb3d2b1000b00a7871ea7f196c071b9dc9ec65c0464a093b",
         'tau':
             "572c3a3f006a19ff20b57baf2784e275dcd56b0ccaa02f845f7ba3784cecb2a5",
-        'p_right':
-            "78185b22457fdb3a4137bafcf921e61889788cded1d132487ee73dc36ca4c66c",
         'nbr_left':
             "ed7909d21f98b3fab876813d10d48811fadcdce02d3c2272afbcf4f754412042",
         'nbr_right':
@@ -887,8 +818,7 @@ def test_chain_is_reversible_for_its_node_mass(name, window, h):
     walk, det = simulate.WALK, simulate.DET
 
     def flux(i, j):
-        p = 1.0 if ch.kind[i] == det else (
-            ch.p_right[i] if j == ch.nbr_right[i] else 1.0 - ch.p_right[i])
+        p = 1.0 if ch.kind[i] == det else 0.5
         return ch.node_mass[i] * p / ch.tau[i]
 
     pairs = [(int(i), int(j)) for i in np.flatnonzero(ch.kind == walk)
@@ -903,6 +833,33 @@ def test_chain_is_reversible_for_its_node_mass(name, window, h):
     for i, j in pairs:
         there, back = flux(i, j), flux(j, i)
         assert back > 0 and abs(there - back) <= 1e-12 * back, (i, j)
+
+
+@pytest.mark.parametrize("name, window, h", BALANCE,
+                         ids=[_case_id(*c) for c in BALANCE])
+def test_walk_nodes_are_fair_coins_by_their_cells(name, window, h):
+    """A walk node steps right with probability 1/2 because its two cells
+    are equal in scale, here to 1e-12 relative: the grid of each regular
+    piece is uniform in scale.  The right probability these cells give,
+    du_k-1 / (du_k-1 + du_k), was within 8.9e-15 of 1/2 on these builds.
+    A singular point's node keeps the scale value of one of its two
+    pieces, so the other piece's grid ends on its own ``scale_limit``."""
+    spec = _spec(name)
+    ch = build_chain(spec, window, h)
+    profile = boundary_profile(spec)
+    points = (simulate.DET, simulate.TRAP_NODE)
+
+    def cell(i, j, side):
+        if ch.kind[j] in points:
+            u_end = profile[(spec.piece_at(ch.x[i])[0], side)].scale_limit
+        else:
+            u_end = ch.u[j]
+        return abs(u_end - ch.u[i])
+
+    for i in np.flatnonzero(ch.kind == simulate.WALK):
+        left = cell(i, ch.nbr_left[i], "a")
+        right = cell(i, ch.nbr_right[i], "b")
+        assert left > 0 and abs(left - right) <= 1e-12 * left, i
 
 
 @pytest.mark.parametrize("name, window, h, message", REFUSALS,

@@ -31,9 +31,8 @@ def test_unit_scale_chain_geometry():
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
     walk = ch.kind == 0
     assert np.allclose(np.diff(np.sort(ch.x[walk])), 0.05, atol=1e-12)
-    # natural scale, flat density: the classical h^2 clock and fair coin
+    # natural scale, flat density: the classical h^2 clock
     assert np.allclose(ch.tau[walk], 0.05 ** 2, rtol=1e-12)
-    assert np.allclose(ch.p_right[walk], 0.5, rtol=1e-12)
 
 
 def test_cubic_scale_reproduces_scale_ratio():
@@ -54,6 +53,13 @@ def test_analytic_hitting_refuses_ends_outside_the_start_piece():
     for name in ("exa1", "exa2"):
         with pytest.raises(DomainError, match="x0's piece"):
             analytic_hitting(get_example(name), 0.5, -1.0, 1.0)
+    # a start outside (a, c), and one on exa1's shunt point or on drift's
+    # shunt segment, where no scale ratio applies
+    with pytest.raises(DomainError, match="^need a < x0 < c$"):
+        analytic_hitting(get_example("bm"), 1.5, 0.0, 1.0)
+    for name, x0 in (("exa1", 0.0), ("drift", 0.5)):
+        with pytest.raises(DomainError, match="needs a regular piece"):
+            analytic_hitting(get_example(name), x0, x0 - 1.0, x0 + 1.0)
     # ends on the piece's own endpoints are inside its closure
     assert analytic_hitting(get_example("exa2"), 0.25, 0.0, 1.0) == 0.25
 
@@ -232,6 +238,17 @@ def test_chain_build_refusals():
          "scale": "x/2", "speed": {"density": "2"}}])
     with pytest.raises(ChainBuildError):
         build_chain(part, (-2.0, 1.0), 0.05)
+    # a grid node's scale value beyond the scale's bound toward an
+    # infinite end: the bisection finds no bracket for it
+    for scale, target, lo, hi, word in (
+            ("1 - exp(-x)", 2.0, 0.0, math.inf, "+inf"),
+            ("exp(x) - 1", -2.0, -math.inf, 0.0, "-inf")):
+        piece = spec_from([{"kind": "regular_interval", "a": "-inf",
+                            "b": "inf", "scale": scale,
+                            "speed": {"density": "1"}}]).pieces[0]
+        with pytest.raises(ChainBuildError, match=re.escape(
+                f"cannot bracket scale inversion toward {word}")):
+            chain._invert_scale(piece, [target], lo, hi)
 
 
 @pytest.mark.parametrize("name, window, piece, edge", [
@@ -752,22 +769,6 @@ def test_crafted_hashes_at_the_coin_edges_equal_the_reference_walker(
             assert out[key].tobytes() == want.tobytes(), (expo, key)
 
 
-def test_every_entry_refuses_walk_nodes_that_are_not_fair_coins():
-    """A chain whose walk node steps right with any probability but 1/2
-    is refused by every entry into the engine, not walked at 1/2."""
-    for p in (0.5 + 2.0 ** -53, 0.3, math.nan):
-        ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
-        ch.p_right[ch.node_at(0.6)] = p
-        for call in (lambda: run(ch, x0=0.3, t_max=0.1, n_rep=4),
-                     lambda: simulate_path(ch, 0.3, 0.1),
-                     lambda: estimate_hitting(ch, 0.3, 1.0, 0.1, 4),
-                     lambda: estimate_hitting(ch, 0.3, 1.0, 0.1, 4,
-                                              exponential_holding=True),
-                     lambda: estimate_symmetry_defect(ch, abs, abs, 0.1, 4)):
-            with pytest.raises(DomainError, match="probability 0.5"):
-                call()
-
-
 # The positions-only loop of estimate_hitting (_first_passage) gives
 # every replication the status and hit of ``run`` with a target.  The
 # chains of the benchmark's hitting calls and the trap chains;
@@ -1084,7 +1085,8 @@ def test_horizons_that_are_negative_or_not_finite_are_refused():
 def test_positions_that_are_not_numbers_are_refused():
     """A NaN start or target is refused, not mapped to the window's left
     edge; so are a start outside the chain, an infinite one on a chain
-    with no node there, a missing start and an unknown mode."""
+    with no node there, any start on a chain with no nodes, a missing
+    start and an unknown mode."""
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
     for call in (lambda: run(ch, x0=math.nan, t_max=1.0, n_rep=4),
                  lambda: run(ch, x0=0.3, t_max=1.0, n_rep=4, target=math.nan),
@@ -1106,6 +1108,11 @@ def test_positions_that_are_not_numbers_are_refused():
          "mode must be one of")]
     refusals += [(lambda x=x: ch.node_at(x), f"no node at {x}")
                  for x in (math.inf, -math.inf)]
+    # exa2's window (-2, -1) lies in its trap segment: no node at all
+    empty = build_chain(get_example('exa2'), (-2.0, -1.0), 0.05)
+    assert empty.n_nodes == 0
+    refusals.append((lambda: run(empty, x0=-1.5, t_max=1.0, n_rep=4),
+                     "^empty chain$"))
     for call, message in refusals:
         with pytest.raises(DomainError, match=message):
             call()
@@ -1448,25 +1455,21 @@ def test_defect_refusals_do_not_depend_on_the_skip(monkeypatch):
     estimator still refuses, with the same messages, what it refused when
     it walked them all."""
     ch = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
-    unfair = build_chain(get_example('bm'), (0.0, 1.0), 0.05)
-    unfair.p_right[unfair.node_at(0.6)] = 0.3
 
     def zero(x):
         return 0.0
 
-    def call(chain=ch, **kw):
+    def call(**kw):
         args = dict(t_max=0.1, n_rep=20, seed=3)
         args.update(kw)
-        return lambda: estimate_symmetry_defect(chain, zero, zero, **args)
+        return lambda: estimate_symmetry_defect(ch, zero, zero, **args)
 
     refusals = [(call(n_jobs=0), "n_jobs must be at least 1"),
                 (call(mode="bogus"),
                  f"mode must be one of {simulate._MODES}"),
                 (call(seed=1.9), "seed must be an integer, got 1.9"),
                 (call(seed=2 ** 64),
-                 f"seed must lie in [0, 2 ** 64), got {2 ** 64}"),
-                (call(unfair),
-                 "walk nodes must step right with probability 0.5, got 0.3")]
+                 f"seed must lie in [0, 2 ** 64), got {2 ** 64}")]
     refusals += [(call(t_max=t), "t_max must be finite and non-negative, "
                   f"got {t}") for t in (-1.0, math.nan, math.inf)]
     calls = _walk_spy(monkeypatch)
