@@ -9,20 +9,19 @@ wider than long, one accumulate on the others; terminal nodes lead to
 themselves), and it compacts the set only after a block in which one of
 them ended.
 
-Every walk node steps right with probability exactly 1/2 (its two
-cells are equal in scale, see ``chain``), so a coin is one bit.  A
-uniform (z >> 11) * 2 ** -53 is below 1/2 exactly when the top bit of
-the finished hash z is 0, and the last xorshift of the hash keeps that
-bit, so both loops read a right coin as a hash taken before it that is
-below 2 ** 63 (``_HALF``).  Every block
-of the hitting loop, and every block of ``_walk`` of at least 64 steps
-(so at most 256 replications running), packs its coins into words of 8
-and walks every replication a word per ``take`` (``_pack_words``),
-through tables of word moves built by stepping the node table ``go``
-once per coin (``_word_moves``): ``_walk`` keeps every step of a word,
-to fill the rows of its block with one more ``take``, and the hitting
-loop only where a word leads and the holding times it adds
-(``_passage_moves``).
+Every walk node steps right with probability exactly 1/2 (its two cells
+are equal in scale, see ``chain``), so a coin is one bit.  A uniform
+(z >> 11) * 2 ** -53 is below 1/2 exactly when the top bit of the
+finished hash z is 0, and the last xorshift of the hash keeps that bit,
+so both loops read a right coin as a hash taken before it that is below
+2 ** 63 (``_HALF``).  Every block of the hitting loop, and every block of
+``_walk`` of at least 64 steps (so at most 256 replications running),
+packs its coins into words of 8 and walks every replication a word per
+``take`` (``_pack_words``), through tables of word moves built by
+stepping the node table ``go`` once per coin (``_word_moves``):
+``_walk`` keeps every step of a word, to fill the rows of its block
+with one more ``take``, and the hitting loop only where a word leads
+and the holding times it adds (``_passage_moves``).
 
 ``estimate_hitting`` reads only each replication's status and hit, so
 it decides them with a positions-only loop (``_first_passage``) that
