@@ -18,7 +18,7 @@ The high-level entry points:
 
 from .boundary import (EndpointAnalysis, approachable, boundary_profile,
                        endpoint_role, scale_limit)
-from .classify import (LambdaSets, PointClass, classify_point, lambda_sets,
+from .classify import (LambdaSets, classify_point, lambda_sets,
                        regular_decomposition)
 from .dirichlet import (AdaptedReport, FormDescriptor, MembershipReport,
                         Profile, RegularFormReport, TestFunction,
@@ -31,7 +31,7 @@ from .errors import (ChainBuildError, DomainError, EvalError, ExprError,
                      SpecParseError, UndeterminedVerdict)
 from .examples import example_document, get_example, list_examples
 from .graph import (CommunicationClasses, CommunicationGraph, build_graph,
-                    communication_classes, reaches, ring_interior)
+                    communication_classes, reaches)
 from .hunt import HuntReport, Witness, check_hunt, singleton_status
 from .model import (DiffusionSpec, MeasureSpec, Piece, ValidationReport,
                     Violation, eval_scale, eval_speed_mass, load_spec,
@@ -53,14 +53,14 @@ __all__ = [
     "parse_spec", "load_spec", "serialize_spec", "spec_digest", "validate",
     "eval_scale", "eval_speed_mass",
     # sets and classes
-    "RealSet", "LambdaSets", "PointClass", "classify_point", "lambda_sets",
+    "RealSet", "LambdaSets", "classify_point", "lambda_sets",
     "regular_decomposition",
     # boundary
     "EndpointAnalysis", "scale_limit", "approachable", "endpoint_role",
     "boundary_profile",
     # graph
     "CommunicationGraph", "CommunicationClasses", "build_graph",
-    "communication_classes", "reaches", "ring_interior",
+    "communication_classes", "reaches",
     # hunt
     "HuntReport", "Witness", "check_hunt", "singleton_status",
     # symmetry

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from .model import LEFT_SHUNT, REGULAR, RIGHT_SHUNT, TRAP, DiffusionSpec
 from .sets import RealSet
 
-__all__ = ["PointClass", "classify_point", "regular_decomposition", "lambda_sets"]
-
-
-class PointClass:
-    REGULAR = "regular"
-    LEFT_SHUNT = LEFT_SHUNT
-    RIGHT_SHUNT = RIGHT_SHUNT
-    TRAP = TRAP
+__all__ = ["classify_point", "regular_decomposition", "lambda_sets"]
 
 
 def classify_point(spec: DiffusionSpec, x: float) -> str:

@@ -115,10 +115,6 @@ class TestFunction:
 
     profiles: tuple  # (component_index, Profile) pairs
 
-    @staticmethod
-    def from_dict(mapping) -> "TestFunction":
-        return TestFunction(tuple(sorted(mapping.items())))
-
     def profile_for(self, component: int):
         for n, prof in self.profiles:
             if n == component:

@@ -30,7 +30,7 @@ from .model import (LEFT_SHUNT, REGULAR, RIGHT_SHUNT, SHUNT_SEGMENT,
                     SINGULAR_POINT, TRAP, TRAP_SEGMENT, DiffusionSpec, ext)
 
 __all__ = ["Atom", "CommunicationGraph", "CommunicationClasses",
-           "build_graph", "reaches", "communication_classes", "ring_interior"]
+           "build_graph", "reaches", "communication_classes"]
 
 _ATOM_KIND = {REGULAR: "regular", SHUNT_SEGMENT: "shunt",
               TRAP_SEGMENT: "trap_seg", SINGULAR_POINT: "point"}
@@ -261,8 +261,3 @@ def communication_classes(graph: CommunicationGraph) -> CommunicationClasses:
     ring = tuple((lo, hi) for lo, hi, _, _ in interval_classes)
     return CommunicationClasses(tuple(interval_classes), tuple(sorted(trap_singletons)),
                                 singleton_ranges, ring)
-
-
-def ring_interior(spec: DiffusionSpec) -> tuple:
-    """Open intervals forming the union of interval-class interiors."""
-    return communication_classes(build_graph(spec)).ring

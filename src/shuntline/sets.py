@@ -44,11 +44,6 @@ class RealSet:
         return RealSet.from_intervals([(x, x, True, True)])
 
     @staticmethod
-    def interval(a: float, b: float, closed_left: bool = False,
-                 closed_right: bool = False) -> "RealSet":
-        return RealSet.from_intervals([(a, b, closed_left, closed_right)])
-
-    @staticmethod
     def from_intervals(items) -> "RealSet":
         cleaned = []
         for a, b, ca, cb in items:
