@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SpecParseError, UndeterminedVerdict
+from .errors import DomainError, ExprError, SpecParseError, UndeterminedVerdict
 from .expr import Expr, evaluate, parse_expr
 from .quadrature import INFINITE, UNDETERMINED, interior_point, span_integral
 
@@ -79,35 +79,6 @@ class MeasureSpec:
     hint_a: str = "unknown"
     hint_b: str = "unknown"
 
-    @staticmethod
-    def from_dict(d: dict, where: str) -> "MeasureSpec":
-        if not isinstance(d, dict):
-            raise SpecParseError(f"{where}: speed must be an object")
-        unknown = set(d) - {"density", "atoms", "hints"}
-        if unknown:
-            raise SpecParseError(f"{where}: unknown speed field(s) {sorted(unknown)}")
-        src = d.get("density")
-        if not isinstance(src, str):
-            raise SpecParseError(f"{where}: speed.density must be an expression string")
-        try:
-            density = parse_expr(src)
-        except Exception as exc:
-            raise SpecParseError(f"{where}: bad density expression: {exc}") from exc
-        atoms = []
-        for i, atom in enumerate(d.get("atoms", ())):
-            if not isinstance(atom, dict) or set(atom) != {"at", "weight"}:
-                raise SpecParseError(f"{where}: atom {i} must be {{at, weight}}")
-            atoms.append((float(atom["at"]), float(atom["weight"])))
-        hints = d.get("hints", {})
-        if not isinstance(hints, dict) or set(hints) - {"a", "b"}:
-            raise SpecParseError(f"{where}: hints must be an object with keys a/b")
-        hint_a = hints.get("a", "unknown")
-        hint_b = hints.get("b", "unknown")
-        for h in (hint_a, hint_b):
-            if h not in _HINTS:
-                raise SpecParseError(f"{where}: hint {h!r} not in {_HINTS}")
-        return MeasureSpec(src, density, tuple(atoms), hint_a, hint_b)
-
     def to_dict(self) -> dict:
         out = {"density": self.density_src}
         if self.atoms:
@@ -136,23 +107,6 @@ class Piece:
     scale: Optional[Expr] = field(default=None, compare=False)
     speed: Optional[MeasureSpec] = None
     reach: str = "full"
-
-    # -- factories ---------------------------------------------------------
-
-    @staticmethod
-    def shunt(a, b, direction, reach="full") -> "Piece":
-        return Piece(SHUNT_SEGMENT, a=float(a), b=float(b),
-                     direction=direction, reach=reach)
-
-    @staticmethod
-    def trap_region(a, b) -> "Piece":
-        return Piece(TRAP_SEGMENT, a=float(a), b=float(b))
-
-    @staticmethod
-    def point(x, point_class) -> "Piece":
-        return Piece(SINGULAR_POINT, x=float(x), point_class=point_class)
-
-    # -- helpers -----------------------------------------------------------
 
     @property
     def is_point(self) -> bool:
@@ -246,92 +200,149 @@ class DiffusionSpec:
 # document parsing
 
 
-def _load_ext(v, where):
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    if isinstance(v, str):
-        s = v.strip()
-        if s in ("-inf",):
-            return -math.inf
-        if s in ("+inf", "inf"):
-            return math.inf
-        try:
-            return float(s)
-        except ValueError:
-            pass
-    raise SpecParseError(f'{where}: expected a number or "-inf"/"+inf", got {v!r}')
-
-
 def ext(v: float):
     """v as a document or report value: infinities become "+inf" and "-inf"."""
     return v if math.isfinite(v) else ("+inf" if v > 0 else "-inf")
 
 
-def _parse_piece(d: dict, i: int) -> Piece:
-    where = f"piece {i}"
-    if not isinstance(d, dict):
+# Each document object (the spec, a piece of each kind, a speed, its hints,
+# an atom) has one table that maps each field to (parser, default).  A parser
+# takes the value and the path of the object it sits in; it rejects a value
+# by raising one of _REJECTED, which _fields turns into a SpecParseError.
+
+_REQUIRED = object()  # the default of a field the document must give
+_REJECTED = (TypeError, ValueError, ArithmeticError, RecursionError, ExprError)
+
+
+def _fields(doc, table: dict, where: str) -> dict:
+    """Every field of the document object ``doc`` at path ``where``, read
+    by its table entry, with the defaults of the absent ones.
+
+    Refuses a non-object, a missing required field, a rejected value and
+    an unknown field, each as a SpecParseError naming the path and field.
+    """
+    if not isinstance(doc, dict):
         raise SpecParseError(f"{where}: must be an object")
-    kind = d.get("kind")
-    if kind not in _KINDS:
-        raise SpecParseError(f"{where}: unknown kind {kind!r}; expected one of {_KINDS}")
-    if kind == SINGULAR_POINT:
-        unknown = set(d) - {"kind", "x", "class"}
-        if unknown:
-            raise SpecParseError(f"{where}: unknown field(s) {sorted(unknown)}")
-        if "x" not in d or "class" not in d:
-            raise SpecParseError(f"{where}: singular_point needs x and class")
-        x = _load_ext(d["x"], where)
-        if math.isinf(x):
-            raise SpecParseError(f"{where}: singular_point must sit at a finite x")
-        cls = d["class"]
-        if cls not in _CLASSES:
-            raise SpecParseError(f"{where}: unknown class {cls!r}; expected one of {_CLASSES}")
-        return Piece.point(x, cls)
-
-    allowed = {"kind", "a", "b"}
-    if kind == SHUNT_SEGMENT:
-        allowed |= {"direction", "reach"}
-    if kind == REGULAR:
-        allowed |= {"scale", "speed"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise SpecParseError(f"{where}: unknown field(s) {sorted(unknown)}")
-    if "a" not in d or "b" not in d:
-        raise SpecParseError(f"{where}: interval piece needs a and b")
-    a = _load_ext(d["a"], where)
-    b = _load_ext(d["b"], where)
-    if not a < b:
-        raise SpecParseError(f"{where}: needs a < b, got a={a}, b={b}")
-
-    if kind == SHUNT_SEGMENT:
-        direction = d.get("direction")
-        if direction not in ("left", "right"):
-            raise SpecParseError(f"{where}: direction must be left or right")
-        reach = d.get("reach", "full")
-        if reach != "full":
-            if not (isinstance(reach, str) and reach.startswith("partial:")):
-                raise SpecParseError(f"{where}: reach must be full or partial:<x*>")
+    out = {}
+    for name, (parse, default) in table.items():
+        if name in doc:
             try:
-                bar = float(reach.split(":", 1)[1])
-            except ValueError:
-                raise SpecParseError(f"{where}: bad partial reach value in {reach!r}")
-            if not (a < bar < b):
-                raise SpecParseError(f"{where}: partial reach point must lie inside ({a}, {b})")
-        return Piece.shunt(a, b, direction, reach)
-    if kind == TRAP_SEGMENT:
-        return Piece.trap_region(a, b)
+                out[name] = parse(doc[name], where)
+            except _REJECTED as exc:
+                raise SpecParseError(f"{where}: {name}: {exc}") from exc
+        elif default is _REQUIRED:
+            raise SpecParseError(f"{where}: {name}: missing")
+        else:
+            out[name] = default
+    if not doc.keys() <= table.keys():
+        unknown = sorted(doc.keys() - table.keys(), key=str)
+        raise SpecParseError(f"{where}: unknown field(s) {unknown}")
+    return out
 
-    scale_src = d.get("scale")
-    if not isinstance(scale_src, str):
-        raise SpecParseError(f"{where}: regular_interval needs a scale expression string")
-    try:
-        scale = parse_expr(scale_src)
-    except Exception as exc:
-        raise SpecParseError(f"{where}: bad scale expression: {exc}") from exc
-    if "speed" not in d:
-        raise SpecParseError(f"{where}: regular_interval needs a speed object")
-    speed = MeasureSpec.from_dict(d["speed"], where)
-    return Piece(REGULAR, a=a, b=b, scale_src=scale_src, scale=scale, speed=speed)
+
+def _number(v, where) -> float:
+    """A number, or a string float() reads, such as "-inf" or "+inf"."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise TypeError(f'expected a number or "-inf"/"+inf", got {v!r}')
+    return float(v)
+
+
+def _string(v, where) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
+
+
+def _one_of(*options):
+    def parse(v, where):
+        if v not in options:
+            raise ValueError(f"{v!r} not in {options}")
+        return v
+    return parse
+
+
+def _expr(v, where) -> tuple:
+    """(source, parsed expression)."""
+    return _string(v, where), parse_expr(v)
+
+
+def _reach(v, where) -> str:
+    """"full", or "partial:<x*>" with a number x*."""
+    if v != "full":
+        if not (isinstance(v, str) and v.startswith("partial:")):
+            raise ValueError(f'expected "full" or "partial:<x*>", got {v!r}')
+        float(v.split(":", 1)[1])
+    return v
+
+
+def _list(v) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list, got {v!r}")
+    return v
+
+
+def _atoms(v, where) -> tuple:
+    atoms = [_fields(atom, _ATOM, f"{where}: atom {i}") for i, atom in enumerate(_list(v))]
+    return tuple((f["at"], f["weight"]) for f in atoms)
+
+
+def _hints(v, where) -> tuple:
+    f = _fields(v, _HINT, f"{where}: hints")
+    return f["a"], f["b"]
+
+
+def _speed(v, where) -> MeasureSpec:
+    f = _fields(v, _SPEED, f"{where}: speed")
+    return MeasureSpec(*f["density"], f["atoms"], *f["hints"])
+
+
+def _piece(d, where: str) -> Piece:
+    kind = d.get("kind") if isinstance(d, dict) else None
+    # an unknown kind is refused by the kind field alone
+    f = _fields(d, _PIECE[kind] if kind in _KINDS else {"kind": _KIND}, where)
+    if kind == SINGULAR_POINT:
+        if not math.isfinite(f["x"]):
+            raise SpecParseError(f"{where}: x: must be finite, got {f['x']}")
+        return Piece(kind, x=f["x"], point_class=f["class"])
+    a, b = f["a"], f["b"]
+    if not a < b:
+        raise SpecParseError(f"{where}: b: needs a < b, got a={a}, b={b}")
+    scale_src, scale = f.get("scale", (None, None))
+    piece = Piece(kind, a=a, b=b, direction=f.get("direction"),
+                  reach=f.get("reach", "full"), scale_src=scale_src,
+                  scale=scale, speed=f.get("speed"))
+    bar = piece.partial_barrier()
+    if bar is not None and not a < bar < b:
+        raise SpecParseError(f"{where}: reach: partial reach point must lie inside ({a}, {b})")
+    for j, (at, _) in enumerate(piece.speed.atoms if kind == REGULAR else ()):
+        if not a <= at <= b:
+            raise SpecParseError(
+                f"{where}: speed: atom {j}: at: {at} outside closed interval [{a}, {b}]")
+    return piece
+
+
+def _pieces(v, where) -> tuple:
+    return tuple(_piece(d, f"piece {i}") for i, d in enumerate(_list(v)))
+
+
+_KIND = (_one_of(*_KINDS), _REQUIRED)
+_END = (_number, _REQUIRED)
+_PIECE = {
+    REGULAR: {"kind": _KIND, "a": _END, "b": _END,
+              "scale": (_expr, _REQUIRED), "speed": (_speed, _REQUIRED)},
+    SHUNT_SEGMENT: {"kind": _KIND, "a": _END, "b": _END,
+                    "direction": (_one_of("left", "right"), _REQUIRED),
+                    "reach": (_reach, "full")},
+    TRAP_SEGMENT: {"kind": _KIND, "a": _END, "b": _END},
+    SINGULAR_POINT: {"kind": _KIND, "x": _END,
+                     "class": (_one_of(*_CLASSES), _REQUIRED)},
+}
+_SPEED = {"density": (_expr, _REQUIRED), "atoms": (_atoms, ()),
+          "hints": (_hints, ("unknown", "unknown"))}
+_HINT = {"a": (_one_of(*_HINTS), "unknown"), "b": (_one_of(*_HINTS), "unknown")}
+_ATOM = {"at": _END, "weight": _END}
+_SPEC = {"name": (_string, _REQUIRED), "description": (_string, ""),
+         "pieces": (_pieces, _REQUIRED)}
 
 
 def _check_structure(pieces) -> None:
@@ -366,44 +377,25 @@ def _check_structure(pieces) -> None:
     last = pieces[-1]
     if last.is_point or last.b != math.inf:
         raise SpecParseError("pieces must cover the line up to +inf")
-    if pieces[0].is_point or pieces[0].a != -math.inf:
-        raise SpecParseError("pieces must cover the line from -inf")
 
 
 def parse_spec(doc) -> DiffusionSpec:
     """Parse a spec document (JSON text or an already-decoded dict)."""
     if isinstance(doc, (str, bytes)):
         try:
-            data = json.loads(doc)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(doc)
+        except (ValueError, RecursionError) as exc:
             raise SpecParseError(f"invalid JSON: {exc}") from exc
-    else:
-        data = doc
-    if not isinstance(data, dict):
-        raise SpecParseError("spec document must be a JSON object")
-    unknown = set(data) - {"name", "description", "pieces"}
-    if unknown:
-        raise SpecParseError(f"unknown top-level field(s) {sorted(unknown)}")
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        raise SpecParseError("spec needs a non-empty name")
-    raw_pieces = data.get("pieces")
-    if not isinstance(raw_pieces, list) or not raw_pieces:
-        raise SpecParseError("spec needs a non-empty pieces list")
-    pieces = tuple(_parse_piece(d, i) for i, d in enumerate(raw_pieces))
-    _check_structure(pieces)
-    for i, p in enumerate(pieces):
-        if p.kind == REGULAR:
-            for at, w in p.speed.atoms:
-                if not (p.a <= at <= p.b):
-                    raise SpecParseError(
-                        f"piece {i}: atom at {at} outside closed interval [{p.a}, {p.b}]")
-    return DiffusionSpec(name=name, pieces=pieces,
-                         description=data.get("description", ""))
+    f = _fields(doc, _SPEC, "spec")
+    if not f["name"]:
+        raise SpecParseError("spec: name: must not be empty")
+    _check_structure(f["pieces"])
+    return DiffusionSpec(name=f["name"], pieces=f["pieces"],
+                         description=f["description"])
 
 
 def load_spec(path) -> DiffusionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_spec(fh.read())
 
 
@@ -527,9 +519,9 @@ def validate(spec: DiffusionSpec) -> ValidationReport:
                                 f"no sampled mass on ({lo:.6g}, {hi:.6g})"))
                             break
             for at, w in p.speed.atoms:
-                if w <= 0:
+                if not 0 < w < math.inf:
                     out.append(Violation("atom_weight", where,
-                                         f"atom at {at} has non-positive weight {w}"))
+                                         f"atom at {at} has weight {w}, not in (0, inf)"))
         if p.is_point:
             if spec.pieces[i - 1].cls in _RIGHT_SINGULAR and p.cls not in _RIGHT_SINGULAR:
                 out.append(Violation(
