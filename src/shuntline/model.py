@@ -208,7 +208,8 @@ def ext(v: float):
 # Each document object (the spec, a piece of each kind, a speed, its hints,
 # an atom) has one table that maps each field to (parser, default).  A parser
 # takes the value and the path of the object it sits in; it rejects a value
-# by raising one of _REJECTED, which _fields turns into a SpecParseError.
+# by raising one of _REJECTED (RecursionError: an expression nested too
+# deep), which _fields turns into a SpecParseError.
 
 _REQUIRED = object()  # the default of a field the document must give
 _REJECTED = (TypeError, ValueError, ArithmeticError, RecursionError, ExprError)

@@ -293,7 +293,7 @@ def _edit(path, value=None, drop=False):
     return doc
 
 
-def _pieces(*edits):
+def _with_pieces(*edits):
     """The pieces of _every_field_doc after the edits (index, piece or
     None to drop it), applied from the highest index down."""
     pieces = _every_field_doc()["pieces"]
@@ -331,21 +331,21 @@ def _refusal_cases():
          "piece 2: speed: atom 0: at: 1.5 outside closed interval"),
         # the structure of the piece list
         (_edit(("pieces",), []), "spec has no pieces"),
-        (_pieces((3, trap), (4, {"kind": "singular_point", "x": 1, "class": "trap"})),
+        (_with_pieces((3, trap), (4, {"kind": "singular_point", "x": 1, "class": "trap"})),
          "pieces must be listed in ascending order"),
-        (_pieces((0, point), (1, {**trap, "a": 0, "b": "inf"}), (2, None), (3, None),
-                 (4, None)),
+        (_with_pieces((0, point), (1, {**trap, "a": 0, "b": "inf"}), (2, None),
+                      (3, None), (4, None)),
          "piece 0: singular_point at 0.0 must follow an interval piece"),
-        (_pieces((2, point), (3, None), (4, None)),
+        (_with_pieces((2, point), (3, None), (4, None)),
          "piece 2: singular_point at 0.0 must follow an interval piece"),
-        (_pieces((1, {**point, "x": -1})), "piece 1: overlap at -1.0"),
-        (_pieces((0, {**trap, "a": "-inf", "b": -1})), "piece 1: coverage gap before 0.0"),
-        (_pieces((2, {**trap, "a": 0.5, "b": 1})), "piece 2: coverage gap on (0.0, 0.5)"),
-        (_pieces((1, None), (2, {**trap, "a": -1, "b": 1})), "piece 1: overlap at -1.0"),
-        (_pieces((1, None)),
+        (_with_pieces((1, {**point, "x": -1})), "piece 1: overlap at -1.0"),
+        (_with_pieces((0, {**trap, "a": "-inf", "b": -1})), "piece 1: coverage gap before 0.0"),
+        (_with_pieces((2, {**trap, "a": 0.5, "b": 1})), "piece 2: coverage gap on (0.0, 0.5)"),
+        (_with_pieces((1, None), (2, {**trap, "a": -1, "b": 1})), "piece 1: overlap at -1.0"),
+        (_with_pieces((1, None)),
          "piece 1: boundary 0.0 between interval pieces needs an explicit singular_point"),
-        (_pieces((4, None)), "pieces must cover the line up to +inf"),
-        (_pieces((4, {**trap, "b": 5})), "pieces must cover the line up to +inf"),
+        (_with_pieces((4, None)), "pieces must cover the line up to +inf"),
+        (_with_pieces((4, {**trap, "b": 5})), "pieces must cover the line up to +inf"),
         # JSON text
         ("{", "invalid JSON"),
         (b'{"name": "\xff"}', "invalid JSON"),
