@@ -261,7 +261,8 @@ _OBJECTS = [
 
 # values that every field of the name refuses ("a" and "b" name both
 # interval ends and endpoint hints); "at": "half", "atoms": 5 and
-# "weight": None once escaped the parser as ValueError and TypeError
+# "weight": None once escaped the parser as ValueError and TypeError, and
+# 10 ** 400 overflows a float
 _BAD_VALUES = {
     "name": [None, 5, ""], "description": [None, 5], "pieces": [{}, "p"],
     "kind": [None, "circle", ["trap_segment"]],
@@ -271,7 +272,7 @@ _BAD_VALUES = {
     "reach": [None, 5, "none", "partial", "partial:half"],
     "scale": [None, 5, "", "x +", "(" * 3000 + "x" + ")" * 3000],
     "speed": [[]], "density": [None, "2 *"], "atoms": [5, {}, "atoms"],
-    "hints": [[]], "at": [None, "half"], "weight": [None, "heavy", [1]],
+    "hints": [[]], "at": [None, "half", 10 ** 400], "weight": [None, "heavy", [1]],
 }
 
 
