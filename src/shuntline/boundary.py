@@ -34,9 +34,7 @@ Roles at an endpoint (left endpoint wording; right is the mirror):
 * adjacent point is a trap, or the endpoint is infinite:
   approachable -> ``exit``, else -> ``natural``.
 
-A finite exit endpoint therefore always sits next to a trap; that
-consistency is asserted and raised as a hard error if numerics ever
-disagree with it.
+A finite exit endpoint therefore always sits next to a trap.
 """
 
 from __future__ import annotations
@@ -263,10 +261,6 @@ def endpoint_role(spec: DiffusionSpec, piece_index: int, side: str,
             f"{piece_index}; declare speed.hints.{side} (finite or infinite) "
             f"to settle it")
     role, cls = _role(spec, piece_index, side, app)
-    if role == EXIT and math.isfinite(piece.endpoint(side)) and cls != TRAP:
-        raise UndeterminedVerdict(
-            f"inconsistent analysis: finite exit endpoint {piece.endpoint(side)} "
-            f"of piece {piece_index} is not adjacent to a trap")
     return EndpointAnalysis(piece_index, side, piece.endpoint(side), s_lim,
                             app, role, value, cls)
 

@@ -104,10 +104,6 @@ class Profile:
                 out.append((u, vb - va))
         return tuple(out)
 
-    def as_dict(self) -> dict:
-        return {"breakpoints": list(self.breakpoints),
-                "coefficients": [list(c) for c in self.coefficients]}
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -120,9 +116,6 @@ class TestFunction:
             if n == component:
                 return prof
         return None
-
-    def as_dict(self) -> dict:
-        return {str(n): p.as_dict() for n, p in self.profiles}
 
 
 def linear_profile(u_points, values) -> Profile:
@@ -210,13 +203,8 @@ class MembershipReport:
     mass: float
     self_energy: float
 
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "reasons": list(self.reasons),
-                "mass": ext(self.mass) if not math.isnan(self.mass) else "unknown",
-                "self_energy": self.self_energy}
 
-
-def _square_mass_side(form, entry, prof, piece, side, rel_tol):
+def _square_mass_side(form, entry, prof, piece, side):
     """(verdict, value, note) for the F^2 m-mass toward one entry end."""
     endpoint = entry.lo if side == "lo" else entry.hi
     hint = entry.hint_lo if side == "lo" else entry.hint_hi
@@ -230,16 +218,16 @@ def _square_mass_side(form, entry, prof, piece, side, rel_tol):
         v = prof.value(evaluate(piece.scale, x))
         return entry.weight * v * v * evaluate(entry.density, x)
 
-    res = improper_integral(fx, piece.interior_point(), endpoint, rel_tol)
+    res = improper_integral(fx, piece.interior_point(), endpoint, form.rel_tol)
     if res.verdict == UNDETERMINED and hint == "finite":
         # bounded profile against declared-finite end mass
         return FINITE, res.value, "finite by end-mass declaration"
     return res.verdict, res.value, res.note
 
 
-def membership(form: FormDescriptor, tf: TestFunction,
-               rel_tol: float = 1e-6) -> MembershipReport:
-    """Domain membership for the killed form."""
+def membership(form: FormDescriptor, tf: TestFunction) -> MembershipReport:
+    """Domain membership for the killed form; the F^2 mass is integrated
+    at the form's rel_tol."""
     reasons = []
     profile = boundary_profile(form.spec, form.rel_tol)
     # 1. limits at exit endpoints must vanish
@@ -276,7 +264,7 @@ def membership(form: FormDescriptor, tf: TestFunction,
                 continue
             for side in ("lo", "hi"):
                 verdict, value, note = _square_mass_side(
-                    form, entry, prof, piece, side, rel_tol)
+                    form, entry, prof, piece, side)
                 if verdict == INFINITE:
                     reasons.append(
                         f"component {c.index}: infinite F^2 mass toward the "
@@ -298,9 +286,8 @@ def membership(form: FormDescriptor, tf: TestFunction,
     return MembershipReport(True, (), total_mass, e_self)
 
 
-def require_member(form: FormDescriptor, tf: TestFunction,
-                   rel_tol: float = 1e-6) -> MembershipReport:
-    rep = membership(form, tf, rel_tol)
+def require_member(form: FormDescriptor, tf: TestFunction) -> MembershipReport:
+    rep = membership(form, tf)
     if not rep.ok:
         raise MembershipError("; ".join(rep.reasons))
     return rep
@@ -415,12 +402,13 @@ class AdaptedReport:
 
 
 def check_adapted(spec, rel_tol: float = 1e-6) -> AdaptedReport:
-    """Endpoint membership must match scale-limit finiteness.
+    """Endpoint membership against scale-limit finiteness.
 
-    A finite component endpoint belongs to the component exactly when
-    the scale coordinate stays bounded toward it.  This is guaranteed
-    for processes symmetrizable without killing, so any violation flags
-    a numerics failure rather than a property of the spec.
+    A finite component endpoint that belongs to the component while the
+    scale is unbounded toward it, or lies outside it while the scale
+    stays bounded, is a violation.  Not only numerics make one: a
+    natural endpoint at a finite scale limit, kept out by infinite speed
+    mass near it, is one in a process symmetrizable without killing.
     """
     report = check_symmetrizable(spec, rel_tol=rel_tol)
     if not report.full:

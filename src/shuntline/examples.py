@@ -137,5 +137,5 @@ def example_document(name: str) -> dict:
 
 
 def get_example(name: str) -> DiffusionSpec:
-    """Parse and validate a built-in example."""
+    """Parse a built-in example; ``validate`` audits it."""
     return parse_spec(example_document(name))

@@ -24,7 +24,7 @@ from .errors import EvalError, ExprError
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Pow", "Call", "Piecewise",
-    "parse_expr", "serialize_expr", "evaluate", "is_constant",
+    "parse_expr", "evaluate", "is_constant",
 ]
 
 _FUNCTIONS = ("ln", "log", "exp", "sqrt", "abs", "sin", "cos")
@@ -333,49 +333,3 @@ def evaluate(e: Expr, x):
     if math.isnan(out):
         raise EvalError(f"expression undefined at x = {x!r}")
     return out
-
-
-def _fmt_const(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def serialize_expr(e: Expr) -> str:
-    """Render an AST back to parseable text (parse(serialize(e)) == e)."""
-    return _serialize(e, 0)
-
-
-# precedence levels: 0 additive, 1 multiplicative, 2 power, 3 atom
-def _serialize(e, ctx):
-    if isinstance(e, Const):
-        if e.value < 0:
-            s = f"-{_fmt_const(-e.value)}"
-            return f"({s})" if ctx >= 1 else s
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Neg):
-        s = f"-{_serialize(e.arg, 3)}"
-        return f"({s})" if ctx >= 1 else s
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            s = f"{_serialize(e.left, 0)} {e.op} {_serialize(e.right, 1)}"
-            return f"({s})" if ctx >= 1 else s
-        s = f"{_serialize(e.left, 1)} {e.op} {_serialize(e.right, 2)}"
-        return f"({s})" if ctx >= 2 else s
-    if isinstance(e, Pow):
-        exp = _fmt_const(e.exponent) if e.exponent >= 0 else f"(-{_fmt_const(-e.exponent)})"
-        s = f"{_serialize(e.base, 3)}^{exp}"
-        return f"({s})" if ctx >= 3 else s
-    if isinstance(e, Call):
-        return f"{e.fn}({_serialize(e.arg, 0)})"
-    if isinstance(e, Piecewise):
-        parts = []
-        for bound, branch in zip(e.bounds, e.branches):
-            parts.append(f"{_serialize(branch, 0)} if x < {_fmt_const(bound)}")
-        parts.append(_serialize(e.branches[-1], 0))
-        return f"piecewise({', '.join(parts)})"
-    raise TypeError(f"not an expression node: {e!r}")

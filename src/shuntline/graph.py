@@ -53,9 +53,6 @@ class CommunicationGraph:
     atoms: tuple
     edges: frozenset  # directed (i, j) atom index pairs
 
-    def out_neighbors(self, i):
-        return [j for (s, j) in self.edges if s == i]
-
     def locate(self, x: float) -> int:
         """Atom index holding the point x (infinities map to cemeteries)."""
         if math.isinf(x):
@@ -139,12 +136,13 @@ def build_graph(spec: DiffusionSpec, rel_tol: float = 1e-6) -> CommunicationGrap
     return CommunicationGraph(spec, tuple(atoms), frozenset(edges))
 
 
-def _atom_reach_set(graph: CommunicationGraph, start: int) -> set:
-    seen = {start}
-    frontier = [start]
+def _reached(graph: CommunicationGraph, start: int) -> set:
+    """Atoms reached from atom start along one edge or more."""
     succ = {}
     for (s, j) in graph.edges:
         succ.setdefault(s, []).append(j)
+    seen = set()
+    frontier = [start]
     while frontier:
         nxt = []
         for i in frontier:
@@ -161,8 +159,6 @@ def _same_atom_reach(atom: Atom, x: float, y: float) -> bool:
         return True
     if atom.kind in ("trap_seg",):
         return x == y
-    if atom.kind == "point":
-        return False  # handled by the cycle rule in reaches()
     # shunt material
     if atom.direction == "right":
         return x < y
@@ -182,16 +178,10 @@ def reaches(graph: CommunicationGraph, x: float, y: float) -> bool:
         if ax.kind == "point" and ax.point_class == TRAP:
             return True
         # shunt material leaves immediately; back only through a cycle
-        back = set()
-        for j in graph.out_neighbors(xi):
-            back |= _atom_reach_set(graph, j)
-        return xi in back
+        return xi in _reached(graph, xi)
     if xi == yi:
         return _same_atom_reach(ax, x, y)
-    reach = set()
-    for j in graph.out_neighbors(xi):
-        reach |= _atom_reach_set(graph, j)
-    return yi in reach
+    return yi in _reached(graph, xi)
 
 
 @dataclass(frozen=True)
@@ -199,10 +189,10 @@ class CommunicationClasses:
     interval_classes: tuple   # (lo, hi, lo_closed, hi_closed)
     trap_singletons: tuple    # isolated trap points
     singleton_ranges: tuple   # (lo, hi) intervals of pairwise-isolated traps
-    ring: tuple               # open interiors of the interval classes
 
     def ring_contains(self, x: float) -> bool:
-        return any(lo < x < hi for lo, hi in self.ring)
+        """Is x inside the open interior of an interval class."""
+        return any(lo < x < hi for lo, hi, _, _ in self.interval_classes)
 
     def as_dict(self) -> dict:
         return {
@@ -258,6 +248,5 @@ def communication_classes(graph: CommunicationGraph) -> CommunicationClasses:
     interval_classes.sort()
     singleton_ranges = tuple(sorted(
         (a.lo, a.hi) for a in atoms if a.kind == "trap_seg"))
-    ring = tuple((lo, hi) for lo, hi, _, _ in interval_classes)
     return CommunicationClasses(tuple(interval_classes), tuple(sorted(trap_singletons)),
-                                singleton_ranges, ring)
+                                singleton_ranges)

@@ -41,6 +41,11 @@ def test_scale_limit_values():
     q = spec2.pieces[j]
     assert scale_limit(q, "a") == pytest.approx(0.0, abs=1e-8)
     assert scale_limit(q, "b") == pytest.approx(2.0, abs=1e-8)
+    # piece 0 is the trap segment below 0, which has no scale
+    with pytest.raises(EvalError, match="defined for regular pieces"):
+        scale_limit(spec.pieces[0], "b")
+    with pytest.raises(EvalError, match="defined for regular pieces"):
+        endpoint_role(spec, 0, "b")
 
 
 def test_scale_limit_caps_runaway_growth():
@@ -65,6 +70,17 @@ def test_unit_interval_endpoint_integral_is_one():
     oracle, err = quad(lambda x: (s_lim - eval_scale(p, x)) * 2.0, 1.0, 2.0)
     assert err < 1e-9
     assert value == pytest.approx(oracle, abs=2e-5)
+
+    # the whole line with the bounded scale x/(1 + |x|) and density
+    # 1/(1 + |x|): from the anchor 0, int_0^inf (1 + y)^-2 dy = 1 toward
+    # either end
+    whole = spec_from([{"kind": "regular_interval", "a": "-inf", "b": "inf",
+                        "scale": "x/(1 + abs(x))",
+                        "speed": {"density": "1/(1 + abs(x))"}}]).pieces[0]
+    for side in ("a", "b"):
+        verdict, value = approachable(whole, side)
+        assert verdict == "yes"
+        assert value == pytest.approx(1.0, abs=2e-5)
 
 
 def test_log_scale_origin_is_unapproachable():

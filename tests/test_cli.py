@@ -149,6 +149,24 @@ def test_simulate_refuses_a_window_edge_on_an_unbounded_scale(capsys):
         "off the endpoint\n")
 
 
+@pytest.mark.parametrize("cmd", ["classify", "check-symmetry"])
+def test_a_scale_limit_that_does_not_settle_is_refused(tmp_path, capsys, cmd):
+    """ln(ln(x)) grows to +inf too slowly for the 419 probes to pass the
+    cap or to stall: a refusal that exits 1, though the exact limit is
+    +inf and numerics that cannot decide should exit 2."""
+    spec = tmp_path / "lnln.json"
+    spec.write_text(json.dumps({"name": "lnln", "pieces": [
+        {"kind": "trap_segment", "a": "-inf", "b": "2"},
+        {"kind": "singular_point", "x": "2", "class": "trap"},
+        {"kind": "regular_interval", "a": "2", "b": "inf",
+         "scale": "ln(ln(x))", "speed": {"density": "1"}}]}))
+    assert main(["validate", "--spec", str(spec), "--out", str(tmp_path / "v.json")]) == 0
+    assert main([cmd, "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err == (
+        f"shuntline {cmd}: error: scale limit did not settle at endpoint "
+        f"b = inf\n")
+
+
 def test_validate_names_an_undefined_point_as_a_plain_number(tmp_path):
     spec = tmp_path / "ln.json"
     spec.write_text(json.dumps({"name": "ln-half", "pieces": [

@@ -1,10 +1,11 @@
 """Energy form: values, domain membership, contraction properties."""
 
+import math
 import random
 
 import pytest
 
-from shuntline import (MembershipError, NotSymmetrizableError,
+from shuntline import (DomainError, MembershipError, NotSymmetrizableError,
                        UndeterminedVerdict, check_symmetrizable,
                        example_document, get_example, list_examples,
                        parse_spec)
@@ -16,6 +17,21 @@ from conftest import random_spec_doc
 
 def tf(component, profile):
     return dl.TestFunction(((component, profile),))
+
+
+def slow_mass_doc(hints=None):
+    """split-bm with a right density of x^-1 ln(1/x)^-1.5 near 0: its mass
+    toward 0 is finite, but the shells decay like k^-1.5, too slowly for
+    any verdict."""
+    speed = {"density": "piecewise(1/(x*ln(1/x)^1.5) if x < 0.5, 2)"}
+    if hints:
+        speed["hints"] = hints
+    return {"name": f"slow-mass-{hints}", "pieces": [
+        {"kind": "regular_interval", "a": "-inf", "b": "0", "scale": "-1/x",
+         "speed": {"density": "2"}},
+        {"kind": "singular_point", "x": "0", "class": "trap"},
+        {"kind": "regular_interval", "a": "0", "b": "inf", "scale": "-1/x",
+         "speed": speed}]}
 
 
 def random_member_profile(rng):
@@ -49,6 +65,20 @@ def test_energy_is_bilinear_and_symmetric():
                                 for row in f.profiles[0][1].coefficients)))
     assert dl.energy(form, f2, g) == pytest.approx(2.0 * efg, rel=1e-9,
                                                    abs=1e-12)
+    # profiles on disjoint spans, or on different components, add nothing
+    assert dl.energy(form, f, tf(0, dl.ramp_profile(2.0, 3.0))) == 0.0
+    assert dl.energy(form, f, tf(1, g.profiles[0][1])) == 0.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: dl.Profile((0.0,), ()), r"K\+1 breakpoints"),
+    (lambda: dl.Profile((0.0, 0.0), ((0.0,) * 4,)), "strictly increasing"),
+    (lambda: dl.Profile((0.0, 1.0), ((0.0,) * 3,)), "four cubic"),
+    (lambda: dl.linear_profile([0.0, 1.0], [1.0]), "matching u and value"),
+])
+def test_malformed_profiles_are_refused(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
 
 
 def test_cauchy_schwarz_and_unit_contraction():
@@ -66,10 +96,11 @@ def test_cauchy_schwarz_and_unit_contraction():
 
 
 def test_clip_unit_clamps_values():
-    prof = dl.linear_profile([0.0, 0.5, 1.0], [-0.5, 1.5, 0.0])
+    # the last segment is constant, so neither of its cubics has a root
+    prof = dl.linear_profile([0.0, 0.5, 1.0, 1.5], [-0.5, 1.5, 0.0, 0.0])
     clipped = dl.clip_unit(dl.TestFunction(((0, prof),)))
     cp = clipped.profile_for(0)
-    for k in range(101):
+    for k in range(151):
         u = k / 100.0
         v = cp.value(u)
         want = min(1.0, max(0.0, prof.value(u)))
@@ -88,6 +119,7 @@ def test_membership_requires_vanishing_exit_limit():
     # vanishing version of the same shape is fine
     good = tf(0, dl.linear_profile([0.0, 0.5, 1.5], [0.0, 1.0, 0.0]))
     assert dl.membership(form, good).ok
+    assert dl.require_member(form, good) == dl.membership(form, good)
 
 
 def test_membership_requires_finite_square_mass():
@@ -102,6 +134,26 @@ def test_membership_requires_finite_square_mass():
     assert good.ok
     assert good.self_energy == pytest.approx(1.0, abs=1e-6)
     assert good.mass == pytest.approx(2.0 * 2.0 / 3.0, rel=1e-5)
+    # on split-bm's left component (u = -1/x > 0), the hat on u in
+    # [0.5, 1, 2] has F^2 mass int F(u)^2 2/u^2 du = 12 - 16 ln 2 and self
+    # energy (1/2)(4 * 0.5 + 1) = 1.5; the right component has no profile
+    left = dl.membership(dl.make_form(get_example('split-bm')),
+                         tf(0, dl.linear_profile([0.5, 1.0, 2.0], [0.0, 1.0, 0.0])))
+    assert left.ok
+    assert left.mass == pytest.approx(12.0 - 16.0 * math.log(2.0), rel=1e-6)
+    assert left.self_energy == pytest.approx(1.5, abs=1e-6)
+    # F = 1 toward x = 0 of a right component: its mass there is infinite
+    # by declaration on nonradon, undecided on slow_mass_doc and finite
+    # once declared so
+    near_zero = tf(1, dl.linear_profile([-3.0, -2.0], [1.0, 0.0]))
+    rep = dl.membership(dl.make_form(get_example('nonradon')), near_zero)
+    assert rep.reasons == ("component 1: infinite F^2 mass toward the lo end "
+                           "(non-vanishing tail against infinite end mass)",)
+    rep = dl.membership(dl.make_form(parse_spec(slow_mass_doc())), near_zero)
+    assert rep.reasons == ("component 1: undecided F^2 mass toward the lo end; "
+                           "declare speed.hints to settle it",)
+    declared = dl.make_form(parse_spec(slow_mass_doc({"a": "finite"})))
+    assert dl.membership(declared, near_zero).ok
 
 
 def test_membership_rejects_jumps():
@@ -118,6 +170,8 @@ def test_whole_line_form_checks_need_full_symmetrizability():
             dl.check_regular_form(spec)
         with pytest.raises(NotSymmetrizableError):
             dl.check_adapted(spec)
+    with pytest.raises(NotSymmetrizableError):
+        dl.make_form(get_example('drift'))
 
 
 def test_regular_form_on_radon_and_non_radon_measures():
@@ -125,6 +179,8 @@ def test_regular_form_on_radon_and_non_radon_measures():
     assert dl.check_regular_form(get_example('split-bm')).ok
     rep = dl.check_regular_form(get_example('nonradon'))
     assert not rep.ok
+    with pytest.raises(UndeterminedVerdict, match=r"mass of \[-1.0, 1.0\] undecided"):
+        dl.check_regular_form(parse_spec(slow_mass_doc()))
 
 
 def test_bm_window_masses_are_exact():
@@ -143,6 +199,20 @@ def test_adaptedness_of_builtin_components(reflect_glue_doc):
     glue = parse_spec(reflect_glue_doc)
     rep = dl.check_adapted(glue)
     assert rep.ok and rep.violations == ()
+    # infinite speed mass keeps both sides from the trap at 0, where the
+    # scale x stays bounded: symmetrizable without killing, not adapted
+    natural = parse_spec({"name": "natural-trap", "pieces": [
+        {"kind": "regular_interval", "a": "-inf", "b": "0", "scale": "x",
+         "speed": {"density": "1/abs(x)^3"}},
+        {"kind": "singular_point", "x": "0", "class": "trap"},
+        {"kind": "regular_interval", "a": "0", "b": "inf", "scale": "x",
+         "speed": {"density": "1/x^3"}}]})
+    assert check_symmetrizable(natural).full
+    assert dl.check_adapted(natural).as_dict() == {"ok": False, "violations": [
+        {"component": 0, "side": "b", "endpoint": 0.0, "included": False,
+         "scale_limit": -9.313225746154785e-10},
+        {"component": 1, "side": "a", "endpoint": 0.0, "included": False,
+         "scale_limit": 9.313225746154785e-10}]}
 
 
 def test_atoms_keep_the_measure_radon():

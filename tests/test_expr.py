@@ -1,4 +1,4 @@
-"""Expression grammar: parsing, evaluation, serialization round-trips."""
+"""Expression grammar: parsing and evaluation."""
 
 import math
 import random
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shuntline.errors import EvalError, ExprError
-from shuntline.expr import evaluate, is_constant, parse_expr, serialize_expr
+from shuntline.expr import Pow, evaluate, is_constant, parse_expr
 
 
 def ev(src, x):
@@ -24,6 +24,10 @@ def test_arithmetic_matches_python():
         "7/2/2": 1.75,           # division associates left
         "1 - 2 - 3": -4.0,
         "2*-3": -6.0,
+        "+2 - +3": -1.0,         # unary plus is dropped
+        "2*pi": 2.0 * math.pi,
+        "-inf": -math.inf,
+        "3  ": 3.0,              # trailing whitespace ends the text
     }
     for src, want in cases.items():
         assert ev(src, 0.0) == pytest.approx(want, abs=0.0), src
@@ -53,24 +57,11 @@ def test_vectorized_evaluation_matches_scalar():
         assert np.allclose(vec, scal, rtol=1e-14, atol=0.0), src
 
 
-def test_serialize_round_trip():
-    srcs = ["x^2 + ln(x)", "-1/x", "x/2", "2*x", "exp(-(x - 1)^2)",
-            "x^2/((1-x)^2 * ln(1/(1-x))^1.5)"]
-    for src in srcs:
-        e = parse_expr(src)
-        text = serialize_expr(e)
-        e2 = parse_expr(text)
-        for x in (0.3, 0.55, 0.9):
-            try:
-                a = evaluate(e, x)
-            except EvalError:
-                continue
-            assert evaluate(e2, x) == pytest.approx(a, rel=1e-15), src
-
-
 def test_is_constant():
     assert is_constant(parse_expr("3*(2 - 1/2)"))
     assert not is_constant(parse_expr("3*x - x"))
+    # an exponent is a constant expression, a function call too
+    assert parse_expr("x^ln(2)") == Pow(parse_expr("x"), math.log(2.0))
 
 
 def test_domain_errors_raise_eval_error():
@@ -110,10 +101,6 @@ def test_piecewise_evaluates_by_interval_and_round_trips():
     flat = parse_expr("piecewise(1 if x < -1, 2)")
     assert is_constant(flat)
     assert evaluate(flat, np.array([-2.0, -1.0, 5.0])).tolist() == [1.0, 2.0, 2.0]
-    for g in (e, flat):
-        text = serialize_expr(g)
-        assert text.startswith("piecewise(")
-        assert parse_expr(text) == g
 
 
 @pytest.mark.parametrize("src, message", [
@@ -121,6 +108,7 @@ def test_piecewise_evaluates_by_interval_and_round_trips():
     ("piecewise(1 if x < 0, 2 if x < 1)", "unguarded final branch"),
     ("piecewise(1 if x < x, 2)", "must be a constant"),
     ("piecewise(1 if y < 0, 2)", "form 'x < c'"),
+    ("piecewise(1 if x < 0, 2", "malformed piecewise"),
 ])
 def test_piecewise_parse_errors(src, message):
     with pytest.raises(ExprError, match=message):

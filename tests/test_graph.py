@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from shuntline import GraphBuildError, get_example, parse_spec
+from shuntline import DomainError, GraphBuildError, get_example, parse_spec
 from shuntline.graph import build_graph, communication_classes, reaches
 
 from conftest import spec_from
@@ -34,8 +34,11 @@ def test_reaches_on_whole_line_diffusion():
     G = build_graph(get_example('bm'))
     assert reaches(G, 0.0, 7.0) and reaches(G, 7.0, 0.0)
     assert reaches(G, 0.0, 0.0)
-    # infinities are never attained in finite time
+    # infinities are never attained in finite time, nor left
     assert not reaches(G, 0.0, math.inf)
+    for end in (-math.inf, math.inf):
+        with pytest.raises(DomainError, match="source must be finite"):
+            reaches(G, end, 0.0)
 
 
 def test_one_way_segment_never_returns():
@@ -44,11 +47,16 @@ def test_one_way_segment_never_returns():
     assert not reaches(G, 5.0, 0.0)
     assert not reaches(G, 0.0, 0.0)
     assert not reaches(G, 0.0, math.inf)
+    left = build_graph(spec_from([
+        {"kind": "shunt_segment", "a": "-inf", "b": "inf", "direction": "left"}]))
+    assert reaches(left, 5.0, 0.0)
+    assert not reaches(left, 0.0, 5.0)
 
 
 def test_traps_are_sinks():
     G = build_graph(get_example('exa2'))
     assert reaches(G, -3.0, -3.0)        # staying put still counts
+    assert reaches(G, 0.0, 0.0)          # on the trap point too
     assert not reaches(G, -3.0, -2.0)
     assert reaches(G, 2.0, 0.0)          # exit endpoint is attainable
     assert not reaches(G, 0.0, 2.0)
@@ -71,6 +79,17 @@ def test_partial_reach_barrier_splits_segment():
     # downstream continues through the shunt point into the half line
     assert reaches(G, -1.0, -0.5)
     assert reaches(G, -0.5, 1.0)
+    # mirrored: the barrier belongs to the downstream half on its left
+    mirror = build_graph(spec_from([
+        {"kind": "regular_interval", "a": "-inf", "b": "0",
+         "scale": "x/2", "speed": {"density": "2"}},
+        {"kind": "singular_point", "x": "0", "class": "left_shunt"},
+        {"kind": "shunt_segment", "a": "0", "b": "inf",
+         "direction": "left", "reach": "partial:1"}]))
+    down = mirror.atoms[mirror.locate(1.0)]
+    assert (down.lo, down.hi, down.blocked) == (0.0, 1.0, False)
+    with pytest.raises(DomainError, match="no atom holds nan"):
+        mirror.locate(math.nan)
 
 
 def test_transitivity_spot_checks():
@@ -89,7 +108,7 @@ def test_communication_classes_shapes():
     cc = communication_classes(build_graph(get_example('exa2')))
     assert cc.interval_classes == ((0.0, math.inf, True, False),)
     assert cc.singleton_ranges == ((-math.inf, 0.0),)
-    assert cc.ring == ((0.0, math.inf),)
+    assert cc.ring_contains(1.0) and not cc.ring_contains(0.0)
 
     cc2 = communication_classes(build_graph(get_example('bm')))
     assert cc2.interval_classes == ((-math.inf, math.inf, False, False),)
